@@ -77,24 +77,16 @@ void BM_GbtPredictPool(benchmark::State& state) {
 BENCHMARK(BM_GbtPredictPool);
 
 // ---------------------------------------------------------------------
-// Exact vs histogram vs quantized trainer, at the workload from
-// docs/PERFORMANCE.md: n = 512 rows, 150 boosting rounds, depth-5 trees.
-// state.range(0) selects the TreeMethod so all variants share one body.
+// Exact vs quantized trainer, at the workload from docs/PERFORMANCE.md:
+// n = 512 rows, 150 boosting rounds, depth-5 trees. state.range(0)
+// selects the TreeMethod (0 exact, 1 quantized) so both share one body.
 
 ml::TreeMethod method_arg(std::int64_t arg) {
-  switch (arg) {
-    case 0: return ml::TreeMethod::kExact;
-    case 1: return ml::TreeMethod::kHist;
-    default: return ml::TreeMethod::kQuantized;
-  }
+  return arg == 0 ? ml::TreeMethod::kExact : ml::TreeMethod::kQuantized;
 }
 
 const char* method_label(std::int64_t arg) {
-  switch (arg) {
-    case 0: return "exact";
-    case 1: return "hist";
-    default: return "quantized";
-  }
+  return arg == 0 ? "exact" : "quantized";
 }
 
 ml::GbtParams deep_fit_params(ml::TreeMethod method) {
@@ -119,10 +111,11 @@ void BM_GbtFit512(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
   state.SetLabel(method_label(state.range(0)));
 }
-BENCHMARK(BM_GbtFit512)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_GbtFit512)->Arg(0)->Arg(1);
 
 // Scoring a 2000-configuration pool: one predict() call per row (the
-// pre-cache tuner loop) vs the batched predict_all path.
+// pre-cache tuner loop) vs the batched predict_all path. Both run
+// through the compiled forest.
 void BM_GbtPredictPoolSerial(benchmark::State& state) {
   Rng rng(10);
   const auto train = synth(512, 7, rng);
@@ -152,23 +145,6 @@ void BM_GbtPredictPoolBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2000);
 }
 BENCHMARK(BM_GbtPredictPoolBatch);
-
-// Same batch scoring through the flattened CompiledForest (bitwise
-// identical output, branch-light contiguous layout).
-void BM_GbtPredictPoolCompiled(benchmark::State& state) {
-  Rng rng(10);
-  const auto train = synth(512, 7, rng);
-  const auto pool = synth(2000, 7, rng);
-  auto params = deep_fit_params(ml::TreeMethod::kExact);
-  params.compile_predictor = true;
-  ml::GradientBoostedTrees model(params);
-  model.fit(train, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict_all(pool));
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_GbtPredictPoolCompiled);
 
 void BM_RandomForestFit(benchmark::State& state) {
   Rng rng(5);

@@ -47,9 +47,8 @@ const sim::Workload& lv() {
   return wl;
 }
 
-/// Surrogate fitted once on a small measured sample, with the full
-/// performance configuration enabled: quantized trainer + compiled
-/// flat predictor.
+/// Surrogate fitted once on a small measured sample with the quantized
+/// trainer (prediction always runs through the compiled forest).
 const tuner::Surrogate& surrogate() {
   static const tuner::Surrogate model = [] {
     const auto& wf = lv().workflow;
@@ -61,7 +60,6 @@ const tuner::Surrogate& surrogate() {
     for (const auto& c : train) targets.push_back(wf.expected(c).exec_s);
     auto params = ml::GradientBoostedTrees::surrogate_defaults();
     params.tree.method = ml::TreeMethod::kQuantized;
-    params.compile_predictor = true;
     tuner::Surrogate fitted(params);
     Rng fit_rng(bench::kEvalSeed);
     fitted.fit(space, train, targets, fit_rng);

@@ -4,7 +4,6 @@
 
 #include "core/error.h"
 #include "core/parallel.h"
-#include "core/telemetry.h"
 #include "ml/gbt.h"
 
 namespace ceal::ml {
@@ -12,7 +11,7 @@ namespace ceal::ml {
 namespace {
 
 /// Rows x trees below which the pool dispatch overhead outweighs the
-/// parallel win (same break-even as the tree-walk batch predictor).
+/// parallel win.
 constexpr std::size_t kParallelPredictWork = 1 << 14;
 
 }  // namespace
@@ -77,14 +76,8 @@ double CompiledForest::predict(std::span<const double> features) const {
 }
 
 template <typename RowOf>
-std::vector<double> CompiledForest::predict_batch(
-    std::size_t n, const RowOf& row_of,
-    ceal::telemetry::Telemetry* tel) const {
-  telemetry::ScopedCausalSpan span(tel, "compiled.predict");
-  if (tel != nullptr) {
-    tel->count("compiled.predict.batches");
-    tel->count("compiled.predict.rows", n);
-  }
+std::vector<double> CompiledForest::predict_batch(std::size_t n,
+                                                  const RowOf& row_of) const {
   std::vector<double> out(n);
   const auto fill = [&](std::size_t i) { out[i] = predict(row_of(i)); };
   if (n > 1 && n * roots_.size() >= kParallelPredictWork) {
@@ -96,15 +89,14 @@ std::vector<double> CompiledForest::predict_batch(
 }
 
 std::vector<double> CompiledForest::predict_matrix(
-    const FeatureMatrix& rows, ceal::telemetry::Telemetry* telemetry) const {
+    const FeatureMatrix& rows) const {
   return predict_batch(rows.size(),
-                       [&](std::size_t i) { return rows.row(i); }, telemetry);
+                       [&](std::size_t i) { return rows.row(i); });
 }
 
-std::vector<double> CompiledForest::predict_dataset(
-    const Dataset& data, ceal::telemetry::Telemetry* telemetry) const {
+std::vector<double> CompiledForest::predict_dataset(const Dataset& data) const {
   return predict_batch(data.size(),
-                       [&](std::size_t i) { return data.row(i); }, telemetry);
+                       [&](std::size_t i) { return data.row(i); });
 }
 
 }  // namespace ceal::ml

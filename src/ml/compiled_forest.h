@@ -8,10 +8,10 @@
 // record per level with a single predictable branch, instead of chasing
 // 40-byte Node records through per-tree vectors.
 //
-// Prediction accumulates the trees in ensemble order with the same
-// base + learning_rate * leaf arithmetic as GradientBoostedTrees, so a
-// compiled forest is bitwise identical to the tree-walk predictor — for
-// single rows, batches, and any thread-pool width (batch inference
+// Every GradientBoostedTrees prediction runs through one. It accumulates
+// the trees in ensemble order as base + learning_rate * leaf, so it is
+// bitwise identical to summing RegressionTree::predict over the trees —
+// for single rows, batches, and any thread-pool width (batch inference
 // parallelises over rows, one writer per row).
 #pragma once
 
@@ -20,10 +20,6 @@
 #include <vector>
 
 #include "ml/dataset.h"
-
-namespace ceal::telemetry {
-class Telemetry;
-}
 
 namespace ceal::ml {
 
@@ -35,21 +31,16 @@ class CompiledForest {
   /// it stays valid after the model is destroyed.
   static CompiledForest compile(const GradientBoostedTrees& model);
 
-  /// Ensemble prediction for one feature vector; bitwise equal to
-  /// GradientBoostedTrees::predict.
+  /// Ensemble prediction for one feature vector: base_score plus
+  /// learning_rate * leaf weight, summed over the trees in order.
   double predict(std::span<const double> features) const;
 
-  /// Batch prediction over a feature matrix, parallel over row blocks on
-  /// the global thread pool. `telemetry` (nullable) receives the
-  /// "compiled.predict" span and "compiled.predict.rows" counter.
-  std::vector<double> predict_matrix(
-      const FeatureMatrix& rows,
-      ceal::telemetry::Telemetry* telemetry = nullptr) const;
+  /// Batch prediction over a feature matrix, parallel over rows on the
+  /// global thread pool.
+  std::vector<double> predict_matrix(const FeatureMatrix& rows) const;
 
   /// Batch prediction over a dataset's feature rows (targets ignored).
-  std::vector<double> predict_dataset(
-      const Dataset& data,
-      ceal::telemetry::Telemetry* telemetry = nullptr) const;
+  std::vector<double> predict_dataset(const Dataset& data) const;
 
   std::size_t tree_count() const { return roots_.size(); }
   std::size_t node_count() const { return nodes_.size(); }
@@ -67,8 +58,7 @@ class CompiledForest {
   CompiledForest() = default;
 
   template <typename RowOf>
-  std::vector<double> predict_batch(std::size_t n, const RowOf& row_of,
-                                    ceal::telemetry::Telemetry* tel) const;
+  std::vector<double> predict_batch(std::size_t n, const RowOf& row_of) const;
 
   double base_score_ = 0.0;
   double learning_rate_ = 0.0;

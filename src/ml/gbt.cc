@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "core/error.h"
-#include "core/parallel.h"
 #include "core/stats.h"
 #include "core/telemetry.h"
 #include "ml/compiled_forest.h"
@@ -69,16 +68,13 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
   constexpr double kUntrained = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> leaf_values(n);
 
-  // Feature binning depends only on the data, so the histogram and
-  // quantized trainers bin once here and every round reuses the cache.
-  std::optional<HistogramCache> hist_cache;
+  // Feature binning depends only on the data, so the quantized trainer
+  // bins once here and every round reuses the cache.
   std::optional<QuantizedMatrix> quantized_cache;
   // Tree-builder scratch (histogram buffers, reciprocal table) also
   // survives across rounds; each round's builder reuses it in place.
   std::optional<QuantizedWorkspace> quantized_ws;
-  if (params_.tree.method == TreeMethod::kHist) {
-    hist_cache.emplace(data, params_.tree.max_bins);
-  } else if (params_.tree.method == TreeMethod::kQuantized) {
+  if (params_.tree.method == TreeMethod::kQuantized) {
     telemetry::ScopedCausalSpan span(telemetry_, "gbt.quantize");
     quantized_cache.emplace(data, params_.tree.max_bins);
     quantized_ws.emplace();
@@ -103,8 +99,7 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
     if (rows_per_round != n) {
       std::fill(leaf_values.begin(), leaf_values.end(), kUntrained);
     }
-    tree.fit_gradients(data, rows, grad, hess, rng, &leaf_values,
-                       hist_cache ? &*hist_cache : nullptr, telemetry_,
+    tree.fit_gradients(data, rows, grad, hess, rng, &leaf_values, telemetry_,
                        quantized_cache ? &*quantized_cache : nullptr,
                        quantized_ws ? &*quantized_ws : nullptr);
     for (std::size_t i = 0; i < n; ++i) {
@@ -116,10 +111,8 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
     trees_.push_back(std::move(tree));
   }
   fitted_ = true;
-  if (params_.compile_predictor) {
-    compiled_ = std::make_shared<const CompiledForest>(
-        CompiledForest::compile(*this));
-  }
+  compiled_ =
+      std::make_shared<const CompiledForest>(CompiledForest::compile(*this));
 }
 
 const std::vector<RegressionTree>& GradientBoostedTrees::trees() const {
@@ -138,44 +131,15 @@ GradientBoostedTrees GradientBoostedTrees::from_parts(
   model.base_score_ = base_score;
   model.trees_ = std::move(trees);
   model.fitted_ = true;
-  if (params.compile_predictor) {
-    model.compiled_ = std::make_shared<const CompiledForest>(
-        CompiledForest::compile(model));
-  }
+  model.compiled_ =
+      std::make_shared<const CompiledForest>(CompiledForest::compile(model));
   return model;
 }
 
 double GradientBoostedTrees::predict(std::span<const double> features) const {
   CEAL_EXPECT_MSG(fitted_, "predict() before fit()");
-  if (compiled_ != nullptr) return compiled_->predict(features);
-  double out = base_score_;
-  for (const auto& tree : trees_) {
-    out += params_.learning_rate * tree.predict(features);
-  }
-  return out;
+  return compiled_->predict(features);
 }
-
-namespace {
-
-/// Rows x trees below which the pool dispatch overhead outweighs the
-/// parallel win.
-constexpr std::size_t kParallelPredictWork = 1 << 14;
-
-template <typename RowOf>
-std::vector<double> predict_rows(const GradientBoostedTrees& model,
-                                 std::size_t n, std::size_t n_trees,
-                                 const RowOf& row_of) {
-  std::vector<double> out(n);
-  const auto fill = [&](std::size_t i) { out[i] = model.predict(row_of(i)); };
-  if (n > 1 && n * n_trees >= kParallelPredictWork) {
-    ceal::parallel_apply(0, n, fill);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fill(i);
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<double> GradientBoostedTrees::predict_all(
     const Dataset& data) const {
@@ -187,11 +151,7 @@ std::vector<double> GradientBoostedTrees::predict_all(
     telemetry_->count("gbt.predict.batches");
     telemetry_->count("gbt.predict.rows", data.size());
   }
-  if (compiled_ != nullptr) {
-    return compiled_->predict_dataset(data, telemetry_);
-  }
-  return predict_rows(*this, data.size(), trees_.size(),
-                      [&](std::size_t i) { return data.row(i); });
+  return compiled_->predict_dataset(data);
 }
 
 std::vector<double> GradientBoostedTrees::predict_matrix(
@@ -204,11 +164,7 @@ std::vector<double> GradientBoostedTrees::predict_matrix(
     telemetry_->count("gbt.predict.batches");
     telemetry_->count("gbt.predict.rows", rows.size());
   }
-  if (compiled_ != nullptr) {
-    return compiled_->predict_matrix(rows, telemetry_);
-  }
-  return predict_rows(*this, rows.size(), trees_.size(),
-                      [&](std::size_t i) { return rows.row(i); });
+  return compiled_->predict_matrix(rows);
 }
 
 }  // namespace ceal::ml

@@ -22,12 +22,6 @@ struct GbtParams {
   double learning_rate = 0.1;
   /// Fraction of rows sampled per round (0 < subsample <= 1).
   double subsample = 1.0;
-  /// When true, fit() flattens the trained trees into a CompiledForest
-  /// (ml/compiled_forest.h) and every later prediction — single-row and
-  /// batch — runs over the contiguous node array instead of walking the
-  /// per-tree tables. Results are bitwise identical either way; the
-  /// compiled layout only changes constant factors.
-  bool compile_predictor = false;
   TreeParams tree;
 };
 
@@ -43,9 +37,10 @@ class GradientBoostedTrees final : public Regressor {
   double predict(std::span<const double> features) const override;
   bool is_fitted() const override { return fitted_; }
 
-  /// Batch prediction, parallel over rows on the global thread pool.
-  /// Each row descends the trees in ensemble order, so the result is
-  /// bitwise identical to row-by-row predict() for any worker count.
+  /// Batch prediction through the compiled forest, parallel over rows on
+  /// the global thread pool. Each row descends the trees in ensemble
+  /// order, so the result is bitwise identical to row-by-row predict()
+  /// for any worker count.
   std::vector<double> predict_all(const Dataset& data) const override;
 
   /// Same as predict_all for a cached (target-less) feature matrix —
@@ -70,15 +65,16 @@ class GradientBoostedTrees final : public Regressor {
   /// Trained member trees (for ml::save_gbt). Requires is_fitted().
   const std::vector<RegressionTree>& trees() const;
 
-  /// Reassembles a fitted model from persisted parts (ml::load_gbt).
-  /// Compiles the flat predictor when params.compile_predictor is set.
+  /// Reassembles a fitted model from persisted parts (ml::load_gbt) and
+  /// compiles its predictor.
   static GradientBoostedTrees from_parts(GbtParams params,
                                          double base_score,
                                          std::vector<RegressionTree> trees);
 
-  /// The flattened predictor, or nullptr when compile_predictor is off
-  /// (or before fit()). Shared so copies of a fitted model alias one
-  /// immutable node array instead of re-flattening.
+  /// The flattened predictor every prediction runs through, built by
+  /// fit() and from_parts(); nullptr before fit(). Shared so copies of a
+  /// fitted model alias one immutable node array instead of
+  /// re-flattening.
   const CompiledForest* compiled() const { return compiled_.get(); }
 
  private:

@@ -49,7 +49,7 @@ double score(double g_sum, double h_sum, double lambda) {
   return g_sum * g_sum / (h_sum + lambda);
 }
 
-/// Same tie epsilon as the exact and histogram split finders (tree.cc):
+/// Same tie epsilon as the exact split finder (tree.cc):
 /// gains within it are ties and the incumbent (lower feature index,
 /// earlier bin) wins.
 constexpr double kGainEps = 1e-12;
@@ -58,17 +58,13 @@ constexpr double kGainEps = 1e-12;
 /// units are worth fanning out to the thread pool.
 constexpr std::size_t kParallelLevelWork = 2048;
 
-/// Hard cap so bin indices fit the uint8 columns.
-constexpr std::size_t kMaxQuantizedBins = 256;
-
 }  // namespace
 
 QuantizedMatrix::QuantizedMatrix(const Dataset& data, std::size_t max_bins)
     : n_rows_(data.size()),
       features_(data.n_features()),
       binned_(data.n_features() * data.size()) {
-  CEAL_EXPECT(max_bins >= 2 && max_bins <= 65536);
-  const std::size_t bins = std::min(max_bins, kMaxQuantizedBins);
+  CEAL_EXPECT(max_bins >= 2 && max_bins <= kMaxBins);
   const std::size_t n = n_rows_;
   const auto bin_one = [&](std::size_t j) {
     std::vector<double> vals(n);
@@ -76,8 +72,8 @@ QuantizedMatrix::QuantizedMatrix(const Dataset& data, std::size_t max_bins)
     std::sort(vals.begin(), vals.end());
 
     FeatureQuantiles& fb = features_[j];
-    fb = quantile_bins(vals, bins);
-    CEAL_ENSURE(fb.bin_max.size() <= kMaxQuantizedBins);
+    fb = quantile_bins(vals, max_bins);
+    CEAL_ENSURE(fb.bin_max.size() <= max_bins);
 
     std::uint8_t* col = binned_.data() + j * n;
     for (std::size_t k = 0; k < n; ++k) {

@@ -2,13 +2,13 @@
 //
 // A QuantizedMatrix is the structure-of-arrays counterpart of the
 // row-major Dataset: per-feature quantile bin edges are computed once
-// (same cuts as HistogramCache, see ml::quantile_bins) and every feature
+// (ml::quantile_bins) and every feature
 // value is packed to a uint8 bin index stored in a contiguous per-feature
 // column. An ensemble fit quantizes once and shares the matrix across
 // all boosting rounds.
 //
 // QuantizedTreeBuilder grows one tree over the packed columns in level
-// order (breadth-first). Compared to the recursive kHist builder it
+// order (breadth-first). Compared to a recursive per-node builder it
 // removes every per-(node, feature) allocation: histograms live in two
 // reusable scratch buffers (current and previous level), accumulation
 // walks rows and reads each row's bin indices from a packed row-major
@@ -35,11 +35,9 @@
 // same prefix sums as the nearest occupied boundary below it, so its
 // gain is a tie the incumbent (earlier bin) already holds.
 //
-// Split candidates, gain formula, tie handling (kGainEps, lowest feature
-// index), and all TreeParams constraints match kHist exactly; predictions
-// differ from kHist only by the last-ulp float error that histogram
-// subtraction introduces, and only when max_bins <= 256 keeps the two
-// candidate sets identical.
+// The gain formula, tie handling (kGainEps, lowest feature index), and
+// all TreeParams constraints match the exact trainer (ml/tree.cc); see
+// ml::quantile_bins for why the grown trees still differ from kExact's.
 #pragma once
 
 #include <cstddef>
@@ -87,8 +85,9 @@ class ScratchBuffer {
 /// sample — so it is computed once per ensemble fit.
 class QuantizedMatrix {
  public:
-  /// Quantile-bins every feature of `data` into at most
-  /// min(max_bins, 256) bins (uint8 indices). 2 <= max_bins <= 65536.
+  /// Quantile-bins every feature of `data` into at most `max_bins` bins
+  /// (uint8 indices). 2 <= max_bins <= kMaxBins; anything else throws
+  /// PreconditionError.
   QuantizedMatrix(const Dataset& data, std::size_t max_bins);
 
   std::size_t n_rows() const { return n_rows_; }

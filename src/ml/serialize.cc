@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "core/atomic_file.h"
 #include "core/error.h"
 
 namespace ceal::ml {
@@ -53,7 +54,6 @@ std::string next_line(std::istream& is) {
 std::string method_name(TreeMethod m) {
   switch (m) {
     case TreeMethod::kExact: return "exact";
-    case TreeMethod::kHist: return "hist";
     case TreeMethod::kQuantized: return "quantized";
   }
   CEAL_EXPECT_MSG(false, "unknown tree method");
@@ -62,8 +62,11 @@ std::string method_name(TreeMethod m) {
 
 TreeMethod parse_method(const std::string& name) {
   if (name == "exact") return TreeMethod::kExact;
-  if (name == "hist") return TreeMethod::kHist;
   if (name == "quantized") return TreeMethod::kQuantized;
+  // Files from the former histogram trainer: it binned with the same
+  // quantile_bins cuts as kQuantized, and prediction only uses the
+  // stored trees.
+  if (name == "hist") return TreeMethod::kQuantized;
   CEAL_EXPECT_MSG(false, "unknown tree method in model file: " + name);
   return TreeMethod::kExact;
 }
@@ -72,17 +75,17 @@ void save_gbt(const GradientBoostedTrees& model, std::ostream& os,
               std::size_t n_features) {
   CEAL_EXPECT_MSG(model.is_fitted(), "cannot save an unfitted model");
   CEAL_EXPECT(n_features > 0);
-  // Models that only use v1 features keep writing v1 files, so existing
-  // default-path artifacts stay byte-identical across this change.
+  // Exact models keep writing v1 files, so default-path artifacts stay
+  // byte-identical. The v2 params line keeps its original shape: its last
+  // field, a retired predictor flag, is always 1 now.
   const GbtParams& p = model.params();
-  const bool needs_v2 =
-      p.tree.method != TreeMethod::kExact || p.compile_predictor;
+  const bool needs_v2 = p.tree.method != TreeMethod::kExact;
   os << "gbt " << (needs_v2 ? "v2 " : "v1 ") << n_features << ' '
      << model.tree_count() << ' ' << hex_double(p.learning_rate) << ' '
      << hex_double(model.base_score()) << '\n';
   if (needs_v2) {
     os << "params " << method_name(p.tree.method) << ' ' << p.tree.max_bins
-       << ' ' << (p.compile_predictor ? 1 : 0) << '\n';
+       << " 1\n";
   }
   for (const auto& tree : model.trees()) {
     const auto nodes = tree.export_nodes();
@@ -122,9 +125,10 @@ LoadedGbt load_gbt(std::istream& is) {
     CEAL_EXPECT_MSG(tag == "params" && !params_line.fail() &&
                         (compiled == 0 || compiled == 1),
                     "malformed params line in model file");
+    CEAL_EXPECT_MSG(max_bins >= 2 && max_bins <= kMaxBins,
+                    "max_bins out of range [2, 256] in model file");
     params.tree.method = parse_method(method);
     params.tree.max_bins = max_bins;
-    params.compile_predictor = compiled == 1;
   }
 
   std::vector<RegressionTree> trees;
@@ -171,9 +175,11 @@ LoadedGbt load_gbt(std::istream& is) {
 
 void save_gbt_file(const GradientBoostedTrees& model,
                    const std::string& path, std::size_t n_features) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open " + path + " for writing");
-  save_gbt(model, os, n_features);
+  // Write-temp + rename: an interrupted save leaves the previous model
+  // file intact instead of a truncated one.
+  AtomicFile file(path);
+  save_gbt(model, file.stream(), n_features);
+  file.commit();
 }
 
 LoadedGbt load_gbt_file(const std::string& path) {

@@ -10,14 +10,21 @@
 //   node <feature> <threshold(hex)> <left> <right> <weight(hex)>
 //   ...
 //
-// v2 adds one optional line directly after the header, emitted only when
-// the model departs from the v1 defaults (so default-path files stay
+// v2 adds one line directly after the header, emitted only for models
+// trained with TreeMethod::kQuantized (exact models, the default, stay
 // byte-identical v1):
 //
-//   params <exact|hist|quantized> <max_bins> <compiled 0|1>
+//   params <exact|quantized> <max_bins> 1
 //
-// The loader accepts both versions; a v2 params line reconstructs the
-// training method and recompiles the flat predictor on load.
+// The last field is a retired flag that once switched the compiled
+// predictor on: written as 1, accepted as 0 or 1, and ignored. The
+// loader accepts both versions, reads
+// the retired method name `hist` as quantized (same quantile cuts;
+// prediction only uses the stored trees), rejects max_bins outside
+// [2, 256], and compiles the flat predictor of every loaded model.
+//
+// save_gbt_file replaces the target atomically (core/atomic_file.h): an
+// interrupted save leaves the previous file intact.
 //
 // Only GradientBoostedTrees is serialisable — it is the model every
 // tuner ships. Trees expose their node tables through

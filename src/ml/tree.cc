@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <optional>
 
 #include "core/error.h"
-#include "core/parallel.h"
 #include "core/telemetry.h"
 #include "ml/quantized.h"
 
@@ -24,18 +22,11 @@ double score(double g_sum, double h_sum, double lambda) {
 }
 
 /// Gains within this epsilon of the incumbent are ties; the incumbent
-/// (earlier feature / smaller threshold) wins. Shared by both split
-/// finders so they agree on tie handling.
+/// (earlier feature / smaller threshold) wins. ml/quantized.cc uses the
+/// same value so both trainers agree on tie handling.
 constexpr double kGainEps = 1e-12;
 
-/// Minimum (rows in node) x (features searched) before a node's split
-/// search is worth fanning out to the thread pool.
-constexpr std::size_t kParallelSplitWork = 2048;
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Histogram split finding (TreeMethod::kHist).
 
 FeatureQuantiles quantile_bins(std::span<const double> sorted_vals,
                                std::size_t max_bins) {
@@ -46,8 +37,8 @@ FeatureQuantiles quantile_bins(std::span<const double> sorted_vals,
     if (sorted_vals[k] != sorted_vals[k - 1]) ++distinct;
   }
   if (distinct <= max_bins) {
-    // One bin per distinct value: the candidate set (midpoints between
-    // adjacent values) matches the exact-greedy search.
+    // One bin per distinct value: the value boundaries the exact-greedy
+    // search scans.
     fb.bin_max.reserve(distinct);
     for (std::size_t k = 0; k < n; ++k) {
       if (k == 0 || sorted_vals[k] != sorted_vals[k - 1]) {
@@ -83,238 +74,13 @@ FeatureQuantiles quantile_bins(std::span<const double> sorted_vals,
   return fb;
 }
 
-HistogramCache::HistogramCache(const Dataset& data, std::size_t max_bins)
-    : n_rows_(data.size()),
-      features_(data.n_features()),
-      binned_(data.n_features() * data.size()) {
-  CEAL_EXPECT(max_bins >= 2 && max_bins <= 65536);
-  const std::size_t n = n_rows_;
-  const auto bin_one = [&](std::size_t j) {
-    std::vector<double> vals(n);
-    for (std::size_t k = 0; k < n; ++k) vals[k] = data.feature(k, j);
-    std::sort(vals.begin(), vals.end());
-
-    FeatureQuantiles& fb = features_[j];
-    fb = quantile_bins(vals, max_bins);
-
-    std::uint16_t* col = binned_.data() + j * n;
-    for (std::size_t k = 0; k < n; ++k) {
-      const double v = data.feature(k, j);
-      const auto it =
-          std::lower_bound(fb.bin_max.begin(), fb.bin_max.end(), v);
-      col[k] = static_cast<std::uint16_t>(it - fb.bin_max.begin());
-    }
-  };
-  const std::size_t d = data.n_features();
-  if (d > 1 && d * n >= kParallelSplitWork) {
-    ceal::parallel_apply(0, d, bin_one);
-  } else {
-    for (std::size_t j = 0; j < d; ++j) bin_one(j);
-  }
-}
-
-// Per node, split search is one linear pass per feature over bin
-// accumulators instead of a sort; the bins come from a HistogramCache
-// shared across the whole ensemble fit. The per-feature searches are
-// independent and run on the global thread pool; the reduction walks
-// features in ascending index order, so the chosen split — and therefore
-// the whole tree — is bitwise identical for any worker count.
-class HistTreeBuilder {
- public:
-  HistTreeBuilder(RegressionTree& tree, const Dataset& data,
-                  std::span<const std::size_t> row_indices,
-                  std::span<const double> g, std::span<const double> h,
-                  std::vector<std::size_t> feature_pool,
-                  const HistogramCache& cache,
-                  ceal::telemetry::Telemetry* telemetry)
-      : tree_(tree),
-        data_(data),
-        g_(g),
-        h_(h),
-        pool_(std::move(feature_pool)),
-        n_(row_indices.size()),
-        rows_(row_indices.begin(), row_indices.end()),
-        pos_(row_indices.size()),
-        cache_(cache),
-        telemetry_(telemetry) {
-    // Ascending feature order makes the reduction's tie-break "lowest
-    // feature index" regardless of the pool's sampling order.
-    std::sort(pool_.begin(), pool_.end());
-    for (std::size_t k = 0; k < n_; ++k) {
-      pos_[k] = static_cast<std::uint32_t>(k);
-    }
-  }
-
-  void run(std::vector<double>* out_leaf_values) {
-    double g_sum = 0.0, h_sum = 0.0;
-    for (std::size_t k = 0; k < n_; ++k) {
-      g_sum += g_[rows_[k]];
-      h_sum += h_[rows_[k]];
-    }
-    build(0, n_, 0, g_sum, h_sum, out_leaf_values);
-  }
-
- private:
-  struct Candidate {
-    bool found = false;
-    std::size_t slot = 0;
-    std::size_t bin = 0;
-    double gain = 0.0;
-    double g_left = 0.0;
-    double h_left = 0.0;
-  };
-
-  const TreeParams& params() const { return tree_.params_; }
-
-  Candidate best_for_slot(std::size_t s, std::size_t lo, std::size_t hi,
-                          double g_sum, double h_sum,
-                          double parent_score) const {
-    Candidate best;
-    const FeatureQuantiles& fb = cache_.features_[pool_[s]];
-    const std::size_t n_bins = fb.bin_max.size();
-    if (n_bins < 2) return best;
-
-    std::vector<double> hg(n_bins, 0.0), hh(n_bins, 0.0);
-    std::vector<std::size_t> hc(n_bins, 0);
-    const std::uint16_t* col =
-        cache_.binned_.data() + pool_[s] * cache_.n_rows_;
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::uint32_t p = pos_[k];
-      const std::size_t b = col[rows_[p]];
-      hg[b] += g_[rows_[p]];
-      hh[b] += h_[rows_[p]];
-      ++hc[b];
-    }
-
-    const TreeParams& prm = params();
-    const std::size_t n_node = hi - lo;
-    double g_left = 0.0, h_left = 0.0;
-    std::size_t n_left = 0;
-    for (std::size_t b = 0; b + 1 < n_bins; ++b) {
-      g_left += hg[b];
-      h_left += hh[b];
-      n_left += hc[b];
-      const std::size_t n_right = n_node - n_left;
-      if (n_left < prm.min_samples_leaf || n_right < prm.min_samples_leaf) {
-        continue;
-      }
-      const double h_right = h_sum - h_left;
-      if (h_left < prm.min_child_weight || h_right < prm.min_child_weight) {
-        continue;
-      }
-      const double g_right = g_sum - g_left;
-      const double gain = 0.5 * (score(g_left, h_left, prm.lambda) +
-                                 score(g_right, h_right, prm.lambda) -
-                                 parent_score) -
-                          prm.gamma;
-      if (gain > best.gain + kGainEps || (!best.found && gain > 0.0)) {
-        best.found = true;
-        best.slot = s;
-        best.bin = b;
-        best.gain = gain;
-        best.g_left = g_left;
-        best.h_left = h_left;
-      }
-    }
-    return best;
-  }
-
-  std::int32_t build(std::size_t lo, std::size_t hi, std::size_t depth,
-                     double g_sum, double h_sum,
-                     std::vector<double>* out_leaf_values) {
-    auto& nodes = tree_.nodes_;
-    const TreeParams& prm = params();
-
-    const auto make_leaf = [&]() -> std::int32_t {
-      RegressionTree::Node leaf;
-      leaf.weight = leaf_weight(g_sum, h_sum, prm.lambda);
-      nodes.push_back(leaf);
-      if (out_leaf_values != nullptr) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          (*out_leaf_values)[rows_[pos_[k]]] = leaf.weight;
-        }
-      }
-      return static_cast<std::int32_t>(nodes.size() - 1);
-    };
-
-    if (depth >= prm.max_depth || hi - lo < 2 * prm.min_samples_leaf) {
-      return make_leaf();
-    }
-
-    const double parent_score = score(g_sum, h_sum, prm.lambda);
-    if (telemetry_ != nullptr) telemetry_->count("tree.split_search.nodes");
-    std::vector<Candidate> cands(pool_.size());
-    // The per-feature counter increments run on pool workers — the
-    // telemetry registry is concurrency-safe, and the final total is a
-    // deterministic function of the fit inputs either way.
-    const auto eval = [&](std::size_t s) {
-      if (telemetry_ != nullptr) {
-        telemetry_->count("tree.split_search.features");
-      }
-      cands[s] = best_for_slot(s, lo, hi, g_sum, h_sum, parent_score);
-    };
-    if (pool_.size() > 1 && pool_.size() * (hi - lo) >= kParallelSplitWork) {
-      ceal::parallel_apply(0, pool_.size(), eval);
-    } else {
-      for (std::size_t s = 0; s < pool_.size(); ++s) eval(s);
-    }
-
-    // Ordered reduction: slots ascend by feature index, so equal gains
-    // resolve to the lowest feature index for any worker count.
-    Candidate best;
-    for (const Candidate& c : cands) {
-      if (!c.found) continue;
-      if (c.gain > best.gain + kGainEps || (!best.found && c.gain > 0.0)) {
-        best = c;
-      }
-    }
-    if (!best.found) return make_leaf();
-
-    const auto split_bin = static_cast<std::uint16_t>(best.bin);
-    const std::uint16_t* col =
-        cache_.binned_.data() + pool_[best.slot] * cache_.n_rows_;
-    const auto mid_it = std::stable_partition(
-        pos_.begin() + static_cast<std::ptrdiff_t>(lo),
-        pos_.begin() + static_cast<std::ptrdiff_t>(hi),
-        [&](std::uint32_t p) { return col[rows_[p]] <= split_bin; });
-    const auto mid =
-        static_cast<std::size_t>(mid_it - pos_.begin());
-    CEAL_ENSURE(mid > lo && mid < hi);
-
-    nodes.emplace_back();
-    const auto self = static_cast<std::int32_t>(nodes.size() - 1);
-    const std::int32_t left =
-        build(lo, mid, depth + 1, best.g_left, best.h_left, out_leaf_values);
-    const std::int32_t right =
-        build(mid, hi, depth + 1, g_sum - best.g_left, h_sum - best.h_left,
-              out_leaf_values);
-    auto& node = nodes[static_cast<std::size_t>(self)];
-    node.feature = pool_[best.slot];
-    node.threshold =
-        cache_.features_[pool_[best.slot]].split_value[best.bin];
-    node.left = left;
-    node.right = right;
-    return self;
-  }
-
-  RegressionTree& tree_;
-  const Dataset& data_;
-  std::span<const double> g_, h_;
-  std::vector<std::size_t> pool_;  // searched features, ascending
-  std::size_t n_;                  // training rows in this tree
-  std::vector<std::size_t> rows_;  // slot k -> dataset row index
-  std::vector<std::uint32_t> pos_;  // partitionable permutation of slots
-  const HistogramCache& cache_;    // shared pre-binned features
-  ceal::telemetry::Telemetry* telemetry_;  // nullable
-};
-
 RegressionTree::RegressionTree(TreeParams params) : params_(params) {
   CEAL_EXPECT(params_.max_depth >= 1);
   CEAL_EXPECT(params_.min_samples_leaf >= 1);
   CEAL_EXPECT(params_.lambda >= 0.0);
   CEAL_EXPECT(params_.gamma >= 0.0);
   CEAL_EXPECT(params_.colsample > 0.0 && params_.colsample <= 1.0);
-  CEAL_EXPECT(params_.max_bins >= 2 && params_.max_bins <= 65536);
+  CEAL_EXPECT(params_.max_bins >= 2 && params_.max_bins <= kMaxBins);
 }
 
 void RegressionTree::fit_gradients(const Dataset& data,
@@ -323,7 +89,6 @@ void RegressionTree::fit_gradients(const Dataset& data,
                                    std::span<const double> hessians,
                                    ceal::Rng& rng,
                                    std::vector<double>* out_leaf_values,
-                                   const HistogramCache* hist_cache,
                                    ceal::telemetry::Telemetry* telemetry,
                                    const QuantizedMatrix* quantized_cache,
                                    QuantizedWorkspace* quantized_ws) {
@@ -349,23 +114,7 @@ void RegressionTree::fit_gradients(const Dataset& data,
   }
 
   if (telemetry != nullptr) telemetry->count("tree.fits");
-  if (params_.method == TreeMethod::kHist) {
-    CEAL_EXPECT(hist_cache == nullptr ||
-                (hist_cache->n_rows() == data.size() &&
-                 hist_cache->n_features() == data.n_features()));
-    if (telemetry != nullptr) {
-      telemetry->count(hist_cache != nullptr ? "tree.hist_cache.hit"
-                                             : "tree.hist_cache.miss");
-    }
-    std::optional<HistogramCache> local;
-    if (hist_cache == nullptr) {
-      local.emplace(data, params_.max_bins);
-      hist_cache = &*local;
-    }
-    HistTreeBuilder builder(*this, data, row_indices, gradients, hessians,
-                            std::move(feature_pool), *hist_cache, telemetry);
-    builder.run(out_leaf_values);
-  } else if (params_.method == TreeMethod::kQuantized) {
+  if (params_.method == TreeMethod::kQuantized) {
     CEAL_EXPECT(quantized_cache == nullptr ||
                 (quantized_cache->n_rows() == data.size() &&
                  quantized_cache->n_features() == data.n_features()));

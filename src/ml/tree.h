@@ -24,28 +24,26 @@ class Telemetry;
 
 namespace ceal::ml {
 
-/// Split-finding strategy.
+/// Split-finding strategy (XGBoost's `exact` and `hist` split finders).
 ///   kExact: per-node sort of every feature; the serial reference path.
-///     Every distinct value boundary is a candidate. Best for the tiny
-///     sample budgets of the surrogates (tens of rows) and the path whose
-///     results the reproduction benchmarks are pinned to.
-///   kHist: quantile binning (<= max_bins bins per feature, computed once
-///     per dataset — see HistogramCache) and per-node linear scans over
-///     bin accumulators, with the per-feature
-///     search fanned out across the global thread pool. Results are
-///     deterministic and independent of the worker count (fixed per-
-///     feature decomposition, reduction in feature order, ties broken on
-///     the lowest feature index), but differ from kExact when a feature
-///     has more distinct values than bins.
-///   kQuantized: the same quantile-cut candidate set as kHist (bins
-///     capped at 256 so indices pack into uint8), but trained over a
-///     structure-of-arrays QuantizedMatrix (ml/quantized.h): contiguous
-///     per-feature bin columns, fused gradient/count accumulation,
+///     Every distinct value boundary is a candidate, with the threshold
+///     at 0.5 * (v + v_next). Best for the tiny sample budgets of the
+///     surrogates (tens of rows) and the path whose results the
+///     reproduction benchmarks are pinned to.
+///   kQuantized: quantile binning (at most max_bins <= kMaxBins bins per
+///     feature, see quantile_bins) computed once per dataset into a
+///     structure-of-arrays QuantizedMatrix (ml/quantized.h), then
+///     histogram split search: fused gradient/count accumulation,
 ///     level-order growth with histogram subtraction, and node-level
-///     parallelism. Same determinism contract as kHist; predictions
-///     agree with kHist within the float error of histogram subtraction
-///     whenever max_bins <= 256.
-enum class TreeMethod { kExact, kHist, kQuantized };
+///     parallelism. Results are deterministic and independent of the
+///     worker count (reduction in feature order, ties broken on the
+///     lowest feature index). They are close to kExact but not bitwise
+///     equal, even when every value has its own bin: see quantile_bins.
+enum class TreeMethod { kExact, kQuantized };
+
+/// Upper bound on TreeParams::max_bins: kQuantized packs bin indices
+/// into uint8.
+inline constexpr std::size_t kMaxBins = 256;
 
 struct TreeParams {
   std::size_t max_depth = 6;
@@ -61,12 +59,9 @@ struct TreeParams {
   double colsample = 1.0;
   /// Split-finding strategy (see TreeMethod).
   TreeMethod method = TreeMethod::kExact;
-  /// Maximum histogram bins per feature (kHist/kQuantized). 2 <=
-  /// max_bins <= 65536; kQuantized additionally caps the effective bin
-  /// count at 256 so indices fit a uint8. When a feature has fewer
-  /// distinct values than bins, each value gets its own bin and the
-  /// binned methods consider exactly the kExact candidate set.
-  std::size_t max_bins = 256;
+  /// Maximum histogram bins per feature (kQuantized; kExact does not
+  /// bin). 2 <= max_bins <= kMaxBins.
+  std::size_t max_bins = kMaxBins;
 };
 
 /// Quantile binning of one feature: `bin_max[b]` is the largest training
@@ -80,10 +75,15 @@ struct FeatureQuantiles {
 };
 
 /// Quantile cuts of one feature's sorted values into at most `max_bins`
-/// bins — the single binning rule shared by HistogramCache (kHist) and
-/// QuantizedMatrix (kQuantized), so both methods see the same candidate
-/// thresholds. When the feature has <= max_bins distinct values every
-/// value gets its own bin (the kExact candidate set).
+/// bins — the binning rule of QuantizedMatrix (kQuantized). When the
+/// feature has <= max_bins distinct values every value gets its own bin,
+/// so the candidate boundaries are the ones kExact scans. The grown trees
+/// can still differ from kExact's: thresholds are lo + 0.5 * (hi - lo)
+/// rather than 0.5 * (v + v_next), and the gain arithmetic runs in a
+/// different order (per-bin gradient sums, a reciprocal table), so
+/// near-tied gains can break the other way. The tests pin the two
+/// trainers to close predictions and ranking quality
+/// (tests/ml/test_quantized.cc), not to identical trees.
 FeatureQuantiles quantile_bins(std::span<const double> sorted_vals,
                                std::size_t max_bins);
 
@@ -95,29 +95,6 @@ struct TreeNodeData {
   std::int32_t left = -1;
   std::int32_t right = -1;
   double weight = 0.0;
-};
-
-/// Pre-binned view of a dataset for TreeMethod::kHist. Binning depends
-/// only on the feature values — not on gradients or the per-tree row
-/// sample — so an ensemble fit builds one cache up front and shares it
-/// across all boosting rounds instead of re-sorting every feature per
-/// tree. RegressionTree::fit_gradients builds a transient one when the
-/// caller does not supply a cache.
-class HistogramCache {
- public:
-  /// Quantile-bins every feature of `data` (2 <= max_bins <= 65536).
-  HistogramCache(const Dataset& data, std::size_t max_bins);
-
-  std::size_t n_rows() const { return n_rows_; }
-  std::size_t n_features() const { return features_.size(); }
-
- private:
-  friend class HistTreeBuilder;
-
-  std::size_t n_rows_ = 0;
-  std::vector<FeatureQuantiles> features_;
-  /// Bin index per value, feature-major: binned_[j * n_rows_ + row].
-  std::vector<std::uint16_t> binned_;
 };
 
 class QuantizedMatrix;
@@ -136,28 +113,24 @@ class RegressionTree {
   /// round predictions without re-descending the tree. Entries of rows
   /// not in `row_indices` are left untouched.
   ///
-  /// `hist_cache` (kHist only) shares pre-binned features across the
-  /// trees of an ensemble; it must have been built on `data` with this
-  /// tree's max_bins. When null, kHist bins `data` transiently.
-  /// `quantized_cache` plays the same role for kQuantized
-  /// (ml/quantized.h); when null, kQuantized quantizes `data`
-  /// transiently. `quantized_ws` (kQuantized only) carries the builder's
-  /// scratch buffers across the trees of an ensemble fit; when null each
-  /// tree allocates transient scratch.
+  /// `quantized_cache` (kQuantized only, ml/quantized.h) shares
+  /// pre-binned features across the trees of an ensemble; it must have
+  /// been built on `data` with this tree's max_bins. When null,
+  /// kQuantized quantizes `data` transiently. `quantized_ws` (kQuantized
+  /// only) carries the builder's scratch buffers across the trees of an
+  /// ensemble fit; when null each tree allocates transient scratch.
   ///
   /// `telemetry` (optional, concurrency-safe) receives split-search
   /// counters: "tree.fits", "tree.split_search.nodes" (one per node whose
-  /// split was searched), "tree.split_search.features" (features scanned,
-  /// incremented from pool workers on the kHist path),
-  /// "tree.hist_cache.hit"/"tree.hist_cache.miss" (shared vs transient
-  /// binning), and "tree.nodes"/"tree.leaves" (grown totals). All are
-  /// deterministic functions of the fit inputs.
+  /// split was searched), "tree.split_search.features" (features
+  /// scanned), "tree.quantized_cache.hit"/"tree.quantized_cache.miss"
+  /// (shared vs transient binning), and "tree.nodes"/"tree.leaves"
+  /// (grown totals). All are deterministic functions of the fit inputs.
   void fit_gradients(const Dataset& data,
                      std::span<const std::size_t> row_indices,
                      std::span<const double> gradients,
                      std::span<const double> hessians, ceal::Rng& rng,
                      std::vector<double>* out_leaf_values = nullptr,
-                     const HistogramCache* hist_cache = nullptr,
                      ceal::telemetry::Telemetry* telemetry = nullptr,
                      const QuantizedMatrix* quantized_cache = nullptr,
                      QuantizedWorkspace* quantized_ws = nullptr);
@@ -207,7 +180,6 @@ class RegressionTree {
                    ceal::telemetry::Telemetry* telemetry) const;
   std::size_t depth_of(std::int32_t node) const;
 
-  friend class HistTreeBuilder;
   friend class QuantizedTreeBuilder;
 
   TreeParams params_;

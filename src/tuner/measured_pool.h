@@ -150,8 +150,8 @@ struct TuningProblem {
   /// Boosted-tree parameters for every surrogate the tuners train (the
   /// high-fidelity model and the per-component models). The default is
   /// the exact trainer the reproduction results are pinned to; large
-  /// pools opt into the quantized trainer and the compiled predictor
-  /// here (`ceal_tune --gbt-backend quantized --compiled-predictor`).
+  /// pools opt into the quantized trainer here (`ceal_tune
+  /// --gbt-backend quantized`).
   ml::GbtParams surrogate_gbt = ml::GradientBoostedTrees::surrogate_defaults();
   /// When > 0, pool scoring streams featurization in blocks of this
   /// many rows (tuner/pool_scorer.h) instead of caching the whole

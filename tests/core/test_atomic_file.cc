@@ -22,7 +22,10 @@ bool exists(const std::string& path) {
 
 class AtomicFileTest : public ::testing::Test {
  protected:
-  AtomicFileTest() : path_(::testing::TempDir() + "ceal_atomic_test.txt") {
+  AtomicFileTest()
+      : path_(::testing::TempDir() + "ceal_atomic_test." +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".txt") {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }

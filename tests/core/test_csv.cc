@@ -22,7 +22,9 @@ class CsvTest : public ::testing::Test {
     return os.str();
   }
 
-  std::string path_ = ::testing::TempDir() + "ceal_csv_test.csv";
+  std::string path_ =
+      ::testing::TempDir() + "ceal_csv_test." +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {

@@ -37,7 +37,10 @@ std::string sample_journal(std::uint64_t n) {
 
 class JournalFileTest : public ::testing::Test {
  protected:
-  JournalFileTest() : path_(::testing::TempDir() + "ceal_test.cealj") {
+  JournalFileTest()
+      : path_(::testing::TempDir() + "ceal_test." +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".cealj") {
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

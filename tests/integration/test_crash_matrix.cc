@@ -94,7 +94,9 @@ std::vector<std::size_t> record_boundaries(const std::string& bytes) {
 class CrashMatrixTest : public ::testing::Test {
  protected:
   CrashMatrixTest()
-      : path_(::testing::TempDir() + "ceal_crash_matrix.cealj") {
+      : path_(::testing::TempDir() + "ceal_crash_matrix." +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".cealj") {
     std::remove(path_.c_str());
   }
   void TearDown() override {

@@ -52,7 +52,9 @@ std::vector<std::size_t> record_boundaries(const std::string& bytes) {
 
 class ServeKillResumeTest : public ::testing::Test {
  protected:
-  ServeKillResumeTest() : root_(::testing::TempDir() + "ceal_serve_kr") {
+  ServeKillResumeTest()
+      : root_(::testing::TempDir() + "ceal_serve_kr." +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
     std::filesystem::remove_all(root_);
     std::filesystem::create_directories(root_);
   }

@@ -1,11 +1,14 @@
-// CompiledForest: the flattened predictor must be bitwise identical to
-// the per-tree walk — single rows, batches, any thread-pool width — and
-// the compile_predictor flag must thread through fit(), from_parts(),
-// and the serialized v2 format.
+// CompiledForest is the only GBT predictor: fit() and from_parts() build
+// one, and predict / predict_all / predict_matrix run through it. Every
+// test holds it to an explicit reference — base_score plus
+// learning_rate * tree.predict(x), summed over the trees in ensemble
+// order — bitwise: after fit() (with and without row subsampling), after
+// from_parts(), after load_gbt, and at 1 and 4 pool threads.
 #include "ml/compiled_forest.h"
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -37,6 +40,33 @@ FeatureMatrix matrix_of(const Dataset& d) {
   return m;
 }
 
+/// The tree-walk reference every prediction must equal bitwise.
+double reference(const GradientBoostedTrees& model,
+                 std::span<const double> x) {
+  double out = model.base_score();
+  for (const auto& tree : model.trees()) {
+    out += model.params().learning_rate * tree.predict(x);
+  }
+  return out;
+}
+
+/// Single-row, dataset-batch, and matrix-batch predictions of `model`
+/// all equal the reference on every row of `pool`.
+void expect_matches_reference(const GradientBoostedTrees& model,
+                              const Dataset& pool) {
+  ASSERT_NE(model.compiled(), nullptr);
+  const auto all = model.predict_all(pool);
+  const auto matrix = model.predict_matrix(matrix_of(pool));
+  ASSERT_EQ(all.size(), pool.size());
+  ASSERT_EQ(matrix.size(), pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const double ref = reference(model, pool.row(i));
+    ASSERT_EQ(model.predict(pool.row(i)), ref) << "row " << i;
+    ASSERT_EQ(all[i], ref) << "row " << i;
+    ASSERT_EQ(matrix[i], ref) << "row " << i;
+  }
+}
+
 TEST(CompiledForest, BitwiseEqualToTreeWalk) {
   ceal::Rng rng(31);
   const Dataset train = grid_like(200, rng);
@@ -45,24 +75,18 @@ TEST(CompiledForest, BitwiseEqualToTreeWalk) {
   GradientBoostedTrees model(GradientBoostedTrees::surrogate_defaults());
   ceal::Rng fit_rng(8);
   model.fit(train, fit_rng);
-  ASSERT_EQ(model.compiled(), nullptr);  // flag off: no compilation
+  expect_matches_reference(model, pool);
 
   const CompiledForest forest = CompiledForest::compile(model);
   EXPECT_EQ(forest.tree_count(), model.tree_count());
   EXPECT_GT(forest.node_count(), forest.tree_count());
-
-  const auto walk = model.predict_all(pool);
   const auto flat = forest.predict_dataset(pool);
-  ASSERT_EQ(walk.size(), flat.size());
+  const auto batched = forest.predict_matrix(matrix_of(pool));
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    ASSERT_EQ(walk[i], flat[i]) << "row " << i;
-    ASSERT_EQ(model.predict(pool.row(i)), forest.predict(pool.row(i)));
-  }
-
-  const FeatureMatrix m = matrix_of(pool);
-  const auto batched = forest.predict_matrix(m);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    ASSERT_EQ(walk[i], batched[i]);
+    const double ref = reference(model, pool.row(i));
+    ASSERT_EQ(forest.predict(pool.row(i)), ref) << "row " << i;
+    ASSERT_EQ(flat[i], ref) << "row " << i;
+    ASSERT_EQ(batched[i], ref) << "row " << i;
   }
 }
 
@@ -71,31 +95,33 @@ TEST(CompiledForest, FitPathCompilesAndRoutesPredictions) {
   const Dataset train = grid_like(150, rng);
   const Dataset pool = grid_like(300, rng);
 
-  GbtParams plain_params = GradientBoostedTrees::surrogate_defaults();
-  GbtParams compiled_params = plain_params;
-  compiled_params.compile_predictor = true;
-
-  GradientBoostedTrees plain(plain_params), compiled(compiled_params);
-  ceal::Rng r1(3), r2(3);
-  plain.fit(train, r1);
-  compiled.fit(train, r2);
-  ASSERT_NE(compiled.compiled(), nullptr);
-
-  const auto a = plain.predict_all(pool);
-  const auto b = compiled.predict_all(pool);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "row " << i;
-    ASSERT_EQ(plain.predict(pool.row(i)), compiled.predict(pool.row(i)));
+  for (const TreeMethod method :
+       {TreeMethod::kExact, TreeMethod::kQuantized}) {
+    for (const double subsample : {1.0, 0.7}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (method == TreeMethod::kExact ? "exact" : "quantized")
+                   << " subsample " << subsample);
+      GbtParams p = GradientBoostedTrees::surrogate_defaults();
+      p.tree.method = method;
+      p.subsample = subsample;
+      GradientBoostedTrees model(p);
+      ceal::Rng fit_rng(3);
+      model.fit(train, fit_rng);
+      expect_matches_reference(model, pool);
+    }
   }
 
-  // Batch inference over the compiled path reports its own telemetry.
+  // Batch inference reports under the gbt.predict names only: the
+  // compiled forest adds no telemetry of its own.
+  GradientBoostedTrees model(GradientBoostedTrees::surrogate_defaults());
+  ceal::Rng fit_rng(4);
+  model.fit(train, fit_rng);
   telemetry::Telemetry tel;
-  compiled.set_telemetry(&tel);
-  const FeatureMatrix m = matrix_of(pool);
-  const auto c = compiled.predict_matrix(m);
-  for (std::size_t i = 0; i < pool.size(); ++i) ASSERT_EQ(a[i], c[i]);
-  EXPECT_EQ(tel.counter("compiled.predict.rows"), pool.size());
+  model.set_telemetry(&tel);
+  (void)model.predict_matrix(matrix_of(pool));
   EXPECT_EQ(tel.counter("gbt.predict.rows"), pool.size());
+  EXPECT_EQ(tel.counter("gbt.predict.batches"), 1u);
+  EXPECT_EQ(tel.counter("compiled.predict.rows"), 0u);
 }
 
 TEST(CompiledForest, ThreadCountDeterminism) {
@@ -103,45 +129,43 @@ TEST(CompiledForest, ThreadCountDeterminism) {
   const Dataset train = grid_like(150, rng);
   const Dataset pool = grid_like(2000, rng);  // large enough to fan out
 
-  GbtParams p = GradientBoostedTrees::surrogate_defaults();
-  p.compile_predictor = true;
-  GradientBoostedTrees model(p);
+  GradientBoostedTrees model(GradientBoostedTrees::surrogate_defaults());
   ceal::Rng fit_rng(6);
   model.fit(train, fit_rng);
 
-  ceal::set_global_thread_pool_threads(1);
-  const auto serial = model.predict_all(pool);
-  ceal::set_global_thread_pool_threads(4);
-  const auto pooled = model.predict_all(pool);
-  ceal::set_global_thread_pool_threads(0);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    ASSERT_EQ(serial[i], pooled[i]) << "row " << i;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    ceal::set_global_thread_pool_threads(threads);
+    expect_matches_reference(model, pool);
   }
+  ceal::set_global_thread_pool_threads(0);
 }
 
-TEST(CompiledForest, SerializeRoundTripKeepsCompiledFlag) {
+TEST(CompiledForest, FromPartsAndLoadMatchReference) {
   ceal::Rng rng(13);
   const Dataset train = grid_like(120, rng);
+  const Dataset pool = grid_like(200, rng);
   GbtParams p = GradientBoostedTrees::surrogate_defaults();
-  p.compile_predictor = true;
   p.tree.method = TreeMethod::kQuantized;
   GradientBoostedTrees model(p);
   ceal::Rng fit_rng(2);
   model.fit(train, fit_rng);
 
+  const GradientBoostedTrees rebuilt = GradientBoostedTrees::from_parts(
+      model.params(), model.base_score(), model.trees());
+  expect_matches_reference(rebuilt, pool);
+
   std::stringstream ss;
   save_gbt(model, ss, train.n_features());
   EXPECT_NE(ss.str().find("gbt v2"), std::string::npos);
-  EXPECT_NE(ss.str().find("params quantized"), std::string::npos);
+  EXPECT_NE(ss.str().find("params quantized 256 1\n"), std::string::npos);
 
   const LoadedGbt loaded = load_gbt(ss);
   EXPECT_EQ(loaded.n_features, train.n_features());
   EXPECT_EQ(loaded.model.params().tree.method, TreeMethod::kQuantized);
-  EXPECT_TRUE(loaded.model.params().compile_predictor);
-  ASSERT_NE(loaded.model.compiled(), nullptr);
-  for (std::size_t i = 0; i < train.size(); ++i) {
-    ASSERT_EQ(model.predict(train.row(i)),
-              loaded.model.predict(train.row(i)));
+  expect_matches_reference(loaded.model, pool);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    ASSERT_EQ(model.predict(pool.row(i)), loaded.model.predict(pool.row(i)));
   }
 }
 
@@ -151,6 +175,7 @@ TEST(CompiledForest, DefaultModelsStillSerializeAsV1) {
   GradientBoostedTrees model(GradientBoostedTrees::surrogate_defaults());
   ceal::Rng fit_rng(1);
   model.fit(train, fit_rng);
+  ASSERT_NE(model.compiled(), nullptr);  // compiled, yet still v1
   std::stringstream ss;
   save_gbt(model, ss, train.n_features());
   EXPECT_NE(ss.str().find("gbt v1"), std::string::npos);

@@ -1,12 +1,17 @@
-// Quantized trainer (TreeMethod::kQuantized): equivalence with the kHist
-// trainer within binning tolerance (both search the same ml::quantile_bins
-// candidate set when max_bins <= 256; histogram subtraction introduces at
-// most last-ulp float error), bitwise thread-count determinism, and the
-// shared-cache fast path of the ensemble fit.
+// Quantized trainer (TreeMethod::kQuantized), held to the exact trainer
+// (TreeMethod::kExact) as its oracle. The two search the same value
+// boundaries when every value has its own bin, but place thresholds and
+// order the gain arithmetic differently (see ml::quantile_bins), so the
+// oracle pins close predictions and ranking quality, not identical
+// trees. Also: recorded predictions of the former histogram trainer,
+// quantile compression, max_bins validation, bitwise thread-count
+// determinism of both trainers, and the shared-cache fast path of the
+// ensemble fit.
 #include "ml/quantized.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -80,44 +85,173 @@ TEST(QuantizedMatrix, BinsMatchHistCandidateSet) {
 }
 
 TEST(QuantizedMatrix, CapsBinsAt256) {
+  // Bin indices are uint8: a bin budget beyond kMaxBins is rejected,
+  // never silently clamped.
   ceal::Rng rng(17);
   Dataset d(1);
   for (std::size_t i = 0; i < 2000; ++i) {
     d.add(std::vector<double>{rng.uniform(0.0, 1.0)}, 0.0);
   }
-  const QuantizedMatrix qm(d, 4096);  // uint8 columns cap at 256 bins
-  EXPECT_LE(qm.bin_count(0), 256u);
+  EXPECT_THROW((QuantizedMatrix{d, kMaxBins + 1}), ceal::PreconditionError);
+  EXPECT_THROW((QuantizedMatrix{d, 4096}), ceal::PreconditionError);
+  EXPECT_THROW((QuantizedMatrix{d, 1}), ceal::PreconditionError);
+  const QuantizedMatrix qm(d, kMaxBins);
+  EXPECT_LE(qm.bin_count(0), kMaxBins);
   EXPECT_GE(qm.bin_count(0), 200u);
 }
 
+// ---- TreeHist: the histogram split finder (kQuantized, XGBoost's
+// `hist`) against the kExact oracle.
+
+TEST(TreeHist, MatchesExactRecallAndMdapeOnFixture) {
+  ceal::Rng rng(42);
+  const Dataset train = tuning_like(200, rng);
+  const Dataset pool = tuning_like(400, rng);
+
+  GradientBoostedTrees exact(method_params(TreeMethod::kExact));
+  GradientBoostedTrees quant(method_params(TreeMethod::kQuantized));
+  ceal::Rng r1(7), r2(7);
+  exact.fit(train, r1);
+  quant.fit(train, r2);
+
+  const auto exact_pred = exact.predict_all(pool);
+  const auto quant_pred = quant.predict_all(pool);
+  const auto truth = pool.targets();
+
+  // Acceptance contract: the two trainers rank the pool almost
+  // identically — top-10 recall against the ground truth within 5
+  // percentage points (0.05), MdAPE within 2 points.
+  const double exact_recall = recall_score_percent(10, exact_pred, truth);
+  const double quant_recall = recall_score_percent(10, quant_pred, truth);
+  EXPECT_LE(std::abs(exact_recall - quant_recall), 5.0);
+
+  const double exact_mdape = ceal::mdape_percent(truth, exact_pred);
+  const double quant_mdape = ceal::mdape_percent(truth, quant_pred);
+  EXPECT_LE(std::abs(exact_mdape - quant_mdape), 2.0);
+}
+
+TEST(TreeHist, FewDistinctValuesReproducesExactSplits) {
+  // With fewer distinct values than bins each value gets its own bin, so
+  // both trainers search the same value boundaries; on this fixture the
+  // fitted ensembles agree closely on every training row.
+  ceal::Rng rng(3);
+  Dataset d(2);
+  for (std::size_t i = 0; i < 120; ++i) {
+    const double a = static_cast<double>(rng.uniform_int(0, 7));
+    const double b = static_cast<double>(rng.uniform_int(0, 3));
+    d.add(std::vector<double>{a, b}, 3.0 * a - 2.0 * b + rng.normal(0.0, 0.1));
+  }
+  GradientBoostedTrees exact(method_params(TreeMethod::kExact));
+  GradientBoostedTrees quant(method_params(TreeMethod::kQuantized));
+  ceal::Rng r1(5), r2(5);
+  exact.fit(d, r1);
+  quant.fit(d, r2);
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    EXPECT_NEAR(exact.predict(d.row(i)), quant.predict(d.row(i)), 1e-6);
+  }
+}
+
+TEST(TreeHist, QuantileBinningHandlesManyDistinctValues) {
+  ceal::Rng rng(11);
+  Dataset d(3);
+  for (std::size_t i = 0; i < 600; ++i) {
+    const double x0 = rng.uniform(-3.0, 3.0);
+    const double x1 = rng.uniform(0.0, 1000.0);
+    const double x2 = rng.uniform(0.0, 1.0);
+    d.add(std::vector<double>{x0, x1, x2}, x0 * x0 + 0.01 * x1 + x2);
+  }
+  GbtParams p = method_params(TreeMethod::kQuantized);
+  p.tree.max_bins = 32;  // force real quantile compression (600 >> 32)
+  const QuantizedMatrix qm(d, p.tree.max_bins);
+  for (std::size_t j = 0; j < d.n_features(); ++j) {
+    EXPECT_LE(qm.bin_count(j), 32u);
+  }
+  GradientBoostedTrees model(p);
+  ceal::Rng fit_rng(1);
+  model.fit(d, fit_rng);
+  const auto pred = model.predict_all(d);
+  EXPECT_LT(ceal::rmse(d.targets(), pred), 1.0);
+}
+
+TEST(TreeHist, ConstantFeaturesAndTinyDataStayValid) {
+  // No split is possible anywhere, so both trainers grow single-leaf
+  // trees with the same row-order gradient sums: bitwise-equal models.
+  Dataset d(2);
+  d.add(std::vector<double>{1.0, 5.0}, 2.0);
+  d.add(std::vector<double>{1.0, 5.0}, 4.0);
+  std::vector<double> predictions;
+  for (const TreeMethod method :
+       {TreeMethod::kExact, TreeMethod::kQuantized}) {
+    GbtParams p = method_params(method);
+    p.n_rounds = 5;
+    GradientBoostedTrees model(p);
+    ceal::Rng rng(2);
+    model.fit(d, rng);
+    for (const auto& tree : model.trees()) EXPECT_EQ(tree.node_count(), 1u);
+    predictions.push_back(model.predict(d.row(0)));
+  }
+  EXPECT_NEAR(predictions[0], 3.0, 1.0);
+  EXPECT_EQ(predictions[0], predictions[1]);
+}
+
+TEST(TreeHist, MaxBinsValidated) {
+  TreeParams p;
+  p.max_bins = 1;
+  EXPECT_THROW(RegressionTree{p}, ceal::PreconditionError);
+  p.max_bins = kMaxBins + 1;
+  EXPECT_THROW(RegressionTree{p}, ceal::PreconditionError);
+  p.max_bins = 1 << 17;
+  EXPECT_THROW(RegressionTree{p}, ceal::PreconditionError);
+  p.max_bins = 2;
+  EXPECT_NO_THROW(RegressionTree{p});
+  p.max_bins = kMaxBins;
+  EXPECT_NO_THROW(RegressionTree{p});
+}
+
+// ---- TreeQuantized: the trainer's own fast paths.
+
 TEST(TreeQuantized, MatchesHistWithinBinningTolerance) {
-  // Same candidate thresholds (shared quantile_bins) + same gain/tie
-  // rules means the two trainers grow the same trees up to the last-ulp
-  // differences histogram subtraction introduces in g sums.
+  // Predictions of the former recursive histogram trainer (kHist, same
+  // quantile_bins cuts and gain/tie rules) on this fixture, recorded as
+  // hex-floats before it was removed. The quantized trainer grows the
+  // same trees; only the last-ulp float error of histogram subtraction
+  // and the reciprocal table separates the two.
+  struct HistPrediction {
+    std::size_t row;
+    double value;
+  };
+  static constexpr HistPrediction kHistPredictions[] = {
+      {0, 0x1.3e901dc86572fp+6},   {25, 0x1.aa98d49d3b2cdp+6},
+      {50, 0x1.f1a244d4bfc33p+6},  {75, 0x1.562a0a3d42293p+6},
+      {100, 0x1.5ba9451732376p+6}, {125, 0x1.3b36962411e1ap+7},
+      {150, 0x1.a37a7ea485ee9p+7}, {175, 0x1.2fd77b0de8806p+7},
+      {200, 0x1.307a7c3b04419p+7}, {225, 0x1.57e60f63763cfp+7},
+      {250, 0x1.c46b23fedab8ap+7}, {275, 0x1.21cb9d14855fp+7},
+      {300, 0x1.ef877612757a4p+7}, {325, 0x1.c767331d5dd63p+6},
+      {350, 0x1.aa8b60de4d119p+6}, {375, 0x1.0da72047cfbdfp+7},
+      {400, 0x1.2a419632311cfp+6}, {425, 0x1.9c2b8e0f24cb2p+6},
+      {450, 0x1.3c55e704f958cp+7}, {475, 0x1.8cc60d9a7cf5ap+7},
+  };
+  constexpr double kHistRecall = 80.0;
+  constexpr double kHistMdape = 0x1.26a400d34e4a1p+1;
+
   ceal::Rng rng(42);
   const Dataset train = tuning_like(300, rng);
   const Dataset pool = tuning_like(500, rng);
-
-  GradientBoostedTrees hist(method_params(TreeMethod::kHist));
   GradientBoostedTrees quant(method_params(TreeMethod::kQuantized));
-  ceal::Rng r1(7), r2(7);
-  hist.fit(train, r1);
-  quant.fit(train, r2);
-
-  const auto hist_pred = hist.predict_all(pool);
+  ceal::Rng fit_rng(7);
+  quant.fit(train, fit_rng);
   const auto quant_pred = quant.predict_all(pool);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    const double scale = std::max(1.0, std::abs(hist_pred[i]));
-    EXPECT_NEAR(hist_pred[i], quant_pred[i], 1e-6 * scale) << "row " << i;
-  }
 
-  // And the ranking quality the tuners consume must be indistinguishable
-  // from kHist (the kHist suite separately pins hist against exact).
+  for (const HistPrediction& ref : kHistPredictions) {
+    const double scale = std::max(1.0, std::abs(ref.value));
+    EXPECT_NEAR(ref.value, quant_pred[ref.row], 1e-6 * scale)
+        << "row " << ref.row;
+  }
+  // And the ranking quality the tuners consume matches kHist's.
   const auto truth = pool.targets();
-  EXPECT_EQ(recall_score_percent(10, hist_pred, truth),
-            recall_score_percent(10, quant_pred, truth));
-  EXPECT_LE(std::abs(ceal::mdape_percent(truth, hist_pred) -
-                     ceal::mdape_percent(truth, quant_pred)),
+  EXPECT_EQ(recall_score_percent(10, quant_pred, truth), kHistRecall);
+  EXPECT_LE(std::abs(ceal::mdape_percent(truth, quant_pred) - kHistMdape),
             0.1);
 }
 
@@ -205,9 +339,8 @@ TEST(TreeQuantized, SharedCacheMatchesTransientAndCountsHits) {
   telemetry::Telemetry tel;
   RegressionTree cached(p), transient(p);
   ceal::Rng r1(6), r2(6);
-  cached.fit_gradients(train, rows, g, h, r1, nullptr, nullptr, &tel,
-                       &cache);
-  transient.fit_gradients(train, rows, g, h, r2, nullptr, nullptr, &tel);
+  cached.fit_gradients(train, rows, g, h, r1, nullptr, &tel, &cache);
+  transient.fit_gradients(train, rows, g, h, r2, nullptr, &tel);
   EXPECT_EQ(tel.counter("tree.quantized_cache.hit"), 1u);
   EXPECT_EQ(tel.counter("tree.quantized_cache.miss"), 1u);
   for (std::size_t i = 0; i < train.size(); ++i) {
@@ -227,13 +360,15 @@ TEST(TreeQuantized, ConstantFeaturesAndTinyDataStayValid) {
   EXPECT_NEAR(model.predict(d.row(0)), 3.0, 1.0);
 }
 
-TEST(TreeQuantized, ThreadCountDeterminism) {
+/// Two full fits per worker count must give bit-identical predictions,
+/// batched and one by one.
+void expect_thread_count_determinism(TreeMethod method) {
   ceal::Rng data_rng(123);
   const Dataset train = tuning_like(300, data_rng);
   const Dataset pool = tuning_like(500, data_rng);
 
-  GbtParams params = method_params(TreeMethod::kQuantized);
-  params.subsample = 0.8;
+  GbtParams params = method_params(method);
+  params.subsample = 0.8;  // exercise the untrained-row prediction path
 
   std::vector<std::vector<double>> results;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -257,6 +392,26 @@ TEST(TreeQuantized, ThreadCountDeterminism) {
     }
   }
 }
+
+TEST(TreeQuantized, ThreadCountDeterminism) {
+  expect_thread_count_determinism(TreeMethod::kQuantized);
+}
+
+// Both remaining trainers. "Hist" is the histogram split finder,
+// kQuantized, which legacy model files name `hist`.
+class ThreadCountDeterminism : public ::testing::TestWithParam<TreeMethod> {};
+
+TEST_P(ThreadCountDeterminism, FitAndBatchPredictAreBitwiseStable) {
+  expect_thread_count_determinism(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothMethods, ThreadCountDeterminism,
+                         ::testing::Values(TreeMethod::kExact,
+                                           TreeMethod::kQuantized),
+                         [](const auto& info) {
+                           return info.param == TreeMethod::kExact ? "Exact"
+                                                                   : "Hist";
+                         });
 
 }  // namespace
 }  // namespace ceal::ml

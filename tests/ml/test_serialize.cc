@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "core/error.h"
@@ -65,6 +67,59 @@ TEST(Serialize, FileRoundTrip) {
   EXPECT_DOUBLE_EQ(loaded.model.predict(train.row(0)),
                    model.predict(train.row(0)));
   std::remove(path.c_str());
+}
+
+TEST(Serialize, FailedSaveLeavesTheOldFileIntact) {
+  ceal::Rng rng(6);
+  const Dataset train = training_data(40, rng);
+  GradientBoostedTrees model;
+  model.fit(train, rng);
+  const std::string path = ::testing::TempDir() + "ceal_model_atomic.gbt";
+  save_gbt_file(model, path, 3);
+
+  // Saving an unfitted model over the file throws before anything is
+  // published: the old model stays loadable and no temp file remains.
+  GradientBoostedTrees unfitted;
+  EXPECT_THROW(save_gbt_file(unfitted, path, 3), ceal::PreconditionError);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  const auto loaded = load_gbt_file(path);
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    ASSERT_EQ(loaded.model.predict(train.row(i)), model.predict(train.row(i)));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, LoadsModelFilesOfTheFormerHistTrainer) {
+  // A v2 file as the histogram trainer wrote it, with its compiled flag
+  // set. It loads as a quantized model and predicts exactly what its
+  // trees say.
+  std::stringstream buffer(
+      "gbt v2 2 2 0x1.999999999999ap-4 0x1.4p+1\n"
+      "params hist 64 1\n"
+      "tree 3\n"
+      "node 0 0x1.8p+1 1 2 0x0p+0\n"
+      "node 0 0x0p+0 -1 -1 -0x1p+0\n"
+      "node 0 0x0p+0 -1 -1 0x1.8p+0\n"
+      "tree 3\n"
+      "node 1 0x1p-1 1 2 0x0p+0\n"
+      "node 0 0x0p+0 -1 -1 0x1p-2\n"
+      "node 0 0x0p+0 -1 -1 -0x1p-3\n");
+  const LoadedGbt loaded = load_gbt(buffer);
+  EXPECT_EQ(loaded.n_features, 2u);
+  EXPECT_EQ(loaded.model.params().tree.method, TreeMethod::kQuantized);
+  EXPECT_EQ(loaded.model.params().tree.max_bins, 64u);
+  ASSERT_EQ(loaded.model.tree_count(), 2u);
+  const double lr = 0x1.999999999999ap-4;
+  for (const double a : {0.0, 3.0, 3.5, 10.0}) {
+    for (const double b : {-1.0, 0.5, 0.75}) {
+      const std::vector<double> x{a, b};
+      double expected = 0x1.4p+1;
+      for (const auto& tree : loaded.model.trees()) {
+        expected += lr * tree.predict(x);
+      }
+      ASSERT_EQ(loaded.model.predict(x), expected) << a << "," << b;
+    }
+  }
 }
 
 TEST(Serialize, RejectsUnfittedModel) {

@@ -40,8 +40,8 @@ GbtParams random_params(ceal::Rng& rng) {
   p.tree.gamma = rng.uniform(0.0, 0.5);
   p.tree.colsample = rng.uniform(0.5, 1.0);
   if (rng.bernoulli(0.5)) {
-    p.tree.method = TreeMethod::kHist;
-    p.tree.max_bins = 2 + rng.uniform_u64(255);
+    p.tree.method = TreeMethod::kQuantized;
+    p.tree.max_bins = 2 + rng.uniform_u64(kMaxBins - 1);
   }
   return p;
 }
@@ -146,6 +146,18 @@ TEST(SerializeProperties, RejectsNonHexDoubles) {
       "tree 1\n"
       "node 0 0x1p+0zzz -1 -1 0x1p+0\n");
   EXPECT_THROW(load_gbt(garbage), ceal::PreconditionError);
+}
+
+TEST(SerializeProperties, RejectsOutOfRangeMaxBins) {
+  // The params line's bin budget must fit the uint8 bin indices of the
+  // quantized trainer, whatever method it names.
+  for (const char* params : {"params quantized 0 1", "params quantized 1 1",
+                             "params quantized 257 1", "params hist 4096 1",
+                             "params exact 100000 0"}) {
+    std::stringstream is(std::string("gbt v2 2 1 0x1p-3 0x0p+0\n") + params +
+                         "\ntree 1\nnode 0 0x0p+0 -1 -1 0x1p+0\n");
+    EXPECT_THROW(load_gbt(is), ceal::PreconditionError) << params;
+  }
 }
 
 TEST(SerializeProperties, RejectsTrailingGarbage) {

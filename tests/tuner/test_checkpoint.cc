@@ -58,7 +58,9 @@ void expect_same_result(const TuneResult& a, const TuneResult& b) {
 class CheckpointTest : public ::testing::Test {
  protected:
   CheckpointTest()
-      : path_(::testing::TempDir() + "ceal_checkpoint_test.cealj") {
+      : path_(::testing::TempDir() + "ceal_checkpoint_test." +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".cealj") {
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

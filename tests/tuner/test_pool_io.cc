@@ -16,7 +16,9 @@ class PoolIoTest : public ::testing::Test {
   PoolIoTest()
       : wl_(sim::make_lv()),
         pool_(measure_pool(wl_.workflow, 60, 1)),
-        path_(::testing::TempDir() + "ceal_pool_test.csv") {}
+        path_(::testing::TempDir() + "ceal_pool_test." +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".csv") {}
 
   void TearDown() override { std::remove(path_.c_str()); }
 

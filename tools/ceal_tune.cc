@@ -84,19 +84,18 @@ constexpr const char* kUsage =
     "  [--verbose]              echo trace events to stderr\n"
     "\n"
     "performance (docs/PERFORMANCE.md):\n"
-    "  [--gbt-backend exact|hist|quantized]  surrogate trainer\n"
+    "  [--gbt-backend exact|quantized]  surrogate trainer\n"
     "                           (default exact, the pinned-results path)\n"
-    "  [--gbt-bins N]           histogram/quantized bins (default 256)\n"
-    "  [--compiled-predictor]   flatten trained trees for batch inference\n"
+    "  [--gbt-bins N]           quantized bins per feature, 2..256\n"
+    "                           (default 256)\n"
     "  [--pool-chunk N]         stream pool scoring in N-row blocks\n"
     "                           (bounded memory; default 0 = cache)";
 
 ceal::ml::TreeMethod backend_by_name(const std::string& name) {
   if (name == "exact") return ceal::ml::TreeMethod::kExact;
-  if (name == "hist") return ceal::ml::TreeMethod::kHist;
   if (name == "quantized") return ceal::ml::TreeMethod::kQuantized;
   std::cerr << "unknown --gbt-backend: " << name
-            << " (expected exact|hist|quantized)\n";
+            << " (expected exact|quantized)\n";
   std::exit(2);
 }
 
@@ -143,8 +142,7 @@ int main(int argc, char** argv) {
   const bool quiet = args.flag("quiet");
   const bool verbose = args.flag("verbose");
   const auto gbt_backend = args.option("gbt-backend", "exact");
-  const auto gbt_bins = static_cast<std::size_t>(args.integer("gbt-bins", 256));
-  const bool compiled_predictor = args.flag("compiled-predictor");
+  const long gbt_bins = args.integer("gbt-bins", 256);
   const auto pool_chunk =
       static_cast<std::size_t>(args.integer("pool-chunk", 0));
   // Empty means "not given": the default path keeps problem.measure
@@ -162,6 +160,11 @@ int main(int argc, char** argv) {
 
   if (budget == 0) {
     std::cerr << "--budget must be >= 1\n" << args.usage_text();
+    return 2;
+  }
+  if (gbt_bins < 2 || gbt_bins > static_cast<long>(ml::kMaxBins)) {
+    std::cerr << "--gbt-bins must be in [2, " << ml::kMaxBins << "], got "
+              << gbt_bins << "\n";
     return 2;
   }
   if (resume && checkpoint_dir.empty()) {
@@ -203,14 +206,9 @@ int main(int argc, char** argv) {
   problem.measurement.faults.validate();
 
   // Performance knobs (all default to the pinned reproduction path: exact
-  // trainer, tree-walk predictor, cached pool featurization).
-  if (gbt_bins == 0) {
-    std::cerr << "--gbt-bins must be >= 1\n";
-    return 2;
-  }
+  // trainer, cached pool featurization).
   problem.surrogate_gbt.tree.method = backend_by_name(gbt_backend);
-  problem.surrogate_gbt.tree.max_bins = gbt_bins;
-  problem.surrogate_gbt.compile_predictor = compiled_predictor;
+  problem.surrogate_gbt.tree.max_bins = static_cast<std::size_t>(gbt_bins);
   problem.pool_chunk_rows = pool_chunk;
 
   // Observability: any of --trace / --verbose / --metrics-summary attaches

@@ -363,7 +363,7 @@ for san in address undefined; do
   dir="build-${san}"
   cmake -B "$dir" -S . -DCEAL_SANITIZE="$san" >/dev/null
   cmake --build "$dir" -j "$jobs" --target unit_tests system_tests \
-    serve_tests measure_tests ceal_worker quickstart component_models \
+    serve_tests measure_tests ceal_worker ceal_tune quickstart component_models \
     miniapp_demo custom_workflow md_insitu
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L tier1
 done
@@ -375,7 +375,7 @@ if [[ "$with_tsan" == 1 ]]; then
   cmake --build "$dir" -j "$jobs" --target unit_tests system_tests \
     serve_tests measure_tests ceal_worker
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L tier1 \
-    -R 'Telemetry|ThreadPool|Trace|Parallel|Quantized|Compiled|PoolScorer|Serve|Measure'
+    -R 'Telemetry|ThreadPool|Trace|Parallel|Quantized|ThreadCountDeterminism|Compiled|PoolScorer|Serve|Measure'
 fi
 
 echo "tier-1 OK (plain + asan + ubsan$([[ "$with_tsan" == 1 ]] && echo ' + tsan'))"
