@@ -76,17 +76,37 @@ void BM_GbtPredictPool(benchmark::State& state) {
 }
 BENCHMARK(BM_GbtPredictPool);
 
+/// Like synth, but every feature takes one of 8 integer levels: the
+/// tie-heavy shape of component configurations, where the exact
+/// trainer's per-node sorts dominate.
+ml::Dataset synth_discrete(std::size_t n, std::size_t d, Rng& rng) {
+  ml::Dataset data(d);
+  std::vector<double> x(d);
+  for (std::size_t i = 0; i < n; ++i) {
+    double y = 0.0;
+    for (std::size_t j = 0; j < d; ++j) {
+      x[j] = static_cast<double>(rng.uniform_int(1, 8));
+      y += 100.0 / ((j + 1) * x[j]);
+    }
+    data.add(x, y + rng.normal(0.0, 0.5));
+  }
+  return data;
+}
+
 // ---------------------------------------------------------------------
 // Exact vs quantized trainer, at the workload from docs/PERFORMANCE.md:
 // n = 512 rows, 150 boosting rounds, depth-5 trees. state.range(0)
-// selects the TreeMethod (0 exact, 1 quantized) so both share one body.
+// selects the arm so all share one body: 0 exact and 1 quantized on
+// all-distinct features, 2 exact on discrete (tie-heavy) features.
 
 ml::TreeMethod method_arg(std::int64_t arg) {
-  return arg == 0 ? ml::TreeMethod::kExact : ml::TreeMethod::kQuantized;
+  return arg == 1 ? ml::TreeMethod::kQuantized : ml::TreeMethod::kExact;
 }
 
 const char* method_label(std::int64_t arg) {
-  return arg == 0 ? "exact" : "quantized";
+  static constexpr const char* kLabels[] = {"exact", "quantized",
+                                            "exact_ties"};
+  return kLabels[arg];
 }
 
 ml::GbtParams deep_fit_params(ml::TreeMethod method) {
@@ -100,7 +120,8 @@ ml::GbtParams deep_fit_params(ml::TreeMethod method) {
 
 void BM_GbtFit512(benchmark::State& state) {
   Rng rng(8);
-  const auto data = synth(512, 7, rng);
+  const auto data = state.range(0) == 2 ? synth_discrete(512, 7, rng)
+                                        : synth(512, 7, rng);
   const auto params = deep_fit_params(method_arg(state.range(0)));
   for (auto _ : state) {
     ml::GradientBoostedTrees model(params);
@@ -111,7 +132,7 @@ void BM_GbtFit512(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
   state.SetLabel(method_label(state.range(0)));
 }
-BENCHMARK(BM_GbtFit512)->Arg(0)->Arg(1);
+BENCHMARK(BM_GbtFit512)->Arg(0)->Arg(1)->Arg(2);
 
 // Scoring a 2000-configuration pool: one predict() call per row (the
 // pre-cache tuner loop) vs the batched predict_all path. Both run

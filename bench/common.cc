@@ -2,12 +2,14 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string_view>
 
@@ -163,6 +165,43 @@ std::string utc_timestamp() {
   return buf;
 }
 
+/// google-benchmark writes a non-finite counter as a bare NaN or
+/// Infinity token, which is not JSON: the `_cv` aggregate of a counter
+/// that is zero in every repetition is 0/0. Rewrites each such token
+/// outside strings to `null` so the strict parser accepts the text.
+std::string nonfinite_to_null(std::string_view text) {
+  static constexpr std::string_view kTokens[] = {"-Infinity", "Infinity",
+                                                 "-NaN", "NaN"};
+  std::string out;
+  out.reserve(text.size());
+  bool in_string = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      out += c;
+      if (c == '\\' && i + 1 < text.size()) {
+        out += text[++i];
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') in_string = true;
+    const auto token =
+        std::find_if(std::begin(kTokens), std::end(kTokens),
+                     [&](std::string_view t) {
+                       return text.substr(i).starts_with(t);
+                     });
+    if (token == std::end(kTokens)) {
+      out += c;
+    } else {
+      out += "null";
+      i += token->size() - 1;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 void annotate_bench_json(const std::string& path) {
@@ -171,9 +210,24 @@ void annotate_bench_json(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   in.close();
-  json::Value root = json::Value::parse(buffer.str());
-  CEAL_EXPECT_MSG(root.is_object() && root.contains("benchmarks"),
+  json::Value root = json::Value::parse(nonfinite_to_null(buffer.str()));
+  CEAL_EXPECT_MSG(root.is_object() && root.contains("benchmarks") &&
+                      root.at("benchmarks").is_array(),
                   "'" + path + "' is not a google-benchmark JSON file");
+
+  // Drop the non-finite counters (now null; google-benchmark writes no
+  // nulls of its own), so the rewritten file is plain JSON that
+  // ceal_report's strict reader accepts.
+  const json::Value& entries = root.at("benchmarks");
+  json::Value benchmarks = json::Value::array();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    json::Value kept = json::Value::object();
+    for (const auto& [key, value] : entries.at(i).members()) {
+      if (!value.is_null()) kept.set(key, value);
+    }
+    benchmarks.push(std::move(kept));
+  }
+  root.set("benchmarks", std::move(benchmarks));
 
   json::Value meta = json::Value::object();
   meta.set("git_describe", json::Value::string(git_describe()));

@@ -90,7 +90,10 @@ BenchArgs make_bench_args(int argc, char** argv,
 /// top-level "ceal" metadata object: git describe, build type, global
 /// thread-pool width, peak RSS, and a UTC timestamp — the common header
 /// ceal_report expects on every BENCH_*.json (docs/PERFORMANCE.md).
-/// Throws PreconditionError when the file is missing or malformed.
+/// Non-finite counters (google-benchmark's bare NaN/Infinity tokens,
+/// e.g. the `_cv` of an all-zero counter) are dropped, so the rewritten
+/// file is strict JSON. Throws PreconditionError when the file is
+/// missing or otherwise malformed.
 void annotate_bench_json(const std::string& path);
 
 /// Peak resident set size of this process in MiB (getrusage ru_maxrss),

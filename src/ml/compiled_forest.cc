@@ -1,5 +1,6 @@
 #include "ml/compiled_forest.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/error.h"
@@ -13,6 +14,9 @@ namespace {
 /// Rows x trees below which the pool dispatch overhead outweighs the
 /// parallel win.
 constexpr std::size_t kParallelPredictWork = 1 << 14;
+
+/// Rows per tree-major block of batch prediction (and per pool task).
+constexpr std::size_t kBlockRows = 64;
 
 }  // namespace
 
@@ -47,6 +51,7 @@ CompiledForest CompiledForest::compile(const GradientBoostedTrees& model) {
       } else {
         node.key = d.threshold;
         node.feature = static_cast<std::uint32_t>(d.feature);
+        out.min_width_ = std::max(out.min_width_, d.feature + 1);
         stack.emplace_back(d.right, flat);  // after the whole left subtree
         stack.emplace_back(d.left, -1);     // next emission: flat + 1
       }
@@ -57,46 +62,59 @@ CompiledForest CompiledForest::compile(const GradientBoostedTrees& model) {
   return out;
 }
 
+double CompiledForest::leaf(std::uint32_t root, const double* x) const {
+  std::size_t i = root;
+  for (;;) {
+    const FlatNode& n = nodes_[i];
+    if (n.right < 0) return n.key;
+    i = x[n.feature] <= n.key ? i + 1 : static_cast<std::size_t>(n.right);
+  }
+}
+
 double CompiledForest::predict(std::span<const double> features) const {
+  CEAL_EXPECT_MSG(features.size() >= min_width_,
+                  "row narrower than the forest's largest split feature");
   double out = base_score_;
   for (const std::uint32_t root : roots_) {
-    std::size_t i = root;
-    for (;;) {
-      const FlatNode& n = nodes_[i];
-      if (n.right < 0) {
-        out += learning_rate_ * n.key;
-        break;
-      }
-      CEAL_EXPECT(n.feature < features.size());
-      i = features[n.feature] <= n.key ? i + 1
-                                       : static_cast<std::size_t>(n.right);
-    }
+    out += learning_rate_ * leaf(root, features.data());
   }
   return out;
 }
 
-template <typename RowOf>
-std::vector<double> CompiledForest::predict_batch(std::size_t n,
-                                                  const RowOf& row_of) const {
-  std::vector<double> out(n);
-  const auto fill = [&](std::size_t i) { out[i] = predict(row_of(i)); };
-  if (n > 1 && n * roots_.size() >= kParallelPredictWork) {
-    ceal::parallel_apply(0, n, fill);
+std::vector<double> CompiledForest::predict_batch(std::span<const double> x,
+                                                  std::size_t width) const {
+  const std::size_t n = x.size() / width;
+  CEAL_EXPECT_MSG(n == 0 || width >= min_width_,
+                  "row narrower than the forest's largest split feature");
+  std::vector<double> out(n, base_score_);
+  // Tree-major within a block: one tree's nodes stay hot while the
+  // block's rows descend it. Each row still adds its trees in ensemble
+  // order, so out[i] is bitwise predict(row i).
+  const auto fill_block = [&](std::size_t b) {
+    const std::size_t lo = b * kBlockRows;
+    const std::size_t hi = std::min(n, lo + kBlockRows);
+    for (const std::uint32_t root : roots_) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        out[i] += learning_rate_ * leaf(root, x.data() + i * width);
+      }
+    }
+  };
+  const std::size_t blocks = (n + kBlockRows - 1) / kBlockRows;
+  if (blocks > 1 && n * roots_.size() >= kParallelPredictWork) {
+    ceal::parallel_apply(0, blocks, fill_block);
   } else {
-    for (std::size_t i = 0; i < n; ++i) fill(i);
+    for (std::size_t b = 0; b < blocks; ++b) fill_block(b);
   }
   return out;
 }
 
 std::vector<double> CompiledForest::predict_matrix(
     const FeatureMatrix& rows) const {
-  return predict_batch(rows.size(),
-                       [&](std::size_t i) { return rows.row(i); });
+  return predict_batch(rows.values(), rows.n_features());
 }
 
 std::vector<double> CompiledForest::predict_dataset(const Dataset& data) const {
-  return predict_batch(data.size(),
-                       [&](std::size_t i) { return data.row(i); });
+  return predict_batch(data.values(), data.n_features());
 }
 
 }  // namespace ceal::ml

@@ -12,7 +12,8 @@
 // the trees in ensemble order as base + learning_rate * leaf, so it is
 // bitwise identical to summing RegressionTree::predict over the trees —
 // for single rows, batches, and any thread-pool width (batch inference
-// parallelises over rows, one writer per row).
+// walks blocks of rows tree by tree and parallelises over blocks, one
+// writer per row).
 #pragma once
 
 #include <cstdint>
@@ -33,13 +34,21 @@ class CompiledForest {
 
   /// Ensemble prediction for one feature vector: base_score plus
   /// learning_rate * leaf weight, summed over the trees in order.
+  ///
+  /// Every prediction call checks the row width once, up front, instead
+  /// of at every visited node: a row narrower than the forest's largest
+  /// split feature + 1 throws PreconditionError even when no split on a
+  /// missing feature lies on its path (a node the row never reaches
+  /// still counts).
   double predict(std::span<const double> features) const;
 
-  /// Batch prediction over a feature matrix, parallel over rows on the
-  /// global thread pool.
+  /// Batch prediction over a feature matrix, parallel over blocks of
+  /// rows on the global thread pool. Throws PreconditionError when the
+  /// matrix has rows and is narrower than predict() requires.
   std::vector<double> predict_matrix(const FeatureMatrix& rows) const;
 
-  /// Batch prediction over a dataset's feature rows (targets ignored).
+  /// Batch prediction over a dataset's feature rows (targets ignored);
+  /// same width rule as predict_matrix.
   std::vector<double> predict_dataset(const Dataset& data) const;
 
   std::size_t tree_count() const { return roots_.size(); }
@@ -57,10 +66,18 @@ class CompiledForest {
 
   CompiledForest() = default;
 
-  template <typename RowOf>
-  std::vector<double> predict_batch(std::size_t n, const RowOf& row_of) const;
+  /// Leaf weight of the tree starting at nodes_[root] for row `x`, which
+  /// holds at least min_width_ features.
+  double leaf(std::uint32_t root, const double* x) const;
+
+  /// Predictions for the rows of a row-major buffer of `width` features
+  /// per row.
+  std::vector<double> predict_batch(std::span<const double> x,
+                                    std::size_t width) const;
 
   double base_score_ = 0.0;
+  /// Largest split feature + 1 (0 when every tree is a single leaf).
+  std::size_t min_width_ = 0;
   double learning_rate_ = 0.0;
   std::vector<std::uint32_t> roots_;  // start of each tree in nodes_
   std::vector<FlatNode> nodes_;

@@ -32,6 +32,10 @@ class Dataset {
   /// Feature j of row i.
   double feature(std::size_t i, std::size_t j) const;
 
+  /// All feature rows, row-major: feature j of row i is at
+  /// i * n_features() + j (valid until the next mutation).
+  std::span<const double> values() const { return x_; }
+
   /// Appends all examples from `other` (same width).
   void append(const Dataset& other);
 
@@ -58,6 +62,9 @@ class FeatureMatrix {
   bool empty() const { return n_rows_ == 0; }
 
   std::span<const double> row(std::size_t i) const;
+
+  /// All rows, row-major (size() * n_features() values).
+  std::span<const double> values() const { return x_; }
 
   /// Writable row i, for filling the matrix in place (possibly from
   /// several threads, each owning disjoint rows).

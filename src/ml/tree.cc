@@ -26,6 +26,13 @@ double score(double g_sum, double h_sum, double lambda) {
 /// same value so both trainers agree on tie handling.
 constexpr double kGainEps = 1e-12;
 
+/// One row of a node's exact split search: the row's value of the
+/// feature being scanned.
+struct SortKey {
+  double v;
+  std::size_t row;
+};
+
 }  // namespace
 
 FeatureQuantiles quantile_bins(std::span<const double> sorted_vals,
@@ -133,6 +140,9 @@ void RegressionTree::fit_gradients(const Dataset& data,
                                  telemetry, quantized_ws);
     builder.run(out_leaf_values);
   } else {
+    // The one bounds check of the exact path: split search and partition
+    // read the row-major buffer directly.
+    for (const std::size_t r : row_indices) CEAL_EXPECT(r < data.size());
     std::vector<std::size_t> rows(row_indices.begin(), row_indices.end());
     build(data, rows, gradients, hessians, feature_pool, 0, out_leaf_values,
           telemetry);
@@ -177,12 +187,14 @@ std::int32_t RegressionTree::build(const Dataset& data,
       best_split(data, rows, g, h, feature_pool, g_sum, h_sum, telemetry);
   if (!split.found) return make_leaf();
 
-  // Partition rows in place.
+  // Partition rows in place. fit_gradients checked every row index.
+  const double* const column = data.values().data() + split.feature;
+  const std::size_t d = data.n_features();
   std::vector<std::size_t> left_rows, right_rows;
   left_rows.reserve(rows.size());
   right_rows.reserve(rows.size());
   for (const std::size_t r : rows) {
-    if (data.feature(r, split.feature) <= split.threshold) {
+    if (column[r * d] <= split.threshold) {
       left_rows.push_back(r);
     } else {
       right_rows.push_back(r);
@@ -217,23 +229,31 @@ RegressionTree::Split RegressionTree::best_split(
     telemetry->count("tree.split_search.features", feature_pool.size());
   }
 
+  // One contiguous {value, row} array carried across the features:
+  // feature j's sort starts from feature j-1's order. std::sort's moves
+  // depend only on the comparison outcomes, so this chain fixes the order
+  // of tied rows, the g_left summation order below and so every gain bit
+  // (the tie-order invariant, see TreeMethod::kExact).
+  const double* const x = data.values().data();
+  const std::size_t d = data.n_features();
+  std::vector<SortKey> keys(rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) keys[k].row = rows[k];
+
   Split best;
-  std::vector<std::size_t> order(rows.begin(), rows.end());
   for (const std::size_t j : feature_pool) {
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return data.feature(a, j) < data.feature(b, j);
-              });
+    for (SortKey& key : keys) key.v = x[key.row * d + j];
+    std::sort(keys.begin(), keys.end(),
+              [](const SortKey& a, const SortKey& b) { return a.v < b.v; });
     double g_left = 0.0, h_left = 0.0;
-    for (std::size_t k = 0; k + 1 < order.size(); ++k) {
-      const std::size_t r = order[k];
+    for (std::size_t k = 0; k + 1 < keys.size(); ++k) {
+      const std::size_t r = keys[k].row;
       g_left += g[r];
       h_left += h[r];
-      const double v = data.feature(r, j);
-      const double v_next = data.feature(order[k + 1], j);
+      const double v = keys[k].v;
+      const double v_next = keys[k + 1].v;
       if (v == v_next) continue;  // cannot split between equal values
       const std::size_t n_left = k + 1;
-      const std::size_t n_right = order.size() - n_left;
+      const std::size_t n_right = keys.size() - n_left;
       if (n_left < params_.min_samples_leaf ||
           n_right < params_.min_samples_leaf) {
         continue;

@@ -30,6 +30,16 @@ namespace ceal::ml {
 ///     at 0.5 * (v + v_next). Best for the tiny sample budgets of the
 ///     surrogates (tens of rows) and the path whose results the
 ///     reproduction benchmarks are pinned to.
+///     Tie-order invariant: a node sorts one {value, row} array with
+///     std::sort, feature after feature, and feature j's sort input is
+///     feature j-1's output. std::sort is not stable, so the order of
+///     rows with equal values depends on that whole chain, and it fixes
+///     the order in which the scan sums g_left — hence every gain bit,
+///     on which near-tied splits turn. Replacing the sort
+///     (std::stable_sort, presorted columns, a root order cached across
+///     rounds) changes trees; do it only as a deliberate re-pin of the
+///     golden test (tests/ml/test_gbt.cc, GbtExactGolden) and the
+///     reproduced results.
 ///   kQuantized: quantile binning (at most max_bins <= kMaxBins bins per
 ///     feature, see quantile_bins) computed once per dataset into a
 ///     structure-of-arrays QuantizedMatrix (ml/quantized.h), then

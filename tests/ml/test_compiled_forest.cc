@@ -12,6 +12,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/error.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/telemetry.h"
@@ -180,6 +181,49 @@ TEST(CompiledForest, DefaultModelsStillSerializeAsV1) {
   save_gbt(model, ss, train.n_features());
   EXPECT_NE(ss.str().find("gbt v1"), std::string::npos);
   EXPECT_EQ(ss.str().find("params "), std::string::npos);
+}
+
+TEST(CompiledForest, RowsNarrowerThanLargestSplitFeatureAreRejected) {
+  // Root splits on feature 0; only its right subtree reads feature 3.
+  const RegressionTree tree = RegressionTree::import_nodes({
+      {0, 0.5, 1, 2, 0.0},
+      {0, 0.0, -1, -1, 1.0},
+      {3, 0.0, 3, 4, 0.0},
+      {0, 0.0, -1, -1, 2.0},
+      {0, 0.0, -1, -1, 3.0},
+  });
+  const GradientBoostedTrees model = GradientBoostedTrees::from_parts(
+      GradientBoostedTrees::surrogate_defaults(), 0.0, {tree});
+  const CompiledForest& forest = *model.compiled();
+
+  const std::vector<double> wide{0.0, 0.0, 0.0, 0.0};
+  EXPECT_EQ(forest.predict(wide), reference(model, wide));
+
+  // {0, 0} goes left at the root and never reaches the feature-3 split,
+  // yet the width check covers every split of the forest.
+  const std::vector<double> narrow{0.0, 0.0};
+  EXPECT_THROW(forest.predict(narrow), ceal::PreconditionError);
+  EXPECT_THROW(model.predict(narrow), ceal::PreconditionError);
+
+  Dataset narrow_data(2);
+  narrow_data.add(narrow, 0.0);
+  EXPECT_THROW(forest.predict_dataset(narrow_data), ceal::PreconditionError);
+  EXPECT_THROW(model.predict_all(narrow_data), ceal::PreconditionError);
+  const FeatureMatrix narrow_matrix = matrix_of(narrow_data);
+  EXPECT_THROW(forest.predict_matrix(narrow_matrix), ceal::PreconditionError);
+  EXPECT_THROW(model.predict_matrix(narrow_matrix), ceal::PreconditionError);
+
+  // A batch without rows has nothing to check.
+  EXPECT_TRUE(forest.predict_dataset(Dataset(2)).empty());
+  EXPECT_TRUE(forest.predict_matrix(FeatureMatrix(2, 0)).empty());
+}
+
+TEST(CompiledForest, SingleLeafForestAcceptsAnyWidth) {
+  const RegressionTree leaf =
+      RegressionTree::import_nodes({{0, 0.0, -1, -1, 4.0}});
+  const GradientBoostedTrees model = GradientBoostedTrees::from_parts(
+      GradientBoostedTrees::surrogate_defaults(), 1.0, {leaf});
+  EXPECT_EQ(model.predict(std::vector<double>{}), 1.0 + 0.1 * 4.0);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/error.h"
 #include "core/rng.h"
@@ -145,6 +147,126 @@ TEST(Gbt, OutlierIsolatedFromGoodRegion) {
   model.fit(d, rng);
   EXPECT_NEAR(model.predict(std::vector<double>{4.0}), 10.0, 2.0);
   EXPECT_GT(model.predict(std::vector<double>{100.0}), 1000.0);
+}
+
+// ---------------------------------------------------------------------
+// Bit-identity oracle for the exact trainer (kExact, the default every
+// reproduced figure is pinned to). Node counts, a fingerprint of every
+// node and prediction, and sample predictions were recorded as
+// hex-floats at the commit before the split search moved to contiguous
+// sort keys; a change that moves a sort's tie order, the g_left
+// summation order or a threshold shows up here.
+
+/// Integer features with at most 8 levels each, like component
+/// configurations: every feature is full of ties. `cores` duplicates
+/// `procs` up to a monotone map (a config carrying both a count and a
+/// derived total), so every node has two features with the same
+/// partitions whose gains differ only in the g_left summation order —
+/// the order of tied rows after the sort. Any change to that tie order
+/// flips some of those near-tied splits and shows up in the fingerprint.
+Dataset tie_heavy_data(std::size_t n, ceal::Rng& rng) {
+  Dataset d(5);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto procs = static_cast<double>(rng.uniform_int(1, 8));
+    const auto ppn = static_cast<double>(rng.uniform_int(1, 4));
+    const auto threads = static_cast<double>(rng.uniform_int(1, 2));
+    const auto interval = static_cast<double>(rng.uniform_int(0, 7));
+    const double cores = 4.0 * procs;
+    d.add(std::vector<double>{procs, ppn, threads, interval, cores},
+          40.0 / (procs * threads) + 3.0 * ppn + 0.5 * interval +
+              rng.normal(0.0, 0.2));
+  }
+  return d;
+}
+
+/// Continuous, all-distinct features.
+Dataset continuous_data(std::size_t n, ceal::Rng& rng) {
+  Dataset d(3);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = rng.uniform(0.0, 4.0);
+    const double b = rng.uniform(-1.0, 1.0);
+    const double c = rng.uniform(1.0, 3.0);
+    d.add(std::vector<double>{a, b, c}, a * a - 2.0 * b + 1.0 / c);
+  }
+  return d;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (v >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// FNV-1a over the bits of every node of every tree, then of every
+/// prediction.
+std::uint64_t fingerprint(const GradientBoostedTrees& model,
+                          const std::vector<double>& predictions) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& tree : model.trees()) {
+    for (const TreeNodeData& n : tree.export_nodes()) {
+      h = fnv1a(h, n.feature);
+      h = fnv1a(h, std::bit_cast<std::uint64_t>(n.threshold));
+      h = fnv1a(h, static_cast<std::uint64_t>(n.left));
+      h = fnv1a(h, static_cast<std::uint64_t>(n.right));
+      h = fnv1a(h, std::bit_cast<std::uint64_t>(n.weight));
+    }
+  }
+  for (const double p : predictions) {
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(p));
+  }
+  return h;
+}
+
+struct ExactGolden {
+  std::size_t node_count;
+  std::uint64_t fingerprint;
+  double predictions[10];  // pool rows 0, 20, ..., 180
+};
+
+void expect_exact_golden(const Dataset& train, const Dataset& pool,
+                         const ExactGolden& golden) {
+  GradientBoostedTrees model(GradientBoostedTrees::surrogate_defaults());
+  ceal::Rng fit_rng(5);
+  model.fit(train, fit_rng);
+  const auto pred = model.predict_all(pool);
+  ASSERT_EQ(pred.size(), 200u);
+  std::size_t nodes = 0;
+  for (const auto& tree : model.trees()) nodes += tree.node_count();
+  EXPECT_EQ(nodes, golden.node_count);
+  EXPECT_EQ(fingerprint(model, pred), golden.fingerprint);
+  for (std::size_t k = 0; k < 10; ++k) {
+    EXPECT_EQ(pred[20 * k], golden.predictions[k]) << "pool row " << 20 * k;
+  }
+}
+
+TEST(GbtExactGolden, TieHeavyIntegerFeatures) {
+  ceal::Rng rng(13);
+  const Dataset train = tie_heavy_data(500, rng);
+  const Dataset pool = tie_heavy_data(200, rng);
+  expect_exact_golden(train, pool,
+                      {8386,
+                       0xd2af4dd4e6209cfbull,
+                       {0x1.f655f52f15499p+2, 0x1.36be7169fc4b7p+3,
+                        0x1.e10a6eb273858p+3, 0x1.6a7eea9351e2ap+3,
+                        0x1.4083aac4e6c1cp+4, 0x1.5c2bd5385a888p+5,
+                        0x1.ff304beaedf85p+3, 0x1.846319cff8c0fp+4,
+                        0x1.d37b5c26a393bp+3, 0x1.0add21c36f10dp+3}});
+}
+
+TEST(GbtExactGolden, ContinuousFeatures) {
+  ceal::Rng rng(14);
+  const Dataset train = continuous_data(50, rng);
+  const Dataset pool = continuous_data(200, rng);
+  expect_exact_golden(train, pool,
+                      {3900,
+                       0x22ebf20065dac58full,
+                       {0x1.61d97f568c47ap-3, 0x1.0f6aa14c6f27dp+3,
+                        0x1.00ec5ca47fd51p-1, 0x1.cc076d31470efp+3,
+                        0x1.a30a7b9ab44a2p+1, 0x1.2cb527b1150ecp+0,
+                        0x1.992d6a03f9a8p+2, 0x1.79d96ebf8ff36p+3,
+                        0x1.0345a1b9a9b29p-2, 0x1.e3605d2e02acap+2}});
 }
 
 }  // namespace

@@ -173,6 +173,20 @@ TEST(RegressionTree, EmptyRowsRejected) {
                ceal::PreconditionError);
 }
 
+TEST(RegressionTree, OutOfRangeRowIndexRejected) {
+  // The exact trainer reads the row-major buffer unchecked, so every row
+  // index is validated once up front.
+  CartProblem prob(2);
+  prob.add({0.0, 1.0}, 0.0);
+  prob.add({1.0, 0.0}, 1.0);
+  RegressionTree tree;
+  ceal::Rng rng(13);
+  const std::vector<std::size_t> rows{0, 1, 2};
+  EXPECT_THROW(tree.fit_gradients(prob.data, rows, prob.g, prob.h, rng),
+               ceal::PreconditionError);
+  EXPECT_FALSE(tree.is_fitted());
+}
+
 TEST(RegressionTree, ColsampleOneUsesAllFeatures) {
   // With colsample = 1 the informative second feature must be found.
   CartProblem prob(3);
