@@ -71,6 +71,7 @@ int main() {
     table.add_row(row);
   }
   std::cout << "\n\n" << table;
+  csv.commit();
   std::cout << "\nExpected shape: the full configuration is at least as "
                "good as every ablation; dropping the\nlow-fidelity "
                "bootstrap hurts the most.\n";

@@ -99,6 +99,7 @@ int main() {
     std::cout << "." << std::flush;
   }
   std::cout << "\n\n" << table;
+  csv.commit();
   std::cout << "\nExpected shape: tree ensembles dominate k-NN at every "
                "budget; GBT leads or ties RF — consistent\nwith §2.2's "
                "rationale for boosted-tree surrogates under tight sample "

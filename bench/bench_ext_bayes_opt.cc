@@ -55,6 +55,7 @@ int main() {
     table.add_row(row);
   }
   std::cout << "\n\n" << table;
+  csv.commit();
   std::cout << "\nExpected shape: bootstrapping helps BO the same way it "
                "helps AL — BO-CEAL tracks CEAL and beats\nplain BO, "
                "confirming the method is black-box-technique agnostic "

@@ -49,6 +49,7 @@ int main() {
     table.add_row(row);
   }
   std::cout << "\n\n" << table;
+  csv.commit();
   std::cout << "\nExpected shape: every algorithm degrades as the failure "
                "rate grows (fewer usable samples\nfor the same budget); "
                "CEAL stays closest to its fault-free quality because the "

@@ -57,6 +57,7 @@ int main() {
     std::cout << "." << std::flush;
   }
   std::cout << "\n\n" << table;
+  csv.commit();
   std::cout << "\nPaper shape: CEAL superior to ALpH in all cases; at 25 "
                "samples the paper reports computer time\n14.7% (LV), 32.6% "
                "(HS), 5.6% (GP) below ALpH's.\n";

@@ -51,6 +51,7 @@ int main() {
     }
     std::cout << table;
   }
+  csv.commit();
   std::cout << "\nPaper shape: CEAL always more robust than ALpH; for GP "
                "computer time @25 samples the paper's CEAL\nscores 100% at "
                "top-1/2/3. Series in fig11_recall_hist.csv.\n";

@@ -50,6 +50,7 @@ int main() {
     table.add_row(row);
   }
   std::cout << "\n\n" << table;
+  csv.commit();
   std::cout << "\nPaper shape: CEAL recoups its cost in fewer uses than "
                "ALpH (paper: 164 runs for LV exec @50,\n160 for LV comp "
                "@25).\n";

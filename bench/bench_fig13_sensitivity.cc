@@ -100,6 +100,7 @@ int main() {
     }
     std::cout << "\n(c) component-run fraction mR/m\n" << table;
   }
+  csv.commit();
   std::cout << "\nPaper shape: converges by I ~ 8 without histories "
                "(faster with); flat over a wide m0 range;\nflat for mR in "
                "30-80%. Series in fig13_sensitivity.csv.\n";

@@ -84,6 +84,7 @@ int main() {
                  bench::fmt(columns[3][k - 1], 2)});
   }
   std::cout << table;
+  csv.commit();
   std::cout << "\nPaper shape: combination functions reach >30% recall for "
                "top 2-25, far above random\n(which is ~n/500). Series "
                "written to fig4_combination_recall.csv.\n";

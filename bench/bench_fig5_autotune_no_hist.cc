@@ -57,6 +57,7 @@ int main() {
     }
   }
   std::cout << "\n\n" << table;
+  csv.commit();
   std::cout << "\nPaper shape: CEAL lowest (or tied) in every cell; RS "
                "worst; AL between. Paper examples:\nCEAL improves 15-72% "
                "over RS and 10-60% over GEIST. Series in "

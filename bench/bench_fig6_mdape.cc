@@ -54,6 +54,7 @@ int main() {
                    all_row[3]});
   }
   std::cout << "\n\n" << table;
+  csv.commit();
   std::cout << "\nPaper shape: CEAL's MdAPE on the top 2% is far below the "
                "others', while on all configurations it is\ncomparable or "
                "slightly higher — the budget goes into accuracy where the "

@@ -52,6 +52,7 @@ int main() {
     }
     std::cout << table;
   }
+  csv.commit();
   std::cout << "\nPaper shape: CEAL's recall dominates at every depth; "
                "top-1 recall for LV exec @100 is 63% for CEAL vs\n2% (RS), "
                "15% (GEIST), 39% (AL). Series in fig7_recall_no_hist.csv.\n";

@@ -39,6 +39,7 @@ int main() {
     }
   }
   std::cout << "\n\n" << table;
+  csv.commit();
   std::cout << "\nPaper shape: CEAL needs fewer uses than AL to pay off "
                "(LV: 716 vs 782 in the paper) because its\ntraining "
                "samples are cheaper — the low-fidelity model steers it to "

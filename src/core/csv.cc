@@ -1,16 +1,13 @@
 #include "core/csv.h"
 
-#include <stdexcept>
-
 #include "core/error.h"
 
 namespace ceal {
 
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
-    : out_(path), columns_(header.size()) {
+    : file_(path), columns_(header.size()) {
   CEAL_EXPECT(!header.empty());
-  if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
   write_row(header);
   rows_ = 0;  // header does not count as a data row
 }
@@ -33,11 +30,12 @@ std::string CsvWriter::escape(const std::string& cell) {
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& cells) {
+  std::ostream& out = file_.stream();
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << escape(cells[i]);
+    if (i) out << ',';
+    out << escape(cells[i]);
   }
-  out_ << '\n';
+  out << '\n';
 }
 
 }  // namespace ceal

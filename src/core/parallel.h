@@ -1,11 +1,20 @@
-// Process-wide worker pool for the compute-bound hot paths (histogram
-// split search, batch model prediction, pool featurization).
+// Process-wide worker pool for the compute-bound hot paths: evaluation
+// replications (tuner::evaluate), batch model prediction, pool
+// featurization and quantized binning.
 //
 // A single shared pool avoids one-pool-per-model-fit thread churn; the
 // consumers are written so their numeric results are bitwise identical
 // for any worker count (fixed work decomposition, ordered reductions),
 // which keeps reproduction runs seed-stable on any host. Tests exercise
 // that contract by resizing the pool between runs.
+//
+// Loops nest: a replication running on a worker calls parallel_apply for
+// its own batch prediction on the same pool. ThreadPool::parallel_for is
+// nest-safe (thread_pool.h) — every caller works through its own loop's
+// unclaimed items and waits only for items other threads already
+// started, so nesting cannot deadlock however many outer items there
+// are, and an inner loop never waits behind outer work. When all
+// workers are busy an inner loop simply runs on its calling thread.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +41,7 @@ std::size_t global_thread_count();
 /// (CEAL_THREADS=1 or a one-core host) pool dispatch would only add
 /// queue/wakeup overhead on top of timesharing, so the loop stays on the
 /// calling thread. Consumers must not depend on the execution placement.
+/// Nest-safe: fn may call parallel_apply again.
 void parallel_apply(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

@@ -1,10 +1,11 @@
-// Fixed-size thread pool with a blocking work queue plus a chunked
-// parallel_for helper.
+// Fixed-size thread pool with a blocking work queue plus a chunked,
+// nest-safe parallel_for helper.
 //
-// The mini-app kernels (src/apps) and the replication loops of the
-// evaluation harness use this to exploit whatever cores the host offers;
-// with a single hardware thread everything degrades gracefully to serial
-// execution without code changes.
+// The mini-app kernels (src/apps) use this directly; everything else
+// shares one process-wide instance through core/parallel.h, including
+// the evaluation harness's replications and the batch loops they call
+// from inside. With a single hardware thread everything degrades
+// gracefully to serial execution without code changes.
 //
 // Observability: attach a (concurrency-safe) telemetry::Telemetry with
 // set_telemetry to record task counts, queue-depth gauges, and busy-time
@@ -75,30 +76,38 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> fut = task->get_future();
-    std::size_t depth = 0;
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_) throw std::runtime_error("ThreadPool is shutting down");
-      queue_.emplace([task] { (*task)(); });
-      depth = queue_.size();
-      ++submitted_;
-      if (depth > max_queue_depth_) max_queue_depth_ = depth;
-    }
-    note_submit(depth);
-    cv_.notify_one();
+    enqueue([task] { (*task)(); });
     return fut;
   }
 
-  /// Runs fn(i) for i in [begin, end) across the pool, blocking until all
-  /// iterations finish. Work is split into contiguous chunks, one per
-  /// worker (plus the calling thread participates). On failure every
-  /// chunk still runs to completion (or its own failure) before the
-  /// first exception is rethrown — fn is borrowed by the worker tasks,
-  /// so no chunk may outlive the call.
+  /// Runs fn(i) for i in [begin, end), blocking until all iterations
+  /// finish. The range is cut into at most kChunksPerLane contiguous
+  /// chunks per lane (workers + the caller), so a range of at most
+  /// kChunksPerLane * (thread_count() + 1) items runs one item per
+  /// chunk. The caller and up to one queued helper task per worker claim
+  /// chunks from a shared counter until none is left.
+  ///
+  /// Nest-safe: fn may itself call parallel_for on this pool, from any
+  /// thread. The caller never waits for a queued helper to start — it
+  /// works through the unclaimed chunks itself and then waits only for
+  /// chunks other threads have already claimed; a helper that starts
+  /// late finds nothing to claim and returns without touching fn. The
+  /// caller also never runs other tasks from the queue, so an inner loop
+  /// cannot get stuck behind an unrelated outer one.
+  ///
+  /// On failure every chunk still runs to completion (or to its own
+  /// failure) before the first exception is rethrown — fn is borrowed by
+  /// the helpers, so no chunk may outlive the call.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
+  /// Upper bound on parallel_for chunks per lane: few enough that one
+  /// claim costs nothing next to a chunk, enough that uneven items (whole
+  /// tuning replications) still balance across lanes.
+  static constexpr std::size_t kChunksPerLane = 8;
+
  private:
+  void enqueue(std::function<void()> task);
   void worker_loop(std::size_t worker_index);
   /// Telemetry hook for a submission (one null branch when detached).
   void note_submit(std::size_t queue_depth);

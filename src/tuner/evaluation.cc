@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/error.h"
+#include "core/parallel.h"
 #include "core/stats.h"
 #include "core/telemetry.h"
 #include "ml/metrics.h"
@@ -30,7 +31,7 @@ struct RepOutcome {
 
 EvalSummary evaluate(const TuningProblem& problem, const AutoTuner& algorithm,
                      std::size_t budget, std::size_t replications,
-                     std::uint64_t seed, ceal::ThreadPool* pool) {
+                     std::uint64_t seed) {
   CEAL_EXPECT(replications >= 1);
   CEAL_EXPECT(problem.workload != nullptr && problem.pool != nullptr);
 
@@ -60,11 +61,11 @@ EvalSummary evaluate(const TuningProblem& problem, const AutoTuner& algorithm,
   // are merged into the parent in replication order afterwards, which
   // re-stamps sequence numbers and reproduces the exact event stream of
   // a serial run — stripped traces compare byte-identical
-  // (tests/tuner/test_trace.cc). The serial path uses children too:
-  // every replication's causal spans then draw ids from the same
-  // strand-indexed namespaces (Telemetry::adopt_trace), so the span tree
-  // is byte-identical across --threads 1 vs N, not just event-order
-  // identical.
+  // (tests/tuner/test_trace.cc). The serial path (one pool worker, or a
+  // single-caller hook below) uses children too: every replication's
+  // causal spans then draw ids from the same strand-indexed namespaces
+  // (Telemetry::adopt_trace), so the span tree is byte-identical across
+  // 1 vs N workers, not just event-order identical.
   const bool child_tracing = problem.telemetry != nullptr;
   telemetry::ScopedCausalSpan eval_span(problem.telemetry, "evaluate");
   std::vector<std::unique_ptr<telemetry::BufferTraceSink>> buffers;
@@ -90,8 +91,8 @@ EvalSummary evaluate(const TuningProblem& problem, const AutoTuner& algorithm,
         child_tracing ? rep_problems[rep] : problem;
     telemetry::Telemetry* tel = rep_problem.telemetry;
     if (tel != nullptr) tel->count("evaluate.replications");
-    // The unit a ThreadPool would schedule; emitted in serial runs too
-    // so the span tree does not depend on the execution mode.
+    // The unit the pool schedules; emitted in serial runs too so the
+    // span tree does not depend on the execution mode.
     telemetry::ScopedCausalSpan task_span(tel, "pool.task");
     telemetry::ScopedCausalSpan rep_span(tel, "evaluate.replication");
     ceal::Rng rng(seed * 0x9e3779b97f4a7c15ULL + rep * 0xda942042e4dd58b5ULL +
@@ -117,10 +118,12 @@ EvalSummary evaluate(const TuningProblem& problem, const AutoTuner& algorithm,
     out.improvement = expert_truth - truth[result.best_predicted_index];
   };
 
-  if (pool != nullptr) {
-    pool->parallel_for(0, replications, run_one);
-  } else {
+  // Measurement backends and checkpoint sessions take calls from one
+  // thread only (measure/subprocess.h, tuner/checkpoint.h).
+  if (problem.measure != nullptr || problem.checkpoint != nullptr) {
     for (std::size_t rep = 0; rep < replications; ++rep) run_one(rep);
+  } else {
+    ceal::parallel_apply(0, replications, run_one);
   }
   if (child_tracing) {
     for (std::size_t rep = 0; rep < replications; ++rep) {

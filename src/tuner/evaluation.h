@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/thread_pool.h"
 #include "tuner/autotuner.h"
 
 namespace ceal::tuner {
@@ -55,10 +54,14 @@ struct EvalSummary {
 };
 
 /// Runs `algorithm` `replications` times on `problem` with the given
-/// budget and aggregates the metrics. Replications execute on `pool`
-/// when provided (must outlive the call), serially otherwise.
+/// budget and aggregates the metrics. Replications run in parallel on
+/// the global pool (core/parallel.h; CEAL_THREADS=1 runs them serially);
+/// results and stripped traces are bitwise identical for any worker
+/// count. When `problem.measure` or `problem.checkpoint` is set they run
+/// serially on the calling thread, because those hooks take calls from
+/// one thread only.
 EvalSummary evaluate(const TuningProblem& problem, const AutoTuner& algorithm,
                      std::size_t budget, std::size_t replications,
-                     std::uint64_t seed, ceal::ThreadPool* pool = nullptr);
+                     std::uint64_t seed);
 
 }  // namespace ceal::tuner

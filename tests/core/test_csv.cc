@@ -33,6 +33,7 @@ TEST_F(CsvTest, WritesHeaderAndRows) {
     csv.add_row({"1", "2"});
     csv.add_row({"3", "4"});
     EXPECT_EQ(csv.rows_written(), 2u);
+    csv.commit();
   }
   EXPECT_EQ(read_back(), "a,b\n1,2\n3,4\n");
 }
@@ -43,9 +44,38 @@ TEST_F(CsvTest, EscapesCommasQuotesAndNewlines) {
     csv.add_row({"a,b"});
     csv.add_row({"quote\"inside"});
     csv.add_row({"line\nbreak"});
+    csv.commit();
   }
   EXPECT_EQ(read_back(),
             "x\n\"a,b\"\n\"quote\"\"inside\"\n\"line\nbreak\"\n");
+}
+
+// A bench killed or failing mid-run must leave the previous CSV, never a
+// truncated one: rows reach the target only through commit().
+TEST_F(CsvTest, DestroyedWithoutCommitLeavesOldFile) {
+  {
+    std::ofstream old(path_);
+    old << "a,b\nold,row\n";
+  }
+  {
+    CsvWriter csv(path_, {"a", "b"});
+    csv.add_row({"new", "row"});
+    EXPECT_EQ(read_back(), "a,b\nold,row\n");
+  }
+  EXPECT_EQ(read_back(), "a,b\nold,row\n");
+  EXPECT_FALSE(std::ifstream(path_ + ".tmp").good());
+}
+
+TEST_F(CsvTest, CommitReplacesOldFile) {
+  {
+    std::ofstream old(path_);
+    old << "stale\n";
+  }
+  CsvWriter csv(path_, {"a"});
+  csv.add_row({"1"});
+  csv.commit();
+  EXPECT_EQ(read_back(), "a\n1\n");
+  EXPECT_FALSE(std::ifstream(path_ + ".tmp").good());
 }
 
 TEST_F(CsvTest, RejectsWidthMismatch) {

@@ -4,7 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -159,6 +164,87 @@ TEST(ThreadPool, NestedSubmitFromParallelForDoesNotDeadlock) {
   auto fut = pool.submit([&counter] { ++counter; });
   fut.get();
   EXPECT_EQ(counter.load(), 5);
+}
+
+// Aborts the test binary if it is still alive after `limit`, so a
+// deadlocked pool fails ctest instead of hanging it.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit)
+      : thread_([this, limit] {
+          std::unique_lock lock(mutex_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: parallel_for deadlocked\n");
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard lock(mutex_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool done_ = false;  // guarded by mutex_
+  std::thread thread_;
+};
+
+// More outer items than lanes, each running an inner loop on the same
+// pool (a replication calling batch prediction): with both workers busy
+// in outer items, the inner loops must still finish — on their calling
+// threads — instead of waiting for queued tasks no worker will run.
+TEST(NestedParallel, InnerLoopsOnBusyTwoWorkerPoolFinish) {
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 100;
+  ThreadPool pool(2);
+  std::vector<std::uint64_t> sums(kOuter, 0);
+  {
+    Watchdog watchdog(std::chrono::seconds(60));
+    pool.parallel_for(0, kOuter, [&](std::size_t o) {
+      std::vector<std::uint64_t> parts(kInner, 0);
+      pool.parallel_for(0, kInner, [&](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        parts[i] = o * 1000 + i;
+      });
+      sums[o] = std::accumulate(parts.begin(), parts.end(), std::uint64_t{0});
+    });
+  }
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    EXPECT_EQ(sums[o], o * 1000 * kInner + kInner * (kInner - 1) / 2)
+        << "outer item " << o;
+  }
+}
+
+// A throwing item fails only its own chunk: every other claimed chunk
+// still runs to completion before the exception reaches the caller, and
+// nothing runs after parallel_for returns. The range fits one item per
+// chunk (thread_pool.h), so every other item runs.
+TEST(NestedParallel, ThrowingItemStillRunsEveryClaimedChunk) {
+  ThreadPool pool(2);
+  const std::size_t n = ThreadPool::kChunksPerLane * (pool.thread_count() + 1);
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> finished{0};
+  const auto item = [&](std::size_t i) {
+    if (i == 0) throw std::runtime_error("item 0");
+    ++started;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ++finished;
+  };
+  {
+    Watchdog watchdog(std::chrono::seconds(60));
+    EXPECT_THROW(pool.parallel_for(0, n, item), std::runtime_error);
+  }
+  EXPECT_EQ(started.load(), finished.load());
+  EXPECT_EQ(finished.load(), n - 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(started.load(), n - 1);
 }
 
 }  // namespace

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <mutex>
+#include <set>
+#include <thread>
 
+#include "core/parallel.h"
+#include "measure/backend.h"
 #include "sim/workloads.h"
 #include "tuner/ceal.h"
 #include "tuner/random_search.h"
@@ -73,11 +78,62 @@ TEST_F(EvaluationTest, DifferentSeedsGiveDifferentRuns) {
 TEST_F(EvaluationTest, ThreadPoolGivesSameAggregates) {
   auto prob = problem();
   RandomSearch rs;
-  ceal::ThreadPool tp(3);
+  ceal::set_global_thread_pool_threads(1);
   const auto serial = evaluate(prob, rs, 10, 6, 9);
-  const auto parallel = evaluate(prob, rs, 10, 6, 9, &tp);
+  ceal::set_global_thread_pool_threads(4);
+  const auto parallel = evaluate(prob, rs, 10, 6, 9);
+  ceal::set_global_thread_pool_threads(0);
   EXPECT_DOUBLE_EQ(serial.mean_norm_perf, parallel.mean_norm_perf);
   EXPECT_DOUBLE_EQ(serial.mean_recall[0], parallel.mean_recall[0]);
+}
+
+/// Reads the pool rows like InProcessBackend and records every thread
+/// that calls it.
+class ThreadRecordingBackend final : public measure::MeasureBackend {
+ public:
+  explicit ThreadRecordingBackend(const MeasuredPool& pool) : pool_(&pool) {}
+
+  const char* name() const override { return "thread-recording"; }
+
+  measure::RawRun run(std::size_t pool_index) override {
+    {
+      std::lock_guard lock(mutex_);
+      callers_.insert(std::this_thread::get_id());
+    }
+    return {pool_->exec_s[pool_index], pool_->comp_ch[pool_index]};
+  }
+
+  std::set<std::thread::id> callers() const {
+    std::lock_guard lock(mutex_);
+    return callers_;
+  }
+
+ private:
+  const MeasuredPool* pool_;
+  mutable std::mutex mutex_;
+  std::set<std::thread::id> callers_;  // guarded by mutex_
+};
+
+// A measurement backend takes calls from one thread only
+// (measure/subprocess.h), so evaluate keeps replications on the calling
+// thread when one is installed — with identical aggregates.
+TEST_F(EvaluationTest, MeasureBackendIsCalledFromOneThread) {
+  ceal::set_global_thread_pool_threads(4);
+  RandomSearch rs;
+  const auto pooled = evaluate(problem(), rs, 10, 6, 9);
+
+  ThreadRecordingBackend backend(pool_);
+  auto prob = problem();
+  prob.measure = &backend;
+  const auto inline_run = evaluate(prob, rs, 10, 6, 9);
+  ceal::set_global_thread_pool_threads(0);
+
+  const auto callers = backend.callers();
+  ASSERT_EQ(callers.size(), 1u);
+  EXPECT_EQ(*callers.begin(), std::this_thread::get_id());
+  EXPECT_EQ(inline_run.mean_norm_perf, pooled.mean_norm_perf);
+  EXPECT_EQ(inline_run.mean_recall, pooled.mean_recall);
+  EXPECT_EQ(inline_run.mean_cost_exec_s, pooled.mean_cost_exec_s);
 }
 
 TEST_F(EvaluationTest, LeastUsesIsCostOverImprovement) {

@@ -9,7 +9,7 @@
 
 #include "core/json.h"
 #include "core/telemetry.h"
-#include "core/thread_pool.h"
+#include "core/parallel.h"
 #include "sim/workloads.h"
 #include "tuner/active_learning.h"
 #include "tuner/ceal.h"
@@ -202,9 +202,9 @@ TEST_F(TraceTest, FaultRunFailureCountsMatchTheResult) {
 
 // The deterministic parallel-tracing pattern (telemetry.h header):
 // pooled replications each trace into a child Telemetry whose buffer is
-// merged in replication order, so the pooled trace must be
-// byte-identical to the serial one once `timing` is stripped — and the
-// evaluation metrics must agree exactly.
+// merged in replication order, so the trace of a 4-worker global pool
+// must be byte-identical to the one-worker (serial) trace once `timing`
+// is stripped — and the evaluation metrics must agree exactly.
 TEST_F(TraceTest, PooledEvaluateMatchesSerialTraceAndSummary) {
   constexpr std::size_t kBudget = 20;
   constexpr std::size_t kReps = 4;
@@ -215,6 +215,7 @@ TEST_F(TraceTest, PooledEvaluateMatchesSerialTraceAndSummary) {
   telemetry::Telemetry serial_tel(&serial_sink);
   auto serial_prob = problem(true);
   serial_prob.telemetry = &serial_tel;
+  ceal::set_global_thread_pool_threads(1);
   const EvalSummary serial =
       evaluate(serial_prob, ceal, kBudget, kReps, kSeed);
 
@@ -222,9 +223,10 @@ TEST_F(TraceTest, PooledEvaluateMatchesSerialTraceAndSummary) {
   telemetry::Telemetry pooled_tel(&pooled_sink);
   auto pooled_prob = problem(true);
   pooled_prob.telemetry = &pooled_tel;
-  ceal::ThreadPool eval_pool(4);
+  ceal::set_global_thread_pool_threads(4);
   const EvalSummary pooled =
-      evaluate(pooled_prob, ceal, kBudget, kReps, kSeed, &eval_pool);
+      evaluate(pooled_prob, ceal, kBudget, kReps, kSeed);
+  ceal::set_global_thread_pool_threads(0);
 
   const auto serial_lines = strip_timing(serial_sink.lines);
   const auto pooled_lines = strip_timing(pooled_sink.lines);

@@ -19,6 +19,7 @@
 #include "core/error.h"
 #include "core/flight_recorder.h"
 #include "core/journal.h"
+#include "core/parallel.h"
 #include "core/table.h"
 #include "core/telemetry.h"
 #include "measure/backend.h"
@@ -42,7 +43,9 @@ constexpr const char* kUsage =
     "  [--algorithm CEAL|AL|RS|GEIST|ALpH|BO|BO-CEAL]  (default CEAL)\n"
     "  [--history]              treat component samples as free history\n"
     "  [--replications N]       N>1: evaluate instead of one session\n"
-    "  [--threads N]            run replications on an N-thread pool\n"
+    "  [--threads N]            worker threads for replications and batch\n"
+    "                           loops (default: CEAL_THREADS, else all\n"
+    "                           cores; 1 runs serially)\n"
     "  [--pool-size N]          default 2000\n"
     "  [--component-samples N]  default 500\n"
     "  [--pool-seed S] [--seed S]\n"
@@ -112,8 +115,7 @@ int main(int argc, char** argv) {
   const bool history = args.flag("history");
   const auto replications =
       static_cast<std::size_t>(args.integer("replications", 1));
-  const auto eval_threads =
-      static_cast<std::size_t>(args.integer("threads", 0));
+  const long threads = args.integer("threads", 0);
   const auto pool_size =
       static_cast<std::size_t>(args.integer("pool-size", 2000));
   const auto comp_samples =
@@ -166,6 +168,13 @@ int main(int argc, char** argv) {
     std::cerr << "--gbt-bins must be in [2, " << ml::kMaxBins << "], got "
               << gbt_bins << "\n";
     return 2;
+  }
+  if (threads < 0) {
+    std::cerr << "--threads must be >= 0, got " << threads << "\n";
+    return 2;
+  }
+  if (threads > 0) {
+    ceal::set_global_thread_pool_threads(static_cast<std::size_t>(threads));
   }
   if (resume && checkpoint_dir.empty()) {
     std::cerr << "--resume requires --checkpoint DIR\n";
@@ -297,14 +306,10 @@ int main(int argc, char** argv) {
   problem.measure = backend_store.get();
 
   if (replications > 1) {
-    // Replications run on a pool when --threads is given; trace output is
-    // byte-identical to the serial path (per-replication child telemetry,
-    // merged in replication order — see tuner::evaluate).
-    std::optional<ceal::ThreadPool> eval_pool;
-    if (eval_threads > 0) eval_pool.emplace(eval_threads);
-    const auto s =
-        tuner::evaluate(problem, *algo, budget, replications, seed,
-                        eval_pool ? &*eval_pool : nullptr);
+    // Replications run on the global pool; trace output is byte-identical
+    // for any worker count (per-replication child telemetry, merged in
+    // replication order — see tuner::evaluate).
+    const auto s = tuner::evaluate(problem, *algo, budget, replications, seed);
     Table table({"metric", "value"});
     table.add_row({"algorithm", s.algorithm});
     table.add_row({"normalized performance", Table::num(s.mean_norm_perf)});

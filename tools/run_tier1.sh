@@ -52,12 +52,14 @@ diff "$trace_dir/plain.txt" "$trace_dir/traced.txt" \
   --check-determinism "$trace_dir/b.jsonl"
 
 echo "== tier-1: pooled-replication determinism gate =="
-# A 4-thread evaluation must produce the same stripped trace as the
-# serial path (per-replication child telemetry, merged in order).
+# A 4-worker evaluation must produce the same stripped trace as the
+# serial one-worker path (per-replication child telemetry, merged in
+# order). Both sides pin --threads: the default pool is not serial.
 rep_args=(--workflow LV --objective exec --budget 25 --pool-size 400
           --pool-seed 21 --component-samples 120 --seed 7 --replications 4
           --quiet)
-./build/tools/ceal_tune "${rep_args[@]}" --trace "$trace_dir/serial.jsonl"
+./build/tools/ceal_tune "${rep_args[@]}" --threads 1 \
+  --trace "$trace_dir/serial.jsonl"
 ./build/tools/ceal_tune "${rep_args[@]}" --threads 4 \
   --trace "$trace_dir/pooled.jsonl"
 ./build/tools/ceal_trace --input "$trace_dir/serial.jsonl" \
@@ -375,7 +377,7 @@ if [[ "$with_tsan" == 1 ]]; then
   cmake --build "$dir" -j "$jobs" --target unit_tests system_tests \
     serve_tests measure_tests ceal_worker
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L tier1 \
-    -R 'Telemetry|ThreadPool|Trace|Parallel|Quantized|ThreadCountDeterminism|Compiled|PoolScorer|Serve|Measure'
+    -R 'Telemetry|ThreadPool|NestedParallel|Trace|Parallel|Quantized|ThreadCountDeterminism|Compiled|PoolScorer|Serve|Measure|EvaluationTest'
 fi
 
 echo "tier-1 OK (plain + asan + ubsan$([[ "$with_tsan" == 1 ]] && echo ' + tsan'))"
