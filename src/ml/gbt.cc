@@ -74,10 +74,15 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
   // Tree-builder scratch (histogram buffers, reciprocal table) also
   // survives across rounds; each round's builder reuses it in place.
   std::optional<QuantizedWorkspace> quantized_ws;
+  // The exact trainer instead replays recurring sort chains (every
+  // round's root when all rows train) from a bounded per-fit memo.
+  std::optional<SortChainMemo> sort_memo;
   if (params_.tree.method == TreeMethod::kQuantized) {
     telemetry::ScopedCausalSpan span(telemetry_, "gbt.quantize");
     quantized_cache.emplace(data, params_.tree.max_bins);
     quantized_ws.emplace();
+  } else {
+    sort_memo.emplace();
   }
 
   if (telemetry_ != nullptr) telemetry_->count("gbt.fits");
@@ -101,7 +106,8 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
     }
     tree.fit_gradients(data, rows, grad, hess, rng, &leaf_values, telemetry_,
                        quantized_cache ? &*quantized_cache : nullptr,
-                       quantized_ws ? &*quantized_ws : nullptr);
+                       quantized_ws ? &*quantized_ws : nullptr,
+                       sort_memo ? &*sort_memo : nullptr);
     for (std::size_t i = 0; i < n; ++i) {
       const double value = std::isnan(leaf_values[i])
                                ? tree.predict(data.row(i))

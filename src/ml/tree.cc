@@ -1,8 +1,10 @@
 #include "ml/tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "core/error.h"
@@ -33,7 +35,145 @@ struct SortKey {
   std::size_t row;
 };
 
+/// splitmix64 finalizer over h + v: spreads memo keys over the index
+/// buckets (lookups then compare keys exactly).
+std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
+  std::uint64_t z = h + v + 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Bookkeeping a SortChainMemo charges per entry besides its arena words
+/// and the Entry: an index node (hash, id, next pointer, the allocator's
+/// header) and up to two bucket slots.
+constexpr std::size_t kIndexNodeBytes = 6 * sizeof(void*);
+
 }  // namespace
+
+SortChainMemo::SortChainMemo(std::size_t budget_bytes)
+    : budget_bytes_(budget_bytes) {}
+
+std::size_t SortChainMemo::bytes_used() const {
+  return arena_.size() * sizeof(std::uint32_t) +
+         entries_.size() * (sizeof(Entry) + kIndexNodeBytes);
+}
+
+void SortChainMemo::bind(const Dataset& data) {
+  if (data_ == nullptr) {
+    data_ = &data;
+    data_rows_ = data.size();
+  }
+  CEAL_EXPECT_MSG(data_ == &data && data_rows_ == data.size(),
+                  "a SortChainMemo serves the fits of one dataset");
+}
+
+bool SortChainMemo::keyed_by_parent(const Origin& origin) const {
+  return origin.parent != kNoEntry && origin.parent >= first_id_;
+}
+
+bool SortChainMemo::matches(const Entry& e, const Origin& origin,
+                            std::span<const std::size_t> rows,
+                            std::span<const std::size_t> feature_pool) const {
+  if (e.n_rows != rows.size() || e.n_features != feature_pool.size()) {
+    return false;
+  }
+  if (e.parent != kNoEntry) {
+    return e.parent == origin.parent && e.feature == origin.feature &&
+           e.threshold_bits == std::bit_cast<std::uint64_t>(origin.threshold) &&
+           e.left == origin.left;
+  }
+  const std::uint32_t* key = arena_.data() + e.key_offset;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    if (key[k] != rows[k]) return false;
+  }
+  key += rows.size();
+  for (std::size_t f = 0; f < feature_pool.size(); ++f) {
+    if (key[f] != feature_pool[f]) return false;
+  }
+  return true;
+}
+
+void SortChainMemo::clear() {
+  first_id_ += entries_.size();
+  entries_.clear();
+  arena_.clear();
+  index_.clear();
+}
+
+SortChainMemo::Slot SortChainMemo::acquire(
+    const Origin& origin, std::span<const std::size_t> rows,
+    std::span<const std::size_t> feature_pool,
+    ceal::telemetry::Telemetry* telemetry) {
+  bool by_parent = keyed_by_parent(origin);
+  const auto key_hash = [&] {
+    if (by_parent) {
+      std::uint64_t h = hash_combine(origin.parent, origin.feature);
+      h = hash_combine(h, std::bit_cast<std::uint64_t>(origin.threshold));
+      return hash_combine(h, origin.left ? 1 : 0);
+    }
+    std::uint64_t h = hash_combine(rows.size(), feature_pool.size());
+    for (const std::size_t r : rows) h = hash_combine(h, r);
+    for (const std::size_t j : feature_pool) h = hash_combine(h, j);
+    return h;
+  };
+  std::uint64_t hash = key_hash();
+  const auto [lo, hi] = index_.equal_range(hash);
+  for (auto it = lo; it != hi; ++it) {
+    const Entry& e = entries_[it->second - first_id_];
+    if (matches(e, origin, rows, feature_pool)) {
+      if (telemetry != nullptr) telemetry->count("tree.sort_memo.hits");
+      return {arena_.data() + e.orders_offset, true, it->second};
+    }
+  }
+  if (telemetry != nullptr) telemetry->count("tree.sort_memo.misses");
+
+  const auto entry_bytes = [&] {
+    const std::size_t key_words =
+        by_parent ? 0 : rows.size() + feature_pool.size();
+    return (key_words + rows.size() * feature_pool.size()) *
+               sizeof(std::uint32_t) +
+           sizeof(Entry) + kIndexNodeBytes;
+  };
+  if (bytes_used() + entry_bytes() > budget_bytes_) {
+    if (entry_bytes() > budget_bytes_) return {};
+    clear();
+    if (telemetry != nullptr) telemetry->count("tree.sort_memo.clears");
+    // The clear retired the parent's entry: key the node by its rows.
+    if (by_parent) {
+      by_parent = false;
+      hash = key_hash();
+      if (entry_bytes() > budget_bytes_) return {};
+    }
+  }
+  if (arena_.capacity() == 0) {
+    arena_.reserve(budget_bytes_ / sizeof(std::uint32_t));
+  }
+
+  Entry e;
+  e.n_rows = rows.size();
+  e.n_features = feature_pool.size();
+  if (by_parent) {
+    e.parent = origin.parent;
+    e.feature = origin.feature;
+    e.threshold_bits = std::bit_cast<std::uint64_t>(origin.threshold);
+    e.left = origin.left;
+  } else {
+    e.key_offset = arena_.size();
+    for (const std::size_t r : rows) {
+      arena_.push_back(static_cast<std::uint32_t>(r));
+    }
+    for (const std::size_t j : feature_pool) {
+      arena_.push_back(static_cast<std::uint32_t>(j));
+    }
+  }
+  e.orders_offset = arena_.size();
+  arena_.resize(arena_.size() + rows.size() * feature_pool.size());
+  const std::size_t id = first_id_ + entries_.size();
+  entries_.push_back(e);
+  index_.emplace(hash, id);
+  return {arena_.data() + e.orders_offset, false, id};
+}
 
 FeatureQuantiles quantile_bins(std::span<const double> sorted_vals,
                                std::size_t max_bins) {
@@ -98,7 +238,8 @@ void RegressionTree::fit_gradients(const Dataset& data,
                                    std::vector<double>* out_leaf_values,
                                    ceal::telemetry::Telemetry* telemetry,
                                    const QuantizedMatrix* quantized_cache,
-                                   QuantizedWorkspace* quantized_ws) {
+                                   QuantizedWorkspace* quantized_ws,
+                                   SortChainMemo* sort_memo) {
   CEAL_EXPECT(!row_indices.empty());
   CEAL_EXPECT(gradients.size() == data.size());
   CEAL_EXPECT(hessians.size() == data.size());
@@ -143,9 +284,14 @@ void RegressionTree::fit_gradients(const Dataset& data,
     // The one bounds check of the exact path: split search and partition
     // read the row-major buffer directly.
     for (const std::size_t r : row_indices) CEAL_EXPECT(r < data.size());
+    // The memo stores row ids as uint32.
+    if (data.size() > std::numeric_limits<std::uint32_t>::max()) {
+      sort_memo = nullptr;
+    }
+    if (sort_memo != nullptr) sort_memo->bind(data);
     std::vector<std::size_t> rows(row_indices.begin(), row_indices.end());
     build(data, rows, gradients, hessians, feature_pool, 0, out_leaf_values,
-          telemetry);
+          telemetry, sort_memo, SortChainMemo::Origin{});
   }
   CEAL_ENSURE(!nodes_.empty());
   if (telemetry != nullptr) {
@@ -161,7 +307,9 @@ std::int32_t RegressionTree::build(const Dataset& data,
                                    std::span<const std::size_t> feature_pool,
                                    std::size_t depth,
                                    std::vector<double>* out_leaf_values,
-                                   ceal::telemetry::Telemetry* telemetry) {
+                                   ceal::telemetry::Telemetry* telemetry,
+                                   SortChainMemo* memo,
+                                   const SortChainMemo::Origin& origin) {
   double g_sum = 0.0, h_sum = 0.0;
   for (const std::size_t r : rows) {
     g_sum += g[r];
@@ -183,8 +331,9 @@ std::int32_t RegressionTree::build(const Dataset& data,
     return make_leaf();
   }
 
-  const Split split =
-      best_split(data, rows, g, h, feature_pool, g_sum, h_sum, telemetry);
+  std::size_t memo_id = SortChainMemo::kNoEntry;
+  const Split split = best_split(data, rows, g, h, feature_pool, g_sum, h_sum,
+                                 telemetry, memo, origin, &memo_id);
   if (!split.found) return make_leaf();
 
   // Partition rows in place. fit_gradients checked every row index.
@@ -207,10 +356,12 @@ std::int32_t RegressionTree::build(const Dataset& data,
   // Reserve this node's slot before children are appended.
   nodes_.emplace_back();
   const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
-  const std::int32_t left = build(data, left_rows, g, h, feature_pool,
-                                  depth + 1, out_leaf_values, telemetry);
-  const std::int32_t right = build(data, right_rows, g, h, feature_pool,
-                                   depth + 1, out_leaf_values, telemetry);
+  const std::int32_t left =
+      build(data, left_rows, g, h, feature_pool, depth + 1, out_leaf_values,
+            telemetry, memo, {memo_id, split.feature, split.threshold, true});
+  const std::int32_t right =
+      build(data, right_rows, g, h, feature_pool, depth + 1, out_leaf_values,
+            telemetry, memo, {memo_id, split.feature, split.threshold, false});
   nodes_[static_cast<std::size_t>(self)].feature = split.feature;
   nodes_[static_cast<std::size_t>(self)].threshold = split.threshold;
   nodes_[static_cast<std::size_t>(self)].left = left;
@@ -222,7 +373,9 @@ RegressionTree::Split RegressionTree::best_split(
     const Dataset& data, std::span<const std::size_t> rows,
     std::span<const double> g, std::span<const double> h,
     std::span<const std::size_t> feature_pool, double g_total,
-    double h_total, ceal::telemetry::Telemetry* telemetry) const {
+    double h_total, ceal::telemetry::Telemetry* telemetry,
+    SortChainMemo* memo, const SortChainMemo::Origin& origin,
+    std::size_t* memo_id) const {
   const double parent_score = score(g_total, h_total, params_.lambda);
   if (telemetry != nullptr) {
     telemetry->count("tree.split_search.nodes");
@@ -233,17 +386,39 @@ RegressionTree::Split RegressionTree::best_split(
   // feature j's sort starts from feature j-1's order. std::sort's moves
   // depend only on the comparison outcomes, so this chain fixes the order
   // of tied rows, the g_left summation order below and so every gain bit
-  // (the tie-order invariant, see TreeMethod::kExact).
+  // (the tie-order invariant, see TreeMethod::kExact). A memo hit
+  // replays the orders the same chain left on this exact input.
+  const SortChainMemo::Slot slot =
+      memo != nullptr ? memo->acquire(origin, rows, feature_pool, telemetry)
+                      : SortChainMemo::Slot{};
+  *memo_id = slot.id;
   const double* const x = data.values().data();
   const std::size_t d = data.n_features();
-  std::vector<SortKey> keys(rows.size());
-  for (std::size_t k = 0; k < rows.size(); ++k) keys[k].row = rows[k];
+  const std::size_t n = rows.size();
+  std::vector<SortKey> keys(n);
+  if (!slot.hit) {
+    for (std::size_t k = 0; k < n; ++k) keys[k].row = rows[k];
+  }
 
   Split best;
-  for (const std::size_t j : feature_pool) {
-    for (SortKey& key : keys) key.v = x[key.row * d + j];
-    std::sort(keys.begin(), keys.end(),
-              [](const SortKey& a, const SortKey& b) { return a.v < b.v; });
+  for (std::size_t f = 0; f < feature_pool.size(); ++f) {
+    const std::size_t j = feature_pool[f];
+    std::uint32_t* const order =
+        slot.orders != nullptr ? slot.orders + f * n : nullptr;
+    if (slot.hit) {
+      for (std::size_t k = 0; k < n; ++k) {
+        keys[k] = {x[order[k] * d + j], order[k]};
+      }
+    } else {
+      for (SortKey& key : keys) key.v = x[key.row * d + j];
+      std::sort(keys.begin(), keys.end(),
+                [](const SortKey& a, const SortKey& b) { return a.v < b.v; });
+      if (order != nullptr) {
+        for (std::size_t k = 0; k < n; ++k) {
+          order[k] = static_cast<std::uint32_t>(keys[k].row);
+        }
+      }
+    }
     double g_left = 0.0, h_left = 0.0;
     for (std::size_t k = 0; k + 1 < keys.size(); ++k) {
       const std::size_t r = keys[k].row;

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/rng.h"
@@ -35,11 +36,12 @@ namespace ceal::ml {
 ///     feature j-1's output. std::sort is not stable, so the order of
 ///     rows with equal values depends on that whole chain, and it fixes
 ///     the order in which the scan sums g_left — hence every gain bit,
-///     on which near-tied splits turn. Replacing the sort
-///     (std::stable_sort, presorted columns, a root order cached across
-///     rounds) changes trees; do it only as a deliberate re-pin of the
+///     on which near-tied splits turn. Changing the sort or its input
+///     changes trees: std::stable_sort, presorted columns, or a
+///     reordered row list. Do that only as a deliberate re-pin of the
 ///     golden test (tests/ml/test_gbt.cc, GbtExactGolden) and the
-///     reproduced results.
+///     reproduced results. Replaying the recorded output of an
+///     identical input (SortChainMemo) does not change them.
 ///   kQuantized: quantile binning (at most max_bins <= kMaxBins bins per
 ///     feature, see quantile_bins) computed once per dataset into a
 ///     structure-of-arrays QuantizedMatrix (ml/quantized.h), then
@@ -110,6 +112,99 @@ struct TreeNodeData {
 class QuantizedMatrix;
 struct QuantizedWorkspace;
 
+/// Byte budget of a SortChainMemo: a 500-row, 7-feature root entry
+/// takes ~16 KiB, so this holds the upper levels of several trees.
+/// Concurrent fits each hold one memo, so the budget is also the memo's
+/// share of peak RSS per worker.
+inline constexpr std::size_t kSortChainMemoBudgetBytes = 256 * 1024;
+
+/// Per-fit memo of the exact trainer's sort chains (TreeMethod::kExact).
+/// A node's chain output, the row order each feature's sort leaves, is a
+/// pure function of the node's row sequence, its feature pool and the
+/// data. Within one ensemble fit the data is fixed, so a node whose
+/// exact input recurs replays the recorded orders instead of sorting:
+/// every round's root when all rows train under one feature pool, and
+/// below it every child reached by a split seen before. The replayed
+/// {value, row} keys equal the sorted ones element for element, so the
+/// trees are bit-identical with and without a memo.
+///
+/// Keys are exact, a hash only picks the bucket. A root (or a node whose
+/// parent entry was not recorded or has been cleared) is keyed by its
+/// full row sequence plus feature pool; any other node by its parent's
+/// entry plus (split feature, threshold bits, side), which fixes its row
+/// list. Row ids live in one contiguous uint32 arena, so fits on more
+/// than 2^32 rows run without the memo. When recording an entry would
+/// exceed the byte budget the memo clears and refills; an entry larger
+/// than the whole budget is not recorded.
+///
+/// One memo serves the trees of one fit on one dataset (bound on first
+/// use), from one thread at a time. GradientBoostedTrees::fit creates
+/// one per kExact fit; RandomForest passes none, since its bootstrap
+/// row lists never repeat.
+class SortChainMemo {
+ public:
+  explicit SortChainMemo(
+      std::size_t budget_bytes = kSortChainMemoBudgetBytes);
+
+  std::size_t budget_bytes() const { return budget_bytes_; }
+  /// Arena plus per-entry bookkeeping; never above budget_bytes().
+  std::size_t bytes_used() const;
+
+ private:
+  friend class RegressionTree;
+
+  static constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
+
+  /// How the split search reached a node: the parent's entry id
+  /// (kNoEntry at the root) and the split whose `left` side it is.
+  struct Origin {
+    std::size_t parent = kNoEntry;
+    std::size_t feature = 0;
+    double threshold = 0.0;
+    bool left = false;
+  };
+
+  /// A node's entry: on a hit its recorded orders, on a miss the slot
+  /// to record them in (nullptr when the entry exceeds the budget).
+  /// Orders are feature_pool.size() blocks of rows.size() row ids.
+  struct Slot {
+    std::uint32_t* orders = nullptr;
+    bool hit = false;
+    std::size_t id = kNoEntry;
+  };
+
+  struct Entry {
+    std::size_t parent = kNoEntry;  // kNoEntry: keyed by rows + pool
+    std::size_t feature = 0;
+    std::uint64_t threshold_bits = 0;
+    bool left = false;
+    std::size_t key_offset = 0;  // rows then pool, when keyed by rows
+    std::size_t orders_offset = 0;
+    std::size_t n_rows = 0;
+    std::size_t n_features = 0;
+  };
+
+  /// Binds the memo to the fit's dataset on first use; later calls
+  /// must pass the same one.
+  void bind(const Dataset& data);
+  Slot acquire(const Origin& origin, std::span<const std::size_t> rows,
+               std::span<const std::size_t> feature_pool,
+               ceal::telemetry::Telemetry* telemetry);
+  bool keyed_by_parent(const Origin& origin) const;
+  bool matches(const Entry& e, const Origin& origin,
+               std::span<const std::size_t> rows,
+               std::span<const std::size_t> feature_pool) const;
+  void clear();
+
+  std::size_t budget_bytes_;
+  const Dataset* data_ = nullptr;
+  std::size_t data_rows_ = 0;
+  std::vector<std::uint32_t> arena_;
+  std::vector<Entry> entries_;  // entries_[k] has id first_id_ + k
+  std::size_t first_id_ = 0;    // ids never repeat across clears
+  std::unordered_multimap<std::uint64_t, std::size_t> index_;  // hash -> id
+};
+
 class RegressionTree {
  public:
   explicit RegressionTree(TreeParams params = {});
@@ -130,11 +225,17 @@ class RegressionTree {
   /// only) carries the builder's scratch buffers across the trees of an
   /// ensemble fit; when null each tree allocates transient scratch.
   ///
+  /// `sort_memo` (kExact only) replays the sort chains of nodes whose
+  /// exact input an earlier tree of the same fit already sorted (see
+  /// SortChainMemo); the grown tree is the same with or without it.
+  ///
   /// `telemetry` (optional, concurrency-safe) receives split-search
   /// counters: "tree.fits", "tree.split_search.nodes" (one per node whose
   /// split was searched), "tree.split_search.features" (features
   /// scanned), "tree.quantized_cache.hit"/"tree.quantized_cache.miss"
-  /// (shared vs transient binning), and "tree.nodes"/"tree.leaves"
+  /// (shared vs transient binning), "tree.sort_memo.hits"/
+  /// "tree.sort_memo.misses" (searched nodes replayed vs sorted, with a
+  /// memo) and "tree.sort_memo.clears", and "tree.nodes"/"tree.leaves"
   /// (grown totals). All are deterministic functions of the fit inputs.
   void fit_gradients(const Dataset& data,
                      std::span<const std::size_t> row_indices,
@@ -143,7 +244,8 @@ class RegressionTree {
                      std::vector<double>* out_leaf_values = nullptr,
                      ceal::telemetry::Telemetry* telemetry = nullptr,
                      const QuantizedMatrix* quantized_cache = nullptr,
-                     QuantizedWorkspace* quantized_ws = nullptr);
+                     QuantizedWorkspace* quantized_ws = nullptr,
+                     SortChainMemo* sort_memo = nullptr);
 
   /// Leaf weight for one feature vector.
   double predict(std::span<const double> features) const;
@@ -182,12 +284,15 @@ class RegressionTree {
                      std::span<const double> g, std::span<const double> h,
                      std::span<const std::size_t> feature_pool,
                      std::size_t depth, std::vector<double>* out_leaf_values,
-                     ceal::telemetry::Telemetry* telemetry);
+                     ceal::telemetry::Telemetry* telemetry,
+                     SortChainMemo* memo, const SortChainMemo::Origin& origin);
+  /// Sets *memo_id to the node's memo entry (kNoEntry if unrecorded).
   Split best_split(const Dataset& data, std::span<const std::size_t> rows,
                    std::span<const double> g, std::span<const double> h,
                    std::span<const std::size_t> feature_pool, double g_total,
-                   double h_total,
-                   ceal::telemetry::Telemetry* telemetry) const;
+                   double h_total, ceal::telemetry::Telemetry* telemetry,
+                   SortChainMemo* memo, const SortChainMemo::Origin& origin,
+                   std::size_t* memo_id) const;
   std::size_t depth_of(std::int32_t node) const;
 
   friend class QuantizedTreeBuilder;

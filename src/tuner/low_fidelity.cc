@@ -60,8 +60,7 @@ LowFidelityModel::LowFidelityModel(
 }
 
 double LowFidelityModel::score(const config::Configuration& joint) const {
-  double combined =
-      objective_ == Objective::kExecTime ? 0.0 : 0.0;  // max / sum seed
+  double combined = 0.0;  // max / sum seed, as in score_many
   for (std::size_t j = 0; j < workflow_->component_count(); ++j) {
     const double v =
         components_->predict(j, workflow_->space().slice(joint, j));

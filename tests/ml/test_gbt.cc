@@ -9,6 +9,7 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/stats.h"
+#include "core/telemetry.h"
 
 namespace ceal::ml {
 namespace {
@@ -225,9 +226,10 @@ struct ExactGolden {
   double predictions[10];  // pool rows 0, 20, ..., 180
 };
 
-void expect_exact_golden(const Dataset& train, const Dataset& pool,
-                         const ExactGolden& golden) {
-  GradientBoostedTrees model(GradientBoostedTrees::surrogate_defaults());
+void expect_exact_golden(
+    const Dataset& train, const Dataset& pool, const ExactGolden& golden,
+    const GbtParams& params = GradientBoostedTrees::surrogate_defaults()) {
+  GradientBoostedTrees model(params);
   ceal::Rng fit_rng(5);
   model.fit(train, fit_rng);
   const auto pred = model.predict_all(pool);
@@ -267,6 +269,43 @@ TEST(GbtExactGolden, ContinuousFeatures) {
                         0x1.a30a7b9ab44a2p+1, 0x1.2cb527b1150ecp+0,
                         0x1.992d6a03f9a8p+2, 0x1.79d96ebf8ff36p+3,
                         0x1.0345a1b9a9b29p-2, 0x1.e3605d2e02acap+2}});
+}
+
+TEST(GbtExactGolden, SubsampledRowsAndColumns) {
+  // Per-round row samples and per-tree feature pools: the inputs a sort
+  // chain memo must key on.
+  ceal::Rng rng(15);
+  const Dataset train = tie_heavy_data(500, rng);
+  const Dataset pool = tie_heavy_data(200, rng);
+  GbtParams params = GradientBoostedTrees::surrogate_defaults();
+  params.subsample = 0.7;
+  params.tree.colsample = 0.6;
+  expect_exact_golden(train, pool,
+                      {6078,
+                       0x09f545da16825d60ull,
+                       {0x1.a79266e78fa02p+4, 0x1.2aa67dee04ac5p+4,
+                        0x1.03952688b5585p+4, 0x1.347b3e3f27df7p+4,
+                        0x1.942f5b563a5d1p+5, 0x1.d4cc5c0f671d1p+4,
+                        0x1.e2a522cd75ebap+3, 0x1.3661c532e7d27p+3,
+                        0x1.3ec2ede5a852dp+3, 0x1.a2707ed7b6b9dp+4}},
+                      params);
+}
+
+TEST(Gbt, ExactFitReplaysEveryRootAfterTheFirst) {
+  // subsample = 1 and colsample = 1: every round's root sorts the same
+  // row list under the same feature pool.
+  ceal::Rng rng(16);
+  const Dataset train = tie_heavy_data(200, rng);
+  GbtParams params = GradientBoostedTrees::surrogate_defaults();
+  params.n_rounds = 40;
+  GradientBoostedTrees model(params);
+  telemetry::Telemetry tel;
+  model.set_telemetry(&tel);
+  model.fit(train, rng);
+  EXPECT_GE(tel.counter("tree.sort_memo.hits"), params.n_rounds - 1);
+  EXPECT_EQ(tel.counter("tree.sort_memo.hits") +
+                tel.counter("tree.sort_memo.misses"),
+            tel.counter("tree.split_search.nodes"));
 }
 
 }  // namespace

@@ -366,7 +366,7 @@ for san in address undefined; do
   cmake -B "$dir" -S . -DCEAL_SANITIZE="$san" >/dev/null
   cmake --build "$dir" -j "$jobs" --target unit_tests system_tests \
     serve_tests measure_tests ceal_worker ceal_tune quickstart component_models \
-    miniapp_demo custom_workflow md_insitu
+    miniapp_demo custom_workflow md_insitu bench_fig5_autotune_no_hist
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L tier1
 done
 
