@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "ml/compiled_forest.h"
 #include "ml/gbt.h"
 #include "ml/knn.h"
 #include "ml/random_forest.h"
@@ -166,6 +167,27 @@ void BM_GbtPredictPoolBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2000);
 }
 BENCHMARK(BM_GbtPredictPoolBatch);
+
+// The component-model shape behind low_fidelity.score: surrogate
+// defaults fitted at n = 500 on tie-heavy discrete features, then
+// batch-scoring a pool of state.range(0) rows. The 200- and 500-row
+// pools sit near CompiledForest's kParallelPredictWork threshold.
+void BM_GbtPredictPool500(benchmark::State& state) {
+  Rng rng(11);
+  const auto train = synth_discrete(500, 7, rng);
+  const auto pool =
+      synth_discrete(static_cast<std::size_t>(state.range(0)), 7, rng);
+  ml::GradientBoostedTrees model(
+      ml::GradientBoostedTrees::surrogate_defaults());
+  model.fit(train, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.predict_all(pool));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["nodes"] =
+      static_cast<double>(model.compiled()->node_count());
+}
+BENCHMARK(BM_GbtPredictPool500)->Arg(2000)->Arg(500)->Arg(200);
 
 void BM_RandomForestFit(benchmark::State& state) {
   Rng rng(5);

@@ -1,19 +1,35 @@
 // Flattened ensemble predictor: every trained tree's node table packed
-// into one contiguous array for branch-light batch inference.
+// into one contiguous array and descended without a data-dependent branch.
 //
-// Nodes are laid out in depth-first pre-order, so each internal node's
-// left child is the next array element and only the right-child index is
-// stored; a leaf is marked by right < 0 and stores its weight in the
-// shared key slot. Descent is then a tight loop over one 16-byte node
-// record per level with a single predictable branch, instead of chasing
-// 40-byte Node records through per-tree vectors.
+// Layout. A node is one record {double key; uint32 feature; uint32
+// child[2]} (24 bytes with padding). An internal node holds its split
+// threshold in `key` and the absolute indices of both children
+// (pre-order, so the left child is the next record). A leaf holds its
+// weight in `key` and points both children at itself, so a step taken
+// from a leaf stays on it. compile()
+// records each tree's depth (edges on its longest root-to-leaf path), and
+// every descent of that tree is exactly depth steps of
 //
-// Every GradientBoostedTrees prediction runs through one. It accumulates
-// the trees in ensemble order as base + learning_rate * leaf, so it is
+//   i = node.child[!(x[node.feature] <= node.key)]
+//
+// whatever path the row takes: a row that reaches a shallow leaf early
+// stays there. The test is written !(x <= key) so that NaN goes right, as
+// in RegressionTree::predict. A single-leaf tree has depth 0 and reads no
+// feature.
+//
+// Lanes. One descent is a chain of dependent loads, so every prediction
+// runs many independent descents side by side and lets the core overlap
+// them. The same step kernel serves two lane layouts:
+//   - batches (predict_matrix, predict_dataset) take 64-row blocks; each
+//     tree is walked level-major over the block's rows, one lane per row;
+//   - a single row (predict) walks 16 consecutive trees at a time, one
+//     lane per tree, for the group's largest depth.
+//
+// Every GradientBoostedTrees prediction runs through one. Each row adds
+// base + learning_rate * leaf over the trees in ensemble order, so it is
 // bitwise identical to summing RegressionTree::predict over the trees —
-// for single rows, batches, and any thread-pool width (batch inference
-// walks blocks of rows tree by tree and parallelises over blocks, one
-// writer per row).
+// for single rows, batches, and any thread-pool width (blocks run in
+// parallel, one writer per row).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +45,9 @@ class GradientBoostedTrees;
 class CompiledForest {
  public:
   /// Flattens a fitted ensemble. The forest snapshots the model's trees;
-  /// it stays valid after the model is destroyed.
+  /// it stays valid after the model is destroyed. Throws
+  /// PreconditionError when the ensemble has more nodes than a uint32
+  /// index holds.
   static CompiledForest compile(const GradientBoostedTrees& model);
 
   /// Ensemble prediction for one feature vector: base_score plus
@@ -51,24 +69,32 @@ class CompiledForest {
   /// same width rule as predict_matrix.
   std::vector<double> predict_dataset(const Dataset& data) const;
 
-  std::size_t tree_count() const { return roots_.size(); }
+  std::size_t tree_count() const { return trees_.size(); }
   std::size_t node_count() const { return nodes_.size(); }
 
  private:
-  /// One packed node: internal nodes hold the split threshold in `key`
-  /// and the absolute index of the right child; the left child is the
-  /// next node. Leaves hold the leaf weight in `key` and right == -1.
+  /// One packed node. Internal: split threshold in `key`, children at
+  /// child[0] (x <= key) and child[1] (otherwise, NaN included). Leaf:
+  /// weight in `key`, both children its own index, feature 0.
   struct FlatNode {
     double key = 0.0;
     std::uint32_t feature = 0;
-    std::int32_t right = -1;
+    std::uint32_t child[2] = {0, 0};
+  };
+
+  /// Where a tree starts in nodes_, and how many steps reach its leaves.
+  struct TreeSpan {
+    std::uint32_t root = 0;
+    std::uint32_t depth = 0;
   };
 
   CompiledForest() = default;
 
-  /// Leaf weight of the tree starting at nodes_[root] for row `x`, which
-  /// holds at least min_width_ features.
-  double leaf(std::uint32_t root, const double* x) const;
+  /// Advances `lanes` independent descents by `steps` levels. Lane k
+  /// sits at node at[k] and reads the row at x + k * stride (stride 0:
+  /// every lane reads the same row).
+  void descend(std::uint32_t* at, std::size_t lanes, std::uint32_t steps,
+               const double* x, std::size_t stride) const;
 
   /// Predictions for the rows of a row-major buffer of `width` features
   /// per row.
@@ -79,7 +105,7 @@ class CompiledForest {
   /// Largest split feature + 1 (0 when every tree is a single leaf).
   std::size_t min_width_ = 0;
   double learning_rate_ = 0.0;
-  std::vector<std::uint32_t> roots_;  // start of each tree in nodes_
+  std::vector<TreeSpan> trees_;  // ensemble order
   std::vector<FlatNode> nodes_;
 };
 

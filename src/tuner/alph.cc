@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "core/error.h"
 #include "core/telemetry.h"
@@ -70,10 +71,10 @@ class AlphStepper final : public TunerStepper {
     telemetry::ScopedCausalSpan span(tel, "surrogate.fit");
     const auto& indices = collector_.ok_indices();
     const auto& values = collector_.ok_values();
-    ml::Dataset data(width_);
+    ml::Dataset data(pool_features_->n_features());
     for (std::size_t s = 0; s < indices.size(); ++s) {
       CEAL_EXPECT(std::isfinite(values[s]) && values[s] > 0.0);
-      data.add(pool_features_[indices[s]], std::log(values[s]));
+      data.add(pool_features_->row(indices[s]), std::log(values[s]));
     }
     model_.fit(data, *rng_);
     return span.stop();
@@ -81,11 +82,8 @@ class AlphStepper final : public TunerStepper {
 
   std::vector<double> predict_pool(double* elapsed_s = nullptr) {
     telemetry::ScopedCausalSpan span(problem_.telemetry, "surrogate.predict");
-    const std::size_t pool_size = problem_.pool->size();
-    std::vector<double> scores(pool_size);
-    for (std::size_t i = 0; i < pool_size; ++i) {
-      scores[i] = std::exp(model_.predict(pool_features_[i]));
-    }
+    std::vector<double> scores = model_.predict_matrix(*pool_features_);
+    for (double& score : scores) score = std::exp(score);
     const double s = span.stop();
     if (elapsed_s != nullptr) *elapsed_s = s;
     return scores;
@@ -114,11 +112,13 @@ class AlphStepper final : public TunerStepper {
 
       // Pre-compute the augmented feature rows for the whole pool once.
       const std::size_t pool_size = problem_.pool->size();
-      width_ = workflow.joint_space().dimension() + workflow.component_count();
-      pool_features_.resize(pool_size);
+      pool_features_.emplace(
+          workflow.joint_space().dimension() + workflow.component_count(),
+          pool_size);
       for (std::size_t i = 0; i < pool_size; ++i) {
-        pool_features_[i] = augmented_features(workflow, *components_,
-                                               problem_.pool->configs[i]);
+        pool_features_->set_row(
+            i, augmented_features(workflow, *components_,
+                                  problem_.pool->configs[i]));
       }
       phase_ = Phase::kWarmup;
       return;
@@ -168,8 +168,7 @@ class AlphStepper final : public TunerStepper {
   Collector collector_;
   ml::GradientBoostedTrees model_;
   std::unique_ptr<ComponentModelSet> components_;
-  std::vector<std::vector<double>> pool_features_;
-  std::size_t width_ = 0;
+  std::optional<ml::FeatureMatrix> pool_features_;
   Phase phase_ = Phase::kComponents;
   std::size_t batch_size_ = 1;
   std::size_t iteration_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "core/error.h"
 #include "core/stats.h"
@@ -11,6 +12,7 @@
 #include "ml/gbt.h"
 #include "tuner/collector.h"
 #include "tuner/low_fidelity.h"
+#include "tuner/pool_features.h"
 #include "tuner/stepper.h"
 #include "tuner/tuning_util.h"
 
@@ -50,17 +52,25 @@ class Ensemble {
 
   bool is_fitted() const { return !models_.empty(); }
 
-  /// Mean and standard deviation of the ensemble in *time* units.
-  void predict(const config::ConfigSpace& space,
-               const config::Configuration& c, double& mu,
-               double& sigma) const {
-    std::vector<double> preds(models_.size());
-    const auto f = space.features(c);
-    for (std::size_t k = 0; k < models_.size(); ++k) {
-      preds[k] = std::exp(models_[k].predict(f));
+  /// Mean and standard deviation of the ensemble in *time* units for
+  /// every row, from one batch prediction per member.
+  void predict(const ml::FeatureMatrix& rows, std::vector<double>& mu,
+               std::vector<double>& sigma) const {
+    std::vector<std::vector<double>> member;
+    member.reserve(models_.size());
+    for (const auto& model : models_) {
+      member.push_back(model.predict_matrix(rows));
     }
-    mu = ceal::mean(preds);
-    sigma = preds.size() >= 2 ? ceal::stddev(preds) : 0.0;
+    mu.resize(rows.size());
+    sigma.resize(rows.size());
+    std::vector<double> preds(models_.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (std::size_t k = 0; k < models_.size(); ++k) {
+        preds[k] = std::exp(member[k][i]);
+      }
+      mu[i] = ceal::mean(preds);
+      sigma[i] = preds.size() >= 2 ? ceal::stddev(preds) : 0.0;
+    }
   }
 
  private:
@@ -119,8 +129,6 @@ class BayesOptStepper final : public TunerStepper {
   void do_step() override {
     telemetry::Telemetry* tel = problem_.telemetry;
     const auto& workflow = problem_.workload->workflow;
-    const auto& space = workflow.joint_space();
-    const std::size_t pool_size = problem_.pool->size();
     if (phase_ == Phase::kInit) {
       // Initial design: random, or bootstrapped by the low-fidelity model.
       const auto init = std::max<std::size_t>(
@@ -174,11 +182,10 @@ class BayesOptStepper final : public TunerStepper {
         // LCB acquisition: optimistic lower bound, lower = more
         // attractive.
         telemetry::ScopedCausalSpan predict_span(tel, "surrogate.predict");
-        std::vector<double> acquisition(pool_size);
-        for (std::size_t i = 0; i < pool_size; ++i) {
-          double mu = 0.0, sigma = 0.0;
-          ensemble_.predict(space, problem_.pool->configs[i], mu, sigma);
-          acquisition[i] = mu - params_.kappa * sigma;
+        std::vector<double> acquisition, sigma;
+        ensemble_.predict(pool_features(), acquisition, sigma);
+        for (std::size_t i = 0; i < acquisition.size(); ++i) {
+          acquisition[i] -= params_.kappa * sigma[i];
         }
         const double predict_s = predict_span.stop();
         const auto batch =
@@ -196,19 +203,26 @@ class BayesOptStepper final : public TunerStepper {
     // Final ranking uses the ensemble mean (no exploration bonus).
     refit();
     telemetry::ScopedCausalSpan final_span(tel, "surrogate.predict");
-    std::vector<double> scores(pool_size);
-    for (std::size_t i = 0; i < pool_size; ++i) {
-      double mu = 0.0, sigma = 0.0;
-      ensemble_.predict(space, problem_.pool->configs[i], mu, sigma);
-      scores[i] = mu;
-    }
+    std::vector<double> scores, sigma;
+    ensemble_.predict(pool_features(), scores, sigma);
     final_span.stop();
     finish(finalize_result(collector_, std::move(scores)));
+  }
+
+  /// The pool's joint feature matrix, built on first use.
+  const ml::FeatureMatrix& pool_features() {
+    if (!pool_features_) {
+      pool_features_.emplace(
+          featurize_joint(problem_.workload->workflow.joint_space(),
+                          problem_.pool->configs));
+    }
+    return *pool_features_;
   }
 
   BayesOptParams params_;
   Collector collector_;
   Ensemble ensemble_;
+  std::optional<ml::FeatureMatrix> pool_features_;
   std::vector<config::Configuration> train_configs_;
   Phase phase_ = Phase::kInit;
   std::size_t batch_size_ = 1;

@@ -3,11 +3,17 @@
 // test holds it to an explicit reference — base_score plus
 // learning_rate * tree.predict(x), summed over the trees in ensemble
 // order — bitwise: after fit() (with and without row subsampling), after
-// from_parts(), after load_gbt, and at 1 and 4 pool threads.
+// from_parts(), after load_gbt, and at 1 and 4 pool threads. A
+// hand-built mixed-depth forest covers what fitted models rarely reach:
+// single-leaf trees, stumps, a 300-deep chain, NaN and infinite
+// features, threshold ties, and batches on both sides of the 64-row
+// block boundary.
 #include "ml/compiled_forest.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -168,6 +174,175 @@ TEST(CompiledForest, FromPartsAndLoadMatchReference) {
   for (std::size_t i = 0; i < pool.size(); ++i) {
     ASSERT_EQ(model.predict(pool.row(i)), loaded.model.predict(pool.row(i)));
   }
+}
+
+constexpr std::size_t kMixedWidth = 5;
+
+/// Random tree over kMixedWidth features, at most `max_depth` edges deep.
+/// Thresholds sit on the integer grid the rows below draw from, so ties
+/// (x == threshold, which go left) are common.
+RegressionTree random_tree(std::size_t max_depth, ceal::Rng& rng) {
+  std::vector<TreeNodeData> nodes;
+  struct Open {
+    std::size_t node;
+    std::size_t depth;
+  };
+  std::vector<Open> open{{0, 0}};
+  nodes.push_back({});
+  while (!open.empty()) {
+    const Open o = open.back();
+    open.pop_back();
+    if (o.depth == max_depth || (o.depth > 0 && rng.uniform01() < 0.25)) {
+      nodes[o.node].weight = rng.normal(0.0, 10.0);
+      continue;
+    }
+    const auto left = static_cast<std::int32_t>(nodes.size());
+    nodes[o.node].feature = rng.uniform_u64(kMixedWidth);
+    nodes[o.node].threshold = static_cast<double>(rng.uniform_int(-3, 3));
+    nodes[o.node].left = left;
+    nodes[o.node].right = left + 1;
+    nodes.resize(nodes.size() + 2);
+    open.push_back({static_cast<std::size_t>(left), o.depth + 1});
+    open.push_back({static_cast<std::size_t>(left) + 1, o.depth + 1});
+  }
+  return RegressionTree::import_nodes(nodes);
+}
+
+/// A `length`-split chain. Split k reads feature k % 2 and continues on
+/// alternating sides: left past x <= length - k on even k, right past
+/// x > -(length - k) on odd k, leaving through a leaf on the other side.
+/// The all-zero row walks the whole chain; NaN continues only at odd
+/// splits (NaN goes right).
+RegressionTree chain_tree(std::size_t length, ceal::Rng& rng) {
+  std::vector<TreeNodeData> nodes(2 * length + 1);
+  for (std::size_t k = 0; k < length; ++k) {
+    const auto exit = static_cast<std::int32_t>(2 * k + 1);
+    const auto next = static_cast<std::int32_t>(2 * k + 2);
+    const double bound = static_cast<double>(length - k);
+    TreeNodeData& split = nodes[2 * k];
+    split.feature = k % 2;
+    split.threshold = k % 2 == 0 ? bound : -bound;
+    split.left = k % 2 == 0 ? next : exit;
+    split.right = k % 2 == 0 ? exit : next;
+    nodes[static_cast<std::size_t>(exit)].weight = rng.normal(0.0, 10.0);
+  }
+  nodes.back().weight = rng.normal(0.0, 10.0);
+  return RegressionTree::import_nodes(nodes);
+}
+
+/// 140 trees in ensemble order: single leaves, stumps, random trees of
+/// depth 1-7, and one 300-deep chain in the middle. 140 trees x 130 rows
+/// crosses kParallelPredictWork, so the 4-thread runs fan out.
+GradientBoostedTrees mixed_depth_forest() {
+  ceal::Rng rng(2024);
+  std::vector<RegressionTree> trees;
+  for (std::size_t t = 0; t < 140; ++t) {
+    if (t == 70) {
+      trees.push_back(chain_tree(300, rng));
+    } else if (t % 9 == 0) {
+      trees.push_back(
+          RegressionTree::import_nodes({{0, 0.0, -1, -1, rng.normal()}}));
+    } else if (t % 9 == 1) {
+      trees.push_back(random_tree(1, rng));
+    } else {
+      trees.push_back(random_tree(1 + t % 7, rng));
+    }
+  }
+  GbtParams p = GradientBoostedTrees::surrogate_defaults();
+  p.learning_rate = 0.3;
+  return GradientBoostedTrees::from_parts(p, -1.25, std::move(trees));
+}
+
+/// 130 rows of kMixedWidth features: integers on the threshold grid,
+/// continuous values, NaN and +-inf, plus the all-zero row that walks the
+/// whole chain and rows made entirely of one special value.
+Dataset mixed_rows() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                             -kInf};
+  ceal::Rng rng(99);
+  Dataset rows(kMixedWidth);
+  rows.add(std::vector<double>(kMixedWidth, 0.0), 0.0);
+  for (const double s : specials) {
+    rows.add(std::vector<double>(kMixedWidth, s), 0.0);
+  }
+  std::vector<double> x(kMixedWidth);
+  while (rows.size() < 130) {
+    for (double& v : x) {
+      const double u = rng.uniform01();
+      if (u < 0.15) {
+        v = specials[rng.uniform_u64(3)];
+      } else if (u < 0.6) {
+        v = static_cast<double>(rng.uniform_int(-4, 4));
+      } else {
+        v = rng.uniform(-400.0, 400.0);
+      }
+    }
+    rows.add(x, 0.0);
+  }
+  return rows;
+}
+
+TEST(CompiledForest, MixedDepthForestMatchesReferenceOnEveryBatchSize) {
+  const GradientBoostedTrees model = mixed_depth_forest();
+  const CompiledForest& forest = *model.compiled();
+  ASSERT_EQ(forest.tree_count(), 140u);
+  const Dataset all_rows = mixed_rows();
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ceal::set_global_thread_pool_threads(threads);
+    for (const std::size_t n : {0, 1, 63, 64, 65, 130}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, " << n
+                                        << " rows");
+      Dataset rows(kMixedWidth);
+      for (std::size_t i = 0; i < n; ++i) rows.add(all_rows.row(i), 0.0);
+      const auto by_dataset = forest.predict_dataset(rows);
+      const auto by_matrix = forest.predict_matrix(matrix_of(rows));
+      ASSERT_EQ(by_dataset.size(), n);
+      ASSERT_EQ(by_matrix.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double ref = reference(model, rows.row(i));
+        // Bitwise, NaN-safe: every reference here is finite.
+        ASSERT_EQ(forest.predict(rows.row(i)), ref) << "row " << i;
+        ASSERT_EQ(by_dataset[i], ref) << "row " << i;
+        ASSERT_EQ(by_matrix[i], ref) << "row " << i;
+      }
+    }
+  }
+  ceal::set_global_thread_pool_threads(0);
+}
+
+TEST(CompiledForest, ChainDepthAndSpecialValuesRouteLikeTheTree) {
+  // One chain alone: each row's prediction is exactly one leaf, so a
+  // mis-routed NaN, infinity or tie shows as a different leaf weight.
+  ceal::Rng rng(5);
+  const RegressionTree chain = chain_tree(300, rng);
+  const GradientBoostedTrees model = GradientBoostedTrees::from_parts(
+      GradientBoostedTrees::surrogate_defaults(), 0.0, {chain});
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> rows = {
+      {0.0, 0.0},     // the whole chain
+      {300.0, 0.0},   // tie at the root goes left; out at split 2
+      {kNaN, 0.0},    // NaN goes right: out at the root
+      {0.0, kNaN},    // right at every odd split: the whole chain
+      {-kInf, kInf},  // the whole chain
+      {kInf, 0.0},    // out at the root
+      {0.0, -kInf},   // out at the first odd split
+      {150.0, -150.0}};
+  Dataset data(2);
+  for (const auto& r : rows) data.add(r, 0.0);
+  const auto batch = model.compiled()->predict_dataset(data);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double ref = reference(model, rows[i]);
+    ASSERT_EQ(model.predict(rows[i]), ref) << "row " << i;
+    ASSERT_EQ(batch[i], ref) << "row " << i;
+  }
+  // The rows above leave the chain at distinct depths.
+  EXPECT_EQ(reference(model, rows[0]), reference(model, rows[3]));
+  EXPECT_NE(reference(model, rows[0]), reference(model, rows[2]));
+  EXPECT_NE(reference(model, rows[2]), reference(model, rows[6]));
+  EXPECT_NE(reference(model, rows[0]), reference(model, rows[7]));
 }
 
 TEST(CompiledForest, DefaultModelsStillSerializeAsV1) {
