@@ -1,6 +1,6 @@
 // Process-wide worker pool for the compute-bound hot paths: evaluation
 // replications (tuner::evaluate), batch model prediction, pool
-// featurization and quantized binning.
+// featurization, quantized binning and GEIST's neighbour graph.
 //
 // A single shared pool avoids one-pool-per-model-fit thread churn; the
 // consumers are written so their numeric results are bitwise identical

@@ -251,6 +251,46 @@ const Telemetry::Shard& Telemetry::shard_for(std::string_view name) const {
   return shards_[std::hash<std::string_view>{}(name) % kShards];
 }
 
+std::string span_histogram_name(std::string_view span) {
+  return "timing." + std::string(span) + "_s";
+}
+
+template <typename Map>
+Map Telemetry::snapshot(Map Shard::*member) const {
+  Map out;
+  for (const Shard& shard : shards_) {
+    std::lock_guard lock(shard.mutex);
+    out.insert((shard.*member).begin(), (shard.*member).end());
+  }
+  return out;
+}
+
+namespace {
+
+constexpr std::string_view kTimingPrefix = "timing.";
+
+/// The span a `timing.<span>_s` histogram name belongs to, if any.
+std::optional<std::string_view> span_of_histogram(std::string_view name) {
+  if (!name.starts_with(kTimingPrefix) || !name.ends_with("_s") ||
+      name.size() <= kTimingPrefix.size() + 2) {
+    return std::nullopt;
+  }
+  name.remove_prefix(kTimingPrefix.size());
+  name.remove_suffix(2);
+  return name;
+}
+
+void observe_into(std::map<std::string, HistogramStats, std::less<>>& map,
+                  std::string_view name, double value) {
+  auto it = map.find(name);
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), HistogramStats{}).first;
+  }
+  it->second.observe(value);
+}
+
+}  // namespace
+
 void Telemetry::emit(TraceEvent event) {
   if (sink_ == nullptr && recorder_ == nullptr) return;
   std::lock_guard lock(emit_mutex_);
@@ -387,76 +427,45 @@ void Telemetry::gauge_max(std::string_view name, double value) {
   }
 }
 
-void Telemetry::add_span(std::string_view name, double seconds) {
+void Telemetry::record_span(std::string_view name, double seconds) {
   Shard& shard = shard_for(name);
   std::lock_guard lock(shard.mutex);
-  auto it = shard.spans.find(name);
-  if (it == shard.spans.end()) {
-    shard.spans.emplace(std::string(name), SpanStats{1, seconds});
-  } else {
-    ++it->second.count;
-    it->second.total_s += seconds;
-  }
-}
-
-SpanStats Telemetry::span_stats(std::string_view name) const {
-  const Shard& shard = shard_for(name);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.spans.find(name);
-  return it == shard.spans.end() ? SpanStats{} : it->second;
+  observe_into(shard.spans, name, seconds);
 }
 
 void Telemetry::observe(std::string_view name, double value) {
   Shard& shard = shard_for(name);
   std::lock_guard lock(shard.mutex);
-  auto it = shard.histograms.find(name);
-  if (it == shard.histograms.end()) {
-    it = shard.histograms.emplace(std::string(name), HistogramStats{}).first;
-  }
-  it->second.observe(value);
+  observe_into(shard.histograms, name, value);
 }
 
 HistogramStats Telemetry::histogram_stats(std::string_view name) const {
-  const Shard& shard = shard_for(name);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.histograms.find(name);
-  return it == shard.histograms.end() ? HistogramStats{} : it->second;
+  HistogramStats out;
+  const auto add = [&](const auto member, std::string_view key) {
+    const Shard& shard = shard_for(key);
+    std::lock_guard lock(shard.mutex);
+    const auto it = (shard.*member).find(key);
+    if (it != (shard.*member).end()) out.merge(it->second);
+  };
+  add(&Shard::histograms, name);
+  if (const auto span = span_of_histogram(name)) add(&Shard::spans, *span);
+  return out;
 }
 
 std::map<std::string, std::uint64_t, std::less<>> Telemetry::counters()
     const {
-  std::map<std::string, std::uint64_t, std::less<>> out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    out.insert(shard.counters.begin(), shard.counters.end());
-  }
-  return out;
+  return snapshot(&Shard::counters);
 }
 
 std::map<std::string, double, std::less<>> Telemetry::gauges() const {
-  std::map<std::string, double, std::less<>> out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    out.insert(shard.gauges.begin(), shard.gauges.end());
-  }
-  return out;
-}
-
-std::map<std::string, SpanStats, std::less<>> Telemetry::spans() const {
-  std::map<std::string, SpanStats, std::less<>> out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    out.insert(shard.spans.begin(), shard.spans.end());
-  }
-  return out;
+  return snapshot(&Shard::gauges);
 }
 
 std::map<std::string, HistogramStats, std::less<>> Telemetry::histograms()
     const {
-  std::map<std::string, HistogramStats, std::less<>> out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    out.insert(shard.histograms.begin(), shard.histograms.end());
+  auto out = snapshot(&Shard::histograms);
+  for (const auto& [span, stats] : snapshot(&Shard::spans)) {
+    out[span_histogram_name(span)].merge(stats);
   }
   return out;
 }
@@ -466,25 +475,12 @@ void Telemetry::merge(const Telemetry& child,
   CEAL_EXPECT_MSG(&child != this, "cannot merge a Telemetry into itself");
   for (const auto& [name, value] : child.counters()) count(name, value);
   for (const auto& [name, value] : child.gauges()) gauge(name, value);
-  for (const auto& [name, stats] : child.spans()) {
-    Shard& shard = shard_for(name);
-    std::lock_guard lock(shard.mutex);
-    auto it = shard.spans.find(name);
-    if (it == shard.spans.end()) {
-      shard.spans.emplace(name, stats);
-    } else {
-      it->second.count += stats.count;
-      it->second.total_s += stats.total_s;
+  for (const auto member : {&Shard::histograms, &Shard::spans}) {
+    for (const auto& [name, stats] : child.snapshot(member)) {
+      Shard& shard = shard_for(name);
+      std::lock_guard lock(shard.mutex);
+      (shard.*member)[name].merge(stats);
     }
-  }
-  for (const auto& [name, stats] : child.histograms()) {
-    Shard& shard = shard_for(name);
-    std::lock_guard lock(shard.mutex);
-    auto it = shard.histograms.find(name);
-    if (it == shard.histograms.end()) {
-      it = shard.histograms.emplace(name, HistogramStats{}).first;
-    }
-    it->second.merge(stats);
   }
   // Replay the child's buffered events in order; emit() re-stamps each
   // with this instance's next sequence number, so merging children in a
@@ -496,9 +492,11 @@ TraceEvent Telemetry::summary_event() const {
   TraceEvent event("telemetry.summary");
   for (const auto& [name, value] : counters()) event.field(name, value);
   for (const auto& [name, value] : gauges()) event.field(name, value);
-  for (const auto& [name, stats] : spans()) {
+  // A span's call count is deterministic even though its histogram is
+  // wall-clock, so it stays a plain field; the rest of the span renders
+  // with the histograms below as `hist.timing.<span>_s.*`.
+  for (const auto& [name, stats] : snapshot(&Shard::spans)) {
     event.field(name + ".count", stats.count);
-    event.timing(name + ".total_s", stats.total_s);
   }
   // Histograms of wall clocks (name starts with "timing.") put *every*
   // stat — count included — inside the `timing` sub-object, so the
@@ -532,47 +530,32 @@ TraceEvent Telemetry::summary_event() const {
 }
 
 Table Telemetry::summary_table() const {
-  Table table({"kind", "name", "count/value", "total (s)"});
+  Table table({"kind", "name", "count/value", "sum", "p50", "p99", "unit"});
   for (const auto& [name, value] : counters()) {
-    table.add_row({"counter", name, std::to_string(value), ""});
+    table.add_row({"counter", name, std::to_string(value), "", "", "", ""});
   }
   for (const auto& [name, value] : gauges()) {
-    table.add_row({"gauge", name, Table::num(value, 6), ""});
+    table.add_row({"gauge", name, Table::num(value, 6), "", "", "", ""});
   }
-  for (const auto& [name, stats] : spans()) {
-    table.add_row({"span", name, std::to_string(stats.count),
-                   Table::num(stats.total_s, 6)});
-  }
+  const auto spans = snapshot(&Shard::spans);
   for (const auto& [name, stats] : histograms()) {
-    table.add_row({"histogram", name, std::to_string(stats.count),
-                   Table::num(stats.sum, 6)});
+    if (stats.count == 0) continue;
+    const auto span = span_of_histogram(name);
+    table.add_row({span && spans.contains(*span) ? "span" : "histogram",
+                   name, std::to_string(stats.count),
+                   Table::num(stats.sum, 6),
+                   Table::num(stats.quantile(0.50), 6),
+                   Table::num(stats.quantile(0.99), 6),
+                   name.starts_with(kTimingPrefix) ? "s" : ""});
   }
   return table;
-}
-
-double ScopedCausalSpan::stop() {
-  if (telemetry_ != nullptr) {
-    elapsed_ = monotonic_seconds() - start_;
-    telemetry_->add_span(name_, elapsed_);
-    if (traced_) telemetry_->end_span(name_, ctx_, elapsed_);
-    telemetry_ = nullptr;
-  }
-  return elapsed_;
 }
 
 double ScopedSpan::stop() {
   if (telemetry_ != nullptr) {
     elapsed_ = monotonic_seconds() - start_;
-    telemetry_->add_span(name_, elapsed_);
-    telemetry_ = nullptr;
-  }
-  return elapsed_;
-}
-
-double ScopedHistogramTimer::stop() {
-  if (telemetry_ != nullptr) {
-    elapsed_ = monotonic_seconds() - start_;
-    telemetry_->observe(name_, elapsed_);
+    telemetry_->record_span(name_, elapsed_);
+    if (traced_) telemetry_->end_span(name_, ctx_, elapsed_);
     telemetry_ = nullptr;
   }
   return elapsed_;

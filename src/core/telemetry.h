@@ -1,22 +1,25 @@
 // Structured tracing + metrics for the tuning loop.
 //
 // Three pieces:
-//  * Telemetry — a registry of named counters, gauges, and span timers,
+//  * Telemetry — a registry of named counters, gauges, and histograms,
 //    plus an optional TraceSink that receives structured TraceEvents.
 //  * TraceSink — where events go: JsonlTraceSink writes one JSON object
 //    per line, NullTraceSink swallows everything (for overhead tests),
 //    MultiTraceSink fans out to several sinks, BufferTraceSink keeps
 //    events in memory for a deterministic merge into a parent.
-//  * ScopedSpan — RAII wall-clock timer charging a named span
-//    accumulator; a no-op when constructed with a null Telemetry.
+//  * ScopedSpan — the one RAII wall-clock timer. Span `x` feeds the
+//    histogram `timing.x_s` and, when the Telemetry is observed, emits
+//    causal `span.begin`/`span.end` events; a no-op when constructed
+//    with a null Telemetry.
 //
 // Thread-safety contract: one Telemetry may be shared by any number of
-// concurrent writers. Counters, gauges, and spans live in name-sharded
-// accumulators (one mutex per shard); emit() serialises sequence-number
-// stamping and the sink write behind a single mutex, so a sink's write()
-// is never entered concurrently. Snapshot accessors (counters(),
-// gauges(), spans(), summary_*) merge the shards into one sorted map, so
-// their output is independent of shard layout and thread interleaving.
+// concurrent writers. Counters, gauges, and histograms live in
+// name-sharded accumulators (one mutex per shard); emit() serialises
+// sequence-number stamping and the sink write behind a single mutex, so
+// a sink's write() is never entered concurrently. Snapshot accessors
+// (counters(), gauges(), histograms(), summary_*) merge the shards into
+// one sorted map, so their output is independent of shard layout and
+// thread interleaving.
 //
 // Determinism contract: every event field except the `timing` sub-object
 // must be a deterministic function of the tuning session's seed. All
@@ -183,10 +186,8 @@ class BufferTraceSink final : public TraceSink {
   std::vector<TraceEvent> events_;
 };
 
-struct SpanStats {
-  std::uint64_t count = 0;
-  double total_s = 0.0;
-};
+/// The histogram span `span` renders as: `timing.<span>_s`.
+std::string span_histogram_name(std::string_view span);
 
 /// Shared bucket layout of every histogram: four log-spaced buckets per
 /// decade spanning [1e-9, 1e9] (upper_bounds[k] = 10^(k/4 - 9)), plus
@@ -220,8 +221,8 @@ struct HistogramStats {
   double quantile(double q) const;
 };
 
-/// Registry of counters, gauges, and span accumulators, with an optional
-/// trace sink. Safe under concurrent writers: accumulator updates are
+/// Registry of counters, gauges, and histograms, with an optional trace
+/// sink. Safe under concurrent writers: accumulator updates are
 /// sharded by name, and emit() serialises the sequence stamp + sink
 /// write. See the file header for how to keep event *order*
 /// deterministic across threads (child instances + merge()).
@@ -281,7 +282,7 @@ class Telemetry {
   /// Opens a span: allocates the next deterministic span id, parents it
   /// under the innermost open span, pushes it on the span stack, and
   /// emits `span.begin` (ids + strand as deterministic fields, start
-  /// time under `timing.ts_s`). ScopedCausalSpan calls this.
+  /// time under `timing.ts_s`). ScopedSpan calls this.
   TraceContext begin_span(const char* name);
 
   /// Closes a span: emits `span.end` (same identity fields, end time
@@ -299,16 +300,13 @@ class Telemetry {
   /// High-water gauge: keeps the maximum of all values ever set.
   void gauge_max(std::string_view name, double value);
 
-  /// Adds one timed interval to the named span accumulator (ScopedSpan
-  /// calls this; direct use is fine for externally measured intervals).
-  void add_span(std::string_view name, double seconds);
-  SpanStats span_stats(std::string_view name) const;
-
   /// Adds one observation to the named histogram. Wall-clock
   /// observations must go to a `timing.*`-named histogram (determinism
   /// contract); deterministic quantities (counts of things) may use any
-  /// other name.
+  /// other name. A span's own interval is ScopedSpan's job: never
+  /// observe `timing.<span>_s` beside span `<span>`.
   void observe(std::string_view name, double value);
+  /// Stats of one histogram; a span `x` reads as `timing.x_s`.
   HistogramStats histogram_stats(std::string_view name) const;
 
   /// Snapshots: the shards merged into one name-sorted map. The result
@@ -316,12 +314,12 @@ class Telemetry {
   /// active yields some consistent intermediate state.
   std::map<std::string, std::uint64_t, std::less<>> counters() const;
   std::map<std::string, double, std::less<>> gauges() const;
-  std::map<std::string, SpanStats, std::less<>> spans() const;
+  /// Every histogram, spans included (span `x` as `timing.x_s`).
   std::map<std::string, HistogramStats, std::less<>> histograms() const;
 
   /// Deterministic merge of a child's accumulators into this instance:
-  /// counters, span stats, and histograms add, gauges take the child's
-  /// value. When
+  /// counters and histograms (spans included) add, gauges take the
+  /// child's value. When
   /// `events` is non-empty (a BufferTraceSink's buffer) each event is
   /// re-emitted through this instance in order, acquiring fresh sequence
   /// numbers — so merging children in a fixed order reproduces the exact
@@ -330,14 +328,17 @@ class Telemetry {
              std::span<const TraceEvent> events = {});
 
   /// "telemetry.summary" event: counters and gauges as deterministic
-  /// fields, span call counts as fields, span totals under `timing`.
-  /// Histograms surface as `hist.<name>.<stat>` (count, sum, min, max,
-  /// p50, p90, p99); every stat of a `timing.*`-named histogram goes
-  /// under `timing` so the determinism strip removes it whole.
+  /// fields, then each span's call count as the deterministic field
+  /// `<span>.count`. Histograms surface as `hist.<name>.<stat>` (count,
+  /// sum, min, max, p50, p90, p99); every stat of a `timing.*`-named
+  /// histogram — each span's `timing.<span>_s` among them — goes under
+  /// `timing` so the determinism strip removes it whole.
   TraceEvent summary_event() const;
 
-  /// Human-readable metrics table (kind, name, count/value, total
-  /// seconds) for `ceal_tune --metrics-summary`.
+  /// Human-readable metrics table for `ceal_tune --metrics-summary`:
+  /// counters and gauges give one value; spans and histograms share one
+  /// row layout (count, sum, p50, p99), with unit `s` on `timing.*` rows
+  /// only.
   Table summary_table() const;
 
  private:
@@ -345,17 +346,28 @@ class Telemetry {
   // writers on different names rarely contend; one name always maps to
   // one shard, which keeps gauge last-write-wins and counter addition
   // race-free under the shard mutex.
+  // Spans are keyed by span name, apart from the named histograms: a
+  // stop builds no `timing.<span>_s` string, and the summary lists span
+  // counts (deterministic, unlike a `timing.*` histogram's) by span name.
   struct Shard {
     mutable std::mutex mutex;
     std::map<std::string, std::uint64_t, std::less<>> counters;
     std::map<std::string, double, std::less<>> gauges;
-    std::map<std::string, SpanStats, std::less<>> spans;
     std::map<std::string, HistogramStats, std::less<>> histograms;
+    std::map<std::string, HistogramStats, std::less<>> spans;
   };
   static constexpr std::size_t kShards = 8;
 
   Shard& shard_for(std::string_view name);
   const Shard& shard_for(std::string_view name) const;
+
+  /// The shards' `member` maps merged into one name-sorted map.
+  template <typename Map>
+  Map snapshot(Map Shard::*member) const;
+
+  friend class ScopedSpan;
+  /// Adds one timed interval to span `name`'s histogram.
+  void record_span(std::string_view name, double seconds);
 
   TraceSink* sink_;
   FlightRecorder* recorder_ = nullptr;  // borrowed; see set_flight_recorder
@@ -376,42 +388,23 @@ class Telemetry {
   std::vector<std::uint64_t> span_stack_;
 };
 
-/// RAII wall-clock span: charges `telemetry->add_span(name, elapsed)` on
-/// stop()/destruction. With a null Telemetry every member is one branch.
+/// The one RAII wall-clock span. On stop()/destruction it adds the
+/// elapsed time to span `name`, which renders as the histogram
+/// `timing.<name>_s`. When the Telemetry is observed (sink or flight
+/// recorder attached) it also carries a TraceContext and emits paired
+/// `span.begin`/`span.end` events; `kNoEvents` sites (hot per-round or
+/// per-task spans, whose events would flood the trace) never emit. With
+/// a null Telemetry every member is one branch; with telemetry attached
+/// but nothing observing, no events are built.
 class ScopedSpan {
  public:
-  ScopedSpan(Telemetry* telemetry, const char* name)
-      : telemetry_(telemetry), name_(name) {
-    if (telemetry_ != nullptr) start_ = monotonic_seconds();
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan() { stop(); }
+  enum Events : bool { kNoEvents = false, kEvents = true };
 
-  /// Records the span once; further calls return the first elapsed time.
-  /// Returns 0 when no telemetry is attached.
-  double stop();
-
- private:
-  Telemetry* telemetry_;
-  const char* name_;
-  double start_ = 0.0;
-  double elapsed_ = 0.0;
-};
-
-/// RAII causal span: a ScopedSpan that additionally carries a
-/// TraceContext and emits paired `span.begin`/`span.end` events when the
-/// Telemetry is observed (sink or flight recorder attached). Always
-/// charges the span accumulator like ScopedSpan, so converting a
-/// ScopedSpan site to ScopedCausalSpan changes nothing for metrics
-/// consumers. With a null Telemetry every member is one branch; with
-/// telemetry attached but nothing observing, no events are built.
-class ScopedCausalSpan {
- public:
-  ScopedCausalSpan(Telemetry* telemetry, const char* name)
+  ScopedSpan(Telemetry* telemetry, const char* name,
+             Events events = kEvents)
       : telemetry_(telemetry), name_(name) {
     if (telemetry_ != nullptr) {
-      if (telemetry_->observed()) {
+      if (events == kEvents && telemetry_->observed()) {
         ctx_ = telemetry_->begin_span(name_);
         traced_ = true;
       }
@@ -422,16 +415,16 @@ class ScopedCausalSpan {
       start_ = monotonic_seconds();
     }
   }
-  ScopedCausalSpan(const ScopedCausalSpan&) = delete;
-  ScopedCausalSpan& operator=(const ScopedCausalSpan&) = delete;
-  ~ScopedCausalSpan() { stop(); }
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  ~ScopedSpan() { stop(); }
 
   /// This span's identity — pass to Telemetry::adopt_trace to parent a
   /// concurrent child strand under it. All-zero when untraced.
   const TraceContext& context() const { return ctx_; }
 
-  /// Records the span (accumulator + span.end) once; further calls
-  /// return the first elapsed time. Returns 0 with no telemetry.
+  /// Records the span (histogram + span.end) once; further calls return
+  /// the first elapsed time. Returns 0 with no telemetry.
   double stop();
 
  private:
@@ -439,31 +432,6 @@ class ScopedCausalSpan {
   const char* name_;
   TraceContext ctx_;
   bool traced_ = false;
-  double start_ = 0.0;
-  double elapsed_ = 0.0;
-};
-
-/// RAII wall-clock timer feeding a histogram: charges
-/// `telemetry->observe(name, elapsed)` on stop()/destruction. `name`
-/// must be a `timing.*` histogram (wall clocks are nondeterministic).
-/// With a null Telemetry every member is one branch.
-class ScopedHistogramTimer {
- public:
-  ScopedHistogramTimer(Telemetry* telemetry, const char* name)
-      : telemetry_(telemetry), name_(name) {
-    if (telemetry_ != nullptr) start_ = monotonic_seconds();
-  }
-  ScopedHistogramTimer(const ScopedHistogramTimer&) = delete;
-  ScopedHistogramTimer& operator=(const ScopedHistogramTimer&) = delete;
-  ~ScopedHistogramTimer() { stop(); }
-
-  /// Records the observation once; further calls return the first
-  /// elapsed time. Returns 0 when no telemetry is attached.
-  double stop();
-
- private:
-  Telemetry* telemetry_;
-  const char* name_;
   double start_ = 0.0;
   double elapsed_ = 0.0;
 };

@@ -66,7 +66,11 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       queue_.pop();
     }
     const auto start = std::chrono::steady_clock::now();
-    task();
+    {
+      telemetry::ScopedSpan span(telemetry_, "pool.task",
+                                 telemetry::ScopedSpan::kNoEvents);
+      task();
+    }
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -74,10 +78,6 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       std::lock_guard lock(stats_mutex_);
       ++stats_[worker_index].tasks;
       stats_[worker_index].busy_s += elapsed;
-    }
-    if (telemetry::Telemetry* tel = telemetry_; tel != nullptr) {
-      tel->add_span("pool.task", elapsed);
-      tel->observe("timing.pool.task_s", elapsed);
     }
   }
 }

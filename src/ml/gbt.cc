@@ -38,7 +38,6 @@ GbtParams GradientBoostedTrees::surrogate_defaults() {
 
 void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
   CEAL_EXPECT_MSG(!data.empty(), "cannot fit on an empty dataset");
-  telemetry::ScopedHistogramTimer fit_timer(telemetry_, "timing.gbt.fit_s");
   // Hard guard: a single NaN target poisons every gradient (and a NaN
   // feature corrupts split search), so reject them up front instead of
   // training a silently broken model.
@@ -78,7 +77,7 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
   // round's root when all rows train) from a bounded per-fit memo.
   std::optional<SortChainMemo> sort_memo;
   if (params_.tree.method == TreeMethod::kQuantized) {
-    telemetry::ScopedCausalSpan span(telemetry_, "gbt.quantize");
+    telemetry::ScopedSpan span(telemetry_, "gbt.quantize");
     quantized_cache.emplace(data, params_.tree.max_bins);
     quantized_ws.emplace();
   } else {
@@ -88,7 +87,8 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
   if (telemetry_ != nullptr) telemetry_->count("gbt.fits");
   trees_.reserve(params_.n_rounds);
   for (std::size_t round = 0; round < params_.n_rounds; ++round) {
-    telemetry::ScopedSpan round_span(telemetry_, "gbt.round");
+    telemetry::ScopedSpan round_span(telemetry_, "gbt.round",
+                                     telemetry::ScopedSpan::kNoEvents);
     if (telemetry_ != nullptr) telemetry_->count("gbt.rounds");
     for (std::size_t i = 0; i < n; ++i) grad[i] = pred[i] - data.target(i);
 
@@ -150,9 +150,7 @@ double GradientBoostedTrees::predict(std::span<const double> features) const {
 std::vector<double> GradientBoostedTrees::predict_all(
     const Dataset& data) const {
   CEAL_EXPECT_MSG(fitted_, "predict_all() before fit()");
-  telemetry::ScopedCausalSpan span(telemetry_, "gbt.predict");
-  telemetry::ScopedHistogramTimer predict_timer(telemetry_,
-                                                "timing.gbt.predict_s");
+  telemetry::ScopedSpan span(telemetry_, "gbt.predict");
   if (telemetry_ != nullptr) {
     telemetry_->count("gbt.predict.batches");
     telemetry_->count("gbt.predict.rows", data.size());
@@ -163,9 +161,7 @@ std::vector<double> GradientBoostedTrees::predict_all(
 std::vector<double> GradientBoostedTrees::predict_matrix(
     const FeatureMatrix& rows) const {
   CEAL_EXPECT_MSG(fitted_, "predict_matrix() before fit()");
-  telemetry::ScopedCausalSpan span(telemetry_, "gbt.predict");
-  telemetry::ScopedHistogramTimer predict_timer(telemetry_,
-                                                "timing.gbt.predict_s");
+  telemetry::ScopedSpan span(telemetry_, "gbt.predict");
   if (telemetry_ != nullptr) {
     telemetry_->count("gbt.predict.batches");
     telemetry_->count("gbt.predict.rows", rows.size());

@@ -61,19 +61,12 @@ void type_line(std::ostream& os, const std::string& name,
 json::Value telemetry_sections_json(const telemetry::Telemetry* telemetry) {
   json::Value counters = json::Value::object();
   json::Value gauges = json::Value::object();
-  json::Value spans = json::Value::object();
   json::Value histograms = json::Value::object();
   if (telemetry != nullptr) {
     for (const auto& [name, value] : telemetry->counters())
       counters.set(name, json::Value::number(value));
     for (const auto& [name, value] : telemetry->gauges())
       gauges.set(name, json::Value::number(value));
-    for (const auto& [name, stats] : telemetry->spans()) {
-      json::Value s = json::Value::object();
-      s.set("count", json::Value::number(stats.count));
-      s.set("total_s", json::Value::number(stats.total_s));
-      spans.set(name, std::move(s));
-    }
     const std::span<const double> bounds = telemetry::histogram_upper_bounds();
     for (const auto& [name, stats] : telemetry->histograms()) {
       if (stats.count == 0) continue;
@@ -105,9 +98,26 @@ json::Value telemetry_sections_json(const telemetry::Telemetry* telemetry) {
   json::Value out = json::Value::object();
   out.set("counters", std::move(counters));
   out.set("gauges", std::move(gauges));
-  out.set("spans", std::move(spans));
   out.set("histograms", std::move(histograms));
   return out;
+}
+
+json::Value strip_wall_clock(const json::Value& metrics) {
+  json::Value stripped = json::Value::object();
+  for (const auto& [key, value] : metrics.members()) {
+    if (key == "timing") continue;
+    if (key == "histograms") {
+      json::Value kept = json::Value::object();
+      for (const auto& [name, hist] : value.members()) {
+        if (name.starts_with("timing.")) continue;
+        kept.set(name, hist);
+      }
+      stripped.set(key, std::move(kept));
+      continue;
+    }
+    stripped.set(key, value);
+  }
+  return stripped;
 }
 
 std::string to_prometheus(const json::Value& metrics) {
@@ -157,16 +167,6 @@ std::string to_prometheus(const json::Value& metrics) {
       const std::string base = "ceal_" + sanitize(name);
       type_line(os, base, "gauge");
       os << base << ' ' << value_text(value) << '\n';
-    }
-  }
-  if (const json::Value* spans = metrics.find("spans")) {
-    for (const auto& [name, stats] : spans->members()) {
-      const std::string base = "ceal_" + sanitize(name);
-      type_line(os, base + "_count", "counter");
-      os << base << "_count " << value_text(stats.at("count")) << '\n';
-      type_line(os, base + "_seconds_total", "counter");
-      os << base << "_seconds_total " << value_text(stats.at("total_s"))
-         << '\n';
     }
   }
   if (const json::Value* histograms = metrics.find("histograms")) {

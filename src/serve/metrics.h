@@ -2,14 +2,17 @@
 // server.metrics op and the daemon's --metrics-export file, plus a
 // Prometheus text renderer and a strict validator for it.
 //
-// Three pieces:
-//  * telemetry_sections_json — every counter/gauge/span/histogram in a
-//    Telemetry registry as one JSON object. Histogram entries carry the
+// Four pieces:
+//  * telemetry_sections_json — every counter/gauge/histogram in a
+//    Telemetry registry as one JSON object; span `x` is the histogram
+//    `timing.x_s`. Histogram entries carry the
 //    exact count/sum/min/max, the p50/p90/p99 derived via the shared
 //    ceal::histogram_quantile helper (so offline consumers computing
 //    quantiles from the bucket array agree byte-for-byte), and the
 //    sparse bucket array as [le, count] pairs (overflow le is the
 //    string "+Inf").
+//  * strip_wall_clock — the deterministic subset of a metrics object,
+//    behind `ceal_top --deterministic`.
 //  * to_prometheus — renders a server.metrics response (or export
 //    snapshot) in Prometheus text exposition format 0.0.4. Names are
 //    sanitised and prefixed with "ceal_"; histograms become the
@@ -30,11 +33,18 @@
 namespace ceal::serve {
 
 /// Snapshot of every accumulator in `telemetry` as
-/// {"counters":{...},"gauges":{...},"spans":{...},"histograms":{...}}.
-/// Null telemetry yields the four sections empty. Span values are
-/// {"count":N,"total_s":x}; histogram values are
+/// {"counters":{...},"gauges":{...},"histograms":{...}}, spans included
+/// as their `timing.<span>_s` histograms. Null telemetry yields the
+/// three sections empty. Histogram values are
 /// {"count","sum","min","max","p50","p90","p99","buckets":[[le,n],...]}.
 json::Value telemetry_sections_json(const telemetry::Telemetry* telemetry);
+
+/// The deterministic subset of a metrics object (`ceal_top
+/// --deterministic`): every wall-clock member is dropped — timing.*
+/// histograms (every span's among them) and the export-timestamp
+/// "timing" object. What is left is a deterministic function of the
+/// request stream (docs/OBSERVABILITY.md).
+json::Value strip_wall_clock(const json::Value& metrics);
 
 /// Renders a metrics object (the shape ServerCore::metrics_json
 /// returns, or any subset with the same section names) as Prometheus

@@ -168,10 +168,9 @@ json::Value ServerCore::handle(const Request& request) {
         auto session = find_session(request.session_id);
         const SessionState before = session->state();
         {
-          telemetry::ScopedSpan span(t, "serve.step");
+          telemetry::ScopedSpan span(t, "serve.step",
+                                     telemetry::ScopedSpan::kNoEvents);
           session->step(request.steps);
-          if (t != nullptr)
-            t->observe("timing.serve.step_s", span.stop());
         }
         if (before == SessionState::kRunning &&
             session->state() != SessionState::kRunning) {

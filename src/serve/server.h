@@ -89,10 +89,10 @@ class ServerCore {
 
   /// The server.metrics response: the server block of stats_json under
   /// "server" (with the per-op request/error breakdown), every
-  /// telemetry counter/gauge/span/histogram snapshot, and one
-  /// per-session live-progress object (sorted by id). Unlike every
-  /// other response this one carries wall-clock values (span totals,
-  /// timing.* histograms) — consumers needing the byte-stable subset
+  /// telemetry counter/gauge/histogram snapshot, and one per-session
+  /// live-progress object (sorted by id). Unlike every other response
+  /// this one carries wall-clock values (timing.* histograms, every
+  /// span's among them) — consumers needing the byte-stable subset
   /// drop them (`ceal_top --deterministic`). Safe to call from outside
   /// the request path (the periodic metrics exporter does): sessions
   /// synchronise internally.

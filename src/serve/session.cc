@@ -148,7 +148,7 @@ void ServeSession::step(std::size_t n) {
   {
     // The root span of this request slice: every tuner.step /
     // collector.measure / surrogate span below parents under it.
-    telemetry::ScopedCausalSpan span(telemetry_.get(), "serve.step");
+    telemetry::ScopedSpan span(telemetry_.get(), "serve.step");
     for (std::size_t k = 0; k < n; ++k) {
       if (state() != SessionState::kRunning) break;
       try {

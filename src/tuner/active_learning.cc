@@ -78,7 +78,7 @@ class ActiveLearningStepper final : public TunerStepper {
           return;  // one iteration per step
         }
         const double fit_s = fit_on_measured(surrogate_, collector_, *rng_);
-        telemetry::ScopedCausalSpan predict_span(tel, "surrogate.predict");
+        telemetry::ScopedSpan predict_span(tel, "surrogate.predict");
         const auto scores = pool_scorer_.surrogate_scores(surrogate_);
         const double predict_s = predict_span.stop();
         const auto batch = top_unmeasured(scores, collector_, batch_size_);
@@ -93,7 +93,7 @@ class ActiveLearningStepper final : public TunerStepper {
     }
 
     fit_on_measured(surrogate_, collector_, *rng_);
-    telemetry::ScopedCausalSpan final_span(tel, "surrogate.predict");
+    telemetry::ScopedSpan final_span(tel, "surrogate.predict");
     auto scores = pool_scorer_.surrogate_scores(surrogate_);
     final_span.stop();
     finish(finalize_result(collector_, std::move(scores)));

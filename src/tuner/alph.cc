@@ -68,7 +68,7 @@ class AlphStepper final : public TunerStepper {
   double fit() {
     telemetry::Telemetry* tel = problem_.telemetry;
     if (tel != nullptr) tel->count("surrogate.fits");
-    telemetry::ScopedCausalSpan span(tel, "surrogate.fit");
+    telemetry::ScopedSpan span(tel, "surrogate.fit");
     const auto& indices = collector_.ok_indices();
     const auto& values = collector_.ok_values();
     ml::Dataset data(pool_features_->n_features());
@@ -81,7 +81,7 @@ class AlphStepper final : public TunerStepper {
   }
 
   std::vector<double> predict_pool(double* elapsed_s = nullptr) {
-    telemetry::ScopedCausalSpan span(problem_.telemetry, "surrogate.predict");
+    telemetry::ScopedSpan span(problem_.telemetry, "surrogate.predict");
     std::vector<double> scores = model_.predict_matrix(*pool_features_);
     for (double& score : scores) score = std::exp(score);
     const double s = span.stop();

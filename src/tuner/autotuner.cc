@@ -13,7 +13,7 @@ bool TunerStepper::step() {
   // Every algorithm slice runs inside one causal span, so measure /
   // surrogate / pool spans emitted below always have a tuner.step
   // ancestor in the trace tree.
-  telemetry::ScopedCausalSpan span(problem_.telemetry, "tuner.step");
+  telemetry::ScopedSpan span(problem_.telemetry, "tuner.step");
   do_step();
   return !done_;
 }

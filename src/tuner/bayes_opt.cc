@@ -116,7 +116,7 @@ class BayesOptStepper final : public TunerStepper {
   double refit() {
     telemetry::Telemetry* tel = problem_.telemetry;
     if (tel != nullptr) tel->count("surrogate.fits");
-    telemetry::ScopedCausalSpan span(tel, "surrogate.fit");
+    telemetry::ScopedSpan span(tel, "surrogate.fit");
     train_configs_.clear();
     for (const std::size_t i : collector_.ok_indices()) {
       train_configs_.push_back(problem_.pool->configs[i]);
@@ -181,7 +181,7 @@ class BayesOptStepper final : public TunerStepper {
         const double fit_s = refit();
         // LCB acquisition: optimistic lower bound, lower = more
         // attractive.
-        telemetry::ScopedCausalSpan predict_span(tel, "surrogate.predict");
+        telemetry::ScopedSpan predict_span(tel, "surrogate.predict");
         std::vector<double> acquisition, sigma;
         ensemble_.predict(pool_features(), acquisition, sigma);
         for (std::size_t i = 0; i < acquisition.size(); ++i) {
@@ -202,7 +202,7 @@ class BayesOptStepper final : public TunerStepper {
 
     // Final ranking uses the ensemble mean (no exploration bonus).
     refit();
-    telemetry::ScopedCausalSpan final_span(tel, "surrogate.predict");
+    telemetry::ScopedSpan final_span(tel, "surrogate.predict");
     std::vector<double> scores, sigma;
     ensemble_.predict(pool_features(), scores, sigma);
     final_span.stop();

@@ -86,14 +86,14 @@ class CealStepper final : public TunerStepper {
             rounded_fraction(params_.mR_fraction, m), 1, m - 2);
         component_indices = &collector_.acquire_component_samples(m_r, *rng_);
       }
-      telemetry::ScopedCausalSpan components_span(tel, "components.fit");
+      telemetry::ScopedSpan components_span(tel, "components.fit");
       auto components = std::make_shared<const ComponentModelSet>(
           workflow, problem_.objective, *problem_.component_samples,
           *component_indices, *rng_, problem_.surrogate_gbt);
       const double components_fit_s = components_span.stop();
       const LowFidelityModel low_fidelity(workflow, problem_.objective,
                                           components);
-      telemetry::ScopedCausalSpan low_score_span(tel, "low_fidelity.score");
+      telemetry::ScopedSpan low_score_span(tel, "low_fidelity.score");
       low_scores_ = pool_scorer_.low_fidelity_scores(low_fidelity);
       const double low_score_s = low_score_span.stop();
 
@@ -158,8 +158,10 @@ class CealStepper final : public TunerStepper {
         bool detection_ran = false, switched_now = false;
         double s_high = 0.0, s_low = 0.0, detect_s = 0.0, predict_s = 0.0;
         std::size_t topup_injected = 0;
-        const double fit_total_before =
-            tel != nullptr ? tel->span_stats("surrogate.fit").total_s : 0.0;
+        const auto fit_total_s = [tel] {
+          return tel->histogram_stats("timing.surrogate.fit_s").sum;
+        };
+        const double fit_total_before = tel != nullptr ? fit_total_s() : 0.0;
         const auto emit_iteration = [&] {
           if (tel == nullptr) return;
           tel->count("ceal.iterations");
@@ -183,8 +185,7 @@ class CealStepper final : public TunerStepper {
             event.field("recall_low", s_low).field("recall_high", s_high);
           }
           event
-              .timing("fit_s", tel->span_stats("surrogate.fit").total_s -
-                                   fit_total_before)
+              .timing("fit_s", fit_total_s() - fit_total_before)
               .timing("detect_s", detect_s)
               .timing("predict_s", predict_s);
           tel->emit(std::move(event));
@@ -213,7 +214,7 @@ class CealStepper final : public TunerStepper {
         // detection waits for a meaningful batch.
         if (params_.enable_switch_detection && !using_high_fidelity_ &&
             high_fidelity_.is_fitted() && batch_len >= 3) {
-          telemetry::ScopedCausalSpan detect_span(tel, "ceal.switch_detection");
+          telemetry::ScopedSpan detect_span(tel, "ceal.switch_detection");
           detection_ran = true;
           std::vector<double> batch_high(batch_len), batch_low(batch_len),
               batch_meas(batch_len);
@@ -320,7 +321,7 @@ class CealStepper final : public TunerStepper {
 
         // Lines 26-27: evaluate the pool with M and queue the next batch.
         if (using_high_fidelity_) {
-          telemetry::ScopedCausalSpan predict_span(tel, "surrogate.predict");
+          telemetry::ScopedSpan predict_span(tel, "surrogate.predict");
           auto high_scores = pool_scorer_.surrogate_scores(high_fidelity_);
           predict_s = predict_span.stop();
           const auto top = top_unmeasured(high_scores, collector_, m_b_);
@@ -371,7 +372,7 @@ class CealStepper final : public TunerStepper {
     // 2000-entry pool — its single most optimistic extrapolation error
     // wins the argmin; the conjunction suppresses errors that are not
     // shared by both models.
-    telemetry::ScopedCausalSpan final_span(tel, "surrogate.predict");
+    telemetry::ScopedSpan final_span(tel, "surrogate.predict");
     std::vector<double> scores = pool_scorer_.surrogate_scores(high_fidelity_);
     final_span.stop();
     if (params_.ensemble_final) {

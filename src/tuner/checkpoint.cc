@@ -251,7 +251,7 @@ void CheckpointSession::mismatch(const std::string& why) const {
 void CheckpointSession::append(const json::Value& payload) {
   const std::uint64_t bytes_before = writer_->bytes_written();
   {
-    telemetry::ScopedCausalSpan span(telemetry_, "checkpoint.flush");
+    telemetry::ScopedSpan span(telemetry_, "checkpoint.flush");
     writer_->append(payload);
   }
   if (telemetry_ != nullptr) {

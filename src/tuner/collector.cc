@@ -82,7 +82,7 @@ void Collector::record(std::size_t pool_index,
 MeasureOutcome Collector::try_measure(std::size_t pool_index) {
   const MeasuredPool& pool = *problem_->pool;
   CEAL_EXPECT(pool_index < pool.size());
-  telemetry::ScopedCausalSpan measure_span(problem_->telemetry,
+  telemetry::ScopedSpan measure_span(problem_->telemetry,
                                            "collector.measure");
   if (seen_[pool_index]) {
     // Cached repeat — same verdict, no charge. A configuration that

@@ -67,7 +67,7 @@ EvalSummary evaluate(const TuningProblem& problem, const AutoTuner& algorithm,
   // (Telemetry::adopt_trace), so the span tree is byte-identical across
   // 1 vs N workers, not just event-order identical.
   const bool child_tracing = problem.telemetry != nullptr;
-  telemetry::ScopedCausalSpan eval_span(problem.telemetry, "evaluate");
+  telemetry::ScopedSpan eval_span(problem.telemetry, "evaluate");
   std::vector<std::unique_ptr<telemetry::BufferTraceSink>> buffers;
   std::vector<std::unique_ptr<telemetry::Telemetry>> children;
   std::vector<TuningProblem> rep_problems;
@@ -93,8 +93,8 @@ EvalSummary evaluate(const TuningProblem& problem, const AutoTuner& algorithm,
     if (tel != nullptr) tel->count("evaluate.replications");
     // The unit the pool schedules; emitted in serial runs too so the
     // span tree does not depend on the execution mode.
-    telemetry::ScopedCausalSpan task_span(tel, "pool.task");
-    telemetry::ScopedCausalSpan rep_span(tel, "evaluate.replication");
+    telemetry::ScopedSpan task_span(tel, "pool.task");
+    telemetry::ScopedSpan rep_span(tel, "evaluate.replication");
     ceal::Rng rng(seed * 0x9e3779b97f4a7c15ULL + rep * 0xda942042e4dd58b5ULL +
                   1);
     const TuneResult result = algorithm.tune(rep_problem, budget, rng);

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/error.h"
+#include "core/parallel.h"
 #include "core/stats.h"
 #include "core/telemetry.h"
 #include "tuner/collector.h"
@@ -44,26 +45,33 @@ PoolGraph::PoolGraph(const config::ConfigSpace& space,
     }
   }
 
+  // A row's neighbour list depends on that row alone, so blocks of rows
+  // run on the shared pool with the same lists for any worker count.
   neighbors_.resize(n);
-  std::vector<std::pair<double, std::size_t>> dist(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t m = 0; m < n; ++m) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < d; ++j) {
-        const double delta = feat[i * d + j] - feat[m * d + j];
-        acc += delta * delta;
+  constexpr std::size_t kRowsPerBlock = 64;
+  const std::size_t blocks = (n + kRowsPerBlock - 1) / kRowsPerBlock;
+  ceal::parallel_apply(0, blocks, [&](std::size_t block) {
+    std::vector<std::pair<double, std::size_t>> dist(n);
+    const std::size_t end = std::min(n, (block + 1) * kRowsPerBlock);
+    for (std::size_t i = block * kRowsPerBlock; i < end; ++i) {
+      for (std::size_t m = 0; m < n; ++m) {
+        double acc = 0.0;
+        for (std::size_t j = 0; j < d; ++j) {
+          const double delta = feat[i * d + j] - feat[m * d + j];
+          acc += delta * delta;
+        }
+        dist[m] = {acc, m};
       }
-      dist[m] = {acc, m};
+      dist[i].first = std::numeric_limits<double>::infinity();  // not self
+      std::partial_sort(dist.begin(),
+                        dist.begin() + static_cast<std::ptrdiff_t>(k),
+                        dist.end());
+      neighbors_[i].reserve(k);
+      for (std::size_t m = 0; m < k; ++m) {
+        neighbors_[i].push_back(dist[m].second);
+      }
     }
-    dist[i].first = std::numeric_limits<double>::infinity();  // not self
-    std::partial_sort(dist.begin(),
-                      dist.begin() + static_cast<std::ptrdiff_t>(k),
-                      dist.end());
-    neighbors_[i].reserve(k);
-    for (std::size_t m = 0; m < k; ++m) {
-      neighbors_[i].push_back(dist[m].second);
-    }
-  }
+  });
 }
 
 const std::vector<std::size_t>& PoolGraph::neighbors(std::size_t i) const {
@@ -138,7 +146,7 @@ class GeistStepper final : public TunerStepper {
                                collector_, req_start, ok_start, 0.0, 0.0);
           return;  // one iteration per step
         }
-        telemetry::ScopedCausalSpan propagate_span(tel, "geist.propagate");
+        telemetry::ScopedSpan propagate_span(tel, "geist.propagate");
         const double threshold = ceal::quantile(values, params_.top_quantile);
 
         std::vector<double> belief(pool_size, 0.5);  // unknown prior
@@ -191,7 +199,7 @@ class GeistStepper final : public TunerStepper {
     // the same model family all algorithms use (§7.3).
     Surrogate surrogate(problem_.surrogate_gbt);
     fit_on_measured(surrogate, collector_, *rng_);
-    telemetry::ScopedCausalSpan predict_span(tel, "surrogate.predict");
+    telemetry::ScopedSpan predict_span(tel, "surrogate.predict");
     auto scores = surrogate.predict_many(
         problem_.workload->workflow.joint_space(), problem_.pool->configs);
     predict_span.stop();

@@ -71,7 +71,8 @@ void featurize_pool_chunked(
   // bitwise; only the allocation footprint changes.
   for (std::size_t first = 0; first < configs.size(); first += chunk_rows) {
     const std::size_t len = std::min(chunk_rows, configs.size() - first);
-    telemetry::ScopedSpan span(telemetry, "pool.chunk");
+    telemetry::ScopedSpan span(telemetry, "pool.chunk",
+                               telemetry::ScopedSpan::kNoEvents);
     if (telemetry != nullptr) {
       telemetry->count("pool.chunks");
       telemetry->count("pool.chunk.rows", len);
@@ -90,7 +91,8 @@ void featurize_joint_chunked(
   CEAL_EXPECT(chunk_rows >= 1);
   for (std::size_t first = 0; first < configs.size(); first += chunk_rows) {
     const std::size_t len = std::min(chunk_rows, configs.size() - first);
-    telemetry::ScopedSpan span(telemetry, "pool.chunk");
+    telemetry::ScopedSpan span(telemetry, "pool.chunk",
+                               telemetry::ScopedSpan::kNoEvents);
     if (telemetry != nullptr) {
       telemetry->count("pool.chunks");
       telemetry->count("pool.chunk.rows", len);

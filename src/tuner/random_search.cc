@@ -66,7 +66,7 @@ class RandomSearchStepper final : public TunerStepper {
 
     Surrogate surrogate(problem_.surrogate_gbt);
     fit_on_measured(surrogate, collector_, *rng_);
-    telemetry::ScopedCausalSpan predict_span(problem_.telemetry,
+    telemetry::ScopedSpan predict_span(problem_.telemetry,
                                        "surrogate.predict");
     auto scores = surrogate.predict_many(
         problem_.workload->workflow.joint_space(), problem_.pool->configs);

@@ -136,7 +136,7 @@ double fit_on_measured(Surrogate& surrogate, const Collector& collector,
   // later predict through this surrogate) records per-round spans and
   // split-search counters.
   surrogate.set_telemetry(tel);
-  telemetry::ScopedCausalSpan span(tel, "surrogate.fit");
+  telemetry::ScopedSpan span(tel, "surrogate.fit");
   surrogate.fit(collector.problem().workload->workflow.joint_space(),
                 configs, values, rng);
   return span.stop();

@@ -20,6 +20,14 @@
 namespace ceal::telemetry {
 namespace {
 
+json::Value parsed(const std::string& line) {
+  return json::Value::parse(line);
+}
+
+std::string parsed_span_id(const std::string& line) {
+  return parsed(line).at("span_id").as_string();
+}
+
 /// Collects events in memory for assertions.
 class RecordingSink final : public TraceSink {
  public:
@@ -51,12 +59,16 @@ TEST(Telemetry, GaugesKeepTheLastValue) {
 
 TEST(Telemetry, SpansAccumulateCountAndTotal) {
   Telemetry tel;
-  tel.add_span("surrogate.fit", 0.5);
-  tel.add_span("surrogate.fit", 0.25);
-  const SpanStats stats = tel.span_stats("surrogate.fit");
+  const double first = ScopedSpan(&tel, "surrogate.fit").stop();
+  const double second = ScopedSpan(&tel, "surrogate.fit").stop();
+  // Span `x` is the histogram `timing.x_s`: count and total come from it.
+  const HistogramStats stats = tel.histogram_stats("timing.surrogate.fit_s");
   EXPECT_EQ(stats.count, 2u);
-  EXPECT_DOUBLE_EQ(stats.total_s, 0.75);
-  EXPECT_EQ(tel.span_stats("never").count, 0u);
+  EXPECT_EQ(stats.sum, first + second);
+  EXPECT_EQ(stats.min, std::min(first, second));
+  EXPECT_EQ(stats.max, std::max(first, second));
+  EXPECT_EQ(tel.histograms().count("timing.surrogate.fit_s"), 1u);
+  EXPECT_EQ(tel.histogram_stats("timing.never_s").count, 0u);
 }
 
 TEST(Telemetry, EmitStampsMonotonicSequenceNumbers) {
@@ -95,17 +107,19 @@ TEST(Telemetry, ConcurrentWritersLoseNothing) {
   constexpr std::uint64_t kOpsPerThread = 2000;
   RecordingSink sink;
   Telemetry tel(&sink);
+  std::vector<double> span_seconds(kThreads, 0.0);
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tel, t] {
+    threads.emplace_back([&tel, &span_seconds, t] {
       // Mix shared names (every shard contended) with per-thread names.
       const std::string own = "thread." + std::to_string(t);
       for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
         tel.count("stress.shared");
         tel.count(own);
-        tel.add_span("stress.span", 0.001);
+        span_seconds[t] +=
+            ScopedSpan(&tel, "stress.span", ScopedSpan::kNoEvents).stop();
         tel.gauge_max("stress.peak", static_cast<double>(i));
         if (i % 100 == 0) {
           TraceEvent event("stress.tick");
@@ -121,9 +135,11 @@ TEST(Telemetry, ConcurrentWritersLoseNothing) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(tel.counter("thread." + std::to_string(t)), kOpsPerThread);
   }
-  const SpanStats span = tel.span_stats("stress.span");
+  const HistogramStats span = tel.histogram_stats("timing.stress.span_s");
   EXPECT_EQ(span.count, kThreads * kOpsPerThread);
-  EXPECT_NEAR(span.total_s, 0.001 * static_cast<double>(span.count), 1e-6);
+  double expected_s = 0.0;
+  for (const double s : span_seconds) expected_s += s;
+  EXPECT_NEAR(span.sum, expected_s, 1e-9);
   EXPECT_DOUBLE_EQ(tel.gauges().at("stress.peak"),
                    static_cast<double>(kOpsPerThread - 1));
 
@@ -162,7 +178,8 @@ TEST(Telemetry, MergeAddsAccumulatorsAndReplaysBufferedEvents) {
   RecordingSink parent_sink;
   Telemetry parent(&parent_sink);
   parent.count("shared.counter", 2);
-  parent.add_span("shared.span", 0.5);
+  const double parent_s =
+      ScopedSpan(&parent, "shared.span", ScopedSpan::kNoEvents).stop();
   parent.gauge("g", 1.0);
   parent.emit(TraceEvent("parent.before"));  // takes seq 0
 
@@ -170,7 +187,8 @@ TEST(Telemetry, MergeAddsAccumulatorsAndReplaysBufferedEvents) {
   Telemetry child(&buffer);
   child.count("shared.counter", 3);
   child.count("child.only");
-  child.add_span("shared.span", 0.25);
+  const double child_s =
+      ScopedSpan(&child, "shared.span", ScopedSpan::kNoEvents).stop();
   child.gauge("g", 7.0);
   child.emit(TraceEvent("child.a"));
   child.emit(TraceEvent("child.b"));
@@ -179,9 +197,9 @@ TEST(Telemetry, MergeAddsAccumulatorsAndReplaysBufferedEvents) {
 
   EXPECT_EQ(parent.counter("shared.counter"), 5u);
   EXPECT_EQ(parent.counter("child.only"), 1u);
-  const SpanStats span = parent.span_stats("shared.span");
+  const HistogramStats span = parent.histogram_stats("timing.shared.span_s");
   EXPECT_EQ(span.count, 2u);
-  EXPECT_DOUBLE_EQ(span.total_s, 0.75);
+  EXPECT_EQ(span.sum, parent_s + child_s);
   EXPECT_DOUBLE_EQ(parent.gauges().at("g"), 7.0);  // child wins
 
   // The buffered events were replayed through the parent in order and
@@ -286,13 +304,36 @@ TEST(ScopedSpanTest, RecordsOnceAndIsIdempotent) {
   const double second = span.stop();
   EXPECT_GE(first, 0.0);
   EXPECT_EQ(first, second);
-  EXPECT_EQ(tel.span_stats("work").count, 1u);
+  const HistogramStats stats = tel.histogram_stats("timing.work_s");
+  EXPECT_EQ(stats.count, 1u);
+  EXPECT_EQ(stats.sum, first);
 }
 
 TEST(ScopedSpanTest, DestructionRecordsUnstoppedSpan) {
   Telemetry tel;
   { ScopedSpan span(&tel, "scoped"); }
-  EXPECT_EQ(tel.span_stats("scoped").count, 1u);
+  EXPECT_EQ(tel.histogram_stats("timing.scoped_s").count, 1u);
+}
+
+TEST(ScopedSpanTest, NoEventsSpanFeedsItsHistogramWithoutEmitting) {
+  RecordingSink sink;
+  Telemetry tel(&sink);
+  tel.seed_trace(1);
+  ASSERT_TRUE(tel.observed());
+  {
+    ScopedSpan quiet(&tel, "gbt.round", ScopedSpan::kNoEvents);
+    EXPECT_EQ(quiet.context().span_id, 0u);
+  }
+  EXPECT_TRUE(sink.lines.empty());
+  EXPECT_EQ(tel.histogram_stats("timing.gbt.round_s").count, 1u);
+  // A silent span allocates no span id, so the next causal span's ids
+  // are what they would be without it.
+  { ScopedSpan loud(&tel, "tuner.step"); }
+  ASSERT_EQ(sink.lines.size(), 2u);
+  Telemetry fresh;
+  fresh.seed_trace(1);
+  EXPECT_EQ(parsed_span_id(sink.lines[0]),
+            span_id_hex(fresh.begin_span("tuner.step").span_id));
 }
 
 TEST(ScopedSpanTest, NullTelemetryIsANoOp) {
@@ -304,27 +345,54 @@ TEST(Telemetry, SummaryEventKeepsWallclockUnderTiming) {
   Telemetry tel;
   tel.count("measure.ok", 5);
   tel.gauge("budget.remaining", 3.0);
-  tel.add_span("surrogate.fit", 0.5);
+  const double fit_s = ScopedSpan(&tel, "surrogate.fit").stop();
   const json::Value summary = tel.summary_event().to_json();
   EXPECT_EQ(summary.at("event").as_string(), "telemetry.summary");
   EXPECT_EQ(summary.at("measure.ok").as_int(), 5);
   EXPECT_DOUBLE_EQ(summary.at("budget.remaining").as_double(), 3.0);
   EXPECT_EQ(summary.at("surrogate.fit.count").as_int(), 1);
-  // The only wall-clock value lives under `timing`; stripping it must
+  // The only wall-clock values live under `timing`; stripping it must
   // leave a deterministic event.
-  EXPECT_DOUBLE_EQ(summary.at("timing").at("surrogate.fit.total_s")
+  EXPECT_DOUBLE_EQ(summary.at("timing").at("hist.timing.surrogate.fit_s.sum")
                        .as_double(),
-                   0.5);
+                   fit_s);
   json::Value stripped = summary;
   stripped.remove_recursive("timing");
   EXPECT_FALSE(stripped.contains("timing"));
+}
+
+TEST(Telemetry, SummaryEventKeepsSpanCountDeterministicAndQuantilesTimed) {
+  Telemetry tel;
+  tel.count("a.counter");
+  for (int i = 0; i < 3; ++i) ScopedSpan(&tel, "b.span").stop();
+  ScopedSpan(&tel, "b").stop();
+  ScopedSpan(&tel, "b.span.inner").stop();
+  const json::Value summary = tel.summary_event().to_json();
+  // Span counts are plain fields, after the counters, in span-name
+  // order (which is not the order of their `timing.<span>_s` names).
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : summary.members()) keys.push_back(key);
+  const std::vector<std::string> expect_keys{
+      "event", "a.counter", "b.count", "b.span.count", "b.span.inner.count",
+      "timing"};
+  EXPECT_EQ(keys, expect_keys);
+  EXPECT_EQ(summary.at("b.span.count").as_int(), 3);
+  // Everything timed about a span is its histogram, under `timing`.
+  const json::Value& timing = summary.at("timing");
+  for (const char* stat : {"count", "sum", "min", "max", "p50", "p90",
+                           "p99"}) {
+    EXPECT_TRUE(timing.contains(std::string("hist.timing.b.span_s.") + stat))
+        << stat;
+  }
+  EXPECT_EQ(timing.at("hist.timing.b.span_s.count").as_int(), 3);
+  EXPECT_FALSE(timing.contains("b.span.total_s"));
 }
 
 TEST(Telemetry, SummaryTableListsEveryMetric) {
   Telemetry tel;
   tel.count("measure.ok", 2);
   tel.gauge("g", 1.0);
-  tel.add_span("s", 0.1);
+  ScopedSpan(&tel, "s").stop();
   std::ostringstream os;
   os << tel.summary_table();
   const std::string out = os.str();
@@ -332,6 +400,29 @@ TEST(Telemetry, SummaryTableListsEveryMetric) {
   EXPECT_NE(out.find("counter"), std::string::npos);
   EXPECT_NE(out.find("gauge"), std::string::npos);
   EXPECT_NE(out.find("span"), std::string::npos);
+  EXPECT_NE(out.find("timing.s_s"), std::string::npos);
+}
+
+TEST(Telemetry, SummaryTablePrintsSecondsOnlyForTimingRows) {
+  Telemetry tel;
+  for (int i = 0; i < 50; ++i) tel.observe("measure.attempts", 1.0);
+  ScopedSpan(&tel, "tuner.step").stop();
+  const Table table = tel.summary_table();
+  std::ostringstream os;
+  table.to_csv(os);
+  std::istringstream lines(os.str());
+  std::string header, attempts, step;
+  std::getline(lines, header);
+  std::getline(lines, attempts);
+  std::getline(lines, step);
+  EXPECT_EQ(header, "kind,name,count/value,sum,p50,p99,unit");
+  // A deterministic histogram's sum is a plain number, not seconds.
+  EXPECT_EQ(attempts.rfind("histogram,measure.attempts,50,50.000000,", 0),
+            0u)
+      << attempts;
+  EXPECT_TRUE(attempts.ends_with(","));
+  EXPECT_EQ(step.rfind("span,timing.tuner.step_s,1,", 0), 0u) << step;
+  EXPECT_TRUE(step.ends_with(",s"));
 }
 
 
@@ -459,17 +550,37 @@ TEST(Telemetry, SummaryEventNestsTimingHistogramsUnderTiming) {
   EXPECT_FALSE(stripped.dump().find("step_s") != std::string::npos);
 }
 
-TEST(ScopedHistogramTimerTest, RecordsOnceAndNullIsANoOp) {
+TEST(ScopedSpanTest, NoEventsRecordsOnceAndNullIsANoOp) {
+  // A silent span is the histogram timer: span `unit` is the histogram
+  // `timing.unit_s`.
   Telemetry tel;
   {
-    ScopedHistogramTimer timer(&tel, "timing.unit_s");
+    ScopedSpan timer(&tel, "unit", ScopedSpan::kNoEvents);
     const double elapsed = timer.stop();
     EXPECT_GE(elapsed, 0.0);
     EXPECT_EQ(timer.stop(), elapsed);  // idempotent: no second record
   }
   EXPECT_EQ(tel.histogram_stats("timing.unit_s").count, 1u);
-  ScopedHistogramTimer null_timer(nullptr, "ignored");
+  ScopedSpan null_timer(nullptr, "ignored", ScopedSpan::kNoEvents);
   EXPECT_EQ(null_timer.stop(), 0.0);
+}
+
+TEST(Telemetry, MergeAddsSpanBuckets) {
+  Telemetry parent, child;
+  for (int i = 0; i < 3; ++i) ScopedSpan(&parent, "work").stop();
+  for (int i = 0; i < 2; ++i) ScopedSpan(&child, "work").stop();
+  const HistogramStats before = parent.histogram_stats("timing.work_s");
+  const HistogramStats theirs = child.histogram_stats("timing.work_s");
+  parent.merge(child);
+  const HistogramStats after = parent.histogram_stats("timing.work_s");
+  EXPECT_EQ(after.count, 5u);
+  EXPECT_EQ(after.sum, before.sum + theirs.sum);
+  ASSERT_EQ(after.buckets.size(), kHistogramBuckets);
+  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
+    EXPECT_EQ(after.buckets[i], before.buckets[i] + theirs.buckets[i]) << i;
+  }
+  // The merged span is still a span: its count stays a plain field.
+  EXPECT_EQ(parent.summary_event().to_json().at("work.count").as_int(), 5);
 }
 
 // --- Flush propagation ---
@@ -500,10 +611,6 @@ TEST(JsonlTraceSinkTest, FlushMakesLinesVisibleBeforeDestruction) {
 
 // --- Causal spans ---
 
-json::Value parsed(const std::string& line) {
-  return json::Value::parse(line);
-}
-
 TEST(SpanIdHexTest, Renders16LowercaseHexDigits) {
   EXPECT_EQ(span_id_hex(0), "0000000000000000");
   EXPECT_EQ(span_id_hex(0xdeadbeef), "00000000deadbeef");
@@ -521,8 +628,8 @@ TEST(CausalSpanTest, EmitsPairedBeginEndWithHierarchicalIds) {
   Telemetry tel(&sink);
   tel.seed_trace(42);
   {
-    ScopedCausalSpan outer(&tel, "outer");
-    ScopedCausalSpan inner(&tel, "inner");
+    ScopedSpan outer(&tel, "outer");
+    ScopedSpan inner(&tel, "inner");
   }
   ASSERT_EQ(sink.lines.size(), 4u);
   const json::Value outer_b = parsed(sink.lines[0]);
@@ -548,9 +655,9 @@ TEST(CausalSpanTest, EmitsPairedBeginEndWithHierarchicalIds) {
               span_id_hex(mix64(42)));
     EXPECT_TRUE(v.contains("timing"));
   }
-  // Metrics stay compatible with ScopedSpan: both spans accumulated.
-  EXPECT_EQ(tel.span_stats("outer").count, 1u);
-  EXPECT_EQ(tel.span_stats("inner").count, 1u);
+  // Both spans also accumulated into their histograms.
+  EXPECT_EQ(tel.histogram_stats("timing.outer_s").count, 1u);
+  EXPECT_EQ(tel.histogram_stats("timing.inner_s").count, 1u);
 }
 
 TEST(CausalSpanTest, SeededTracesAreByteIdenticalModuloTiming) {
@@ -559,9 +666,9 @@ TEST(CausalSpanTest, SeededTracesAreByteIdenticalModuloTiming) {
     Telemetry tel(&sink);
     tel.seed_trace(7);
     {
-      ScopedCausalSpan a(&tel, "step");
-      { ScopedCausalSpan b(&tel, "fit"); }
-      { ScopedCausalSpan c(&tel, "predict"); }
+      ScopedSpan a(&tel, "step");
+      { ScopedSpan b(&tel, "fit"); }
+      { ScopedSpan c(&tel, "predict"); }
     }
     std::vector<std::string> out;
     for (const auto& line : sink.lines) {
@@ -580,14 +687,14 @@ TEST(CausalSpanTest, AdoptedStrandsGetDistinctDeterministicIds) {
   parent.seed_trace(9);
   TraceContext root;
   {
-    ScopedCausalSpan span(&parent, "evaluate");
+    ScopedSpan span(&parent, "evaluate");
     root = span.context();
   }
   const auto strand_first_id = [&](std::uint64_t strand) {
     RecordingSink child_sink;
     Telemetry child(&child_sink);
     child.adopt_trace(root, strand);
-    { ScopedCausalSpan s(&child, "replication"); }
+    { ScopedSpan s(&child, "replication"); }
     return parsed(child_sink.lines[0]);
   };
   const json::Value a = strand_first_id(1);
@@ -608,9 +715,9 @@ TEST(CausalSpanTest, AdoptedStrandsGetDistinctDeterministicIds) {
 TEST(CausalSpanTest, UnobservedTelemetryChargesSpanWithoutEvents) {
   Telemetry tel;  // no sink, no recorder
   EXPECT_FALSE(tel.observed());
-  { ScopedCausalSpan span(&tel, "quiet"); }
-  EXPECT_EQ(tel.span_stats("quiet").count, 1u);
-  ScopedCausalSpan null_span(nullptr, "ignored");
+  { ScopedSpan span(&tel, "quiet"); }
+  EXPECT_EQ(tel.histogram_stats("timing.quiet_s").count, 1u);
+  ScopedSpan null_span(nullptr, "ignored");
   EXPECT_EQ(null_span.stop(), 0.0);
 }
 
@@ -636,7 +743,7 @@ TEST(FlightRecorderTest, CapturesTelemetryEventsWithoutASink) {
   tel.set_flight_recorder(&rec);
   EXPECT_TRUE(tel.observed());
   tel.seed_trace(5);
-  { ScopedCausalSpan span(&tel, "recorded"); }
+  { ScopedSpan span(&tel, "recorded"); }
   const auto lines = rec.snapshot();
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(parsed(lines[0]).at("event").as_string(), "span.begin");
@@ -650,8 +757,8 @@ TEST(FlightRecorderTest, RecorderLinesMatchSinkLinesExactly) {
   tel.set_flight_recorder(&rec);
   tel.seed_trace(3);
   {
-    ScopedCausalSpan a(&tel, "one");
-    ScopedCausalSpan b(&tel, "two");
+    ScopedSpan a(&tel, "one");
+    ScopedSpan b(&tel, "two");
   }
   EXPECT_EQ(rec.snapshot(), sink.lines);
 }

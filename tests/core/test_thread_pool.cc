@@ -125,12 +125,12 @@ TEST(ThreadPool, InstrumentationCountsEveryTask) {
   for (auto& f : futures) f.get();
   wait_for([&] {
     return tasks_ran(pool) == kTasks &&
-           tel.span_stats("pool.task").count == kTasks;
+           tel.histogram_stats("timing.pool.task_s").count == kTasks;
   });
 
   EXPECT_EQ(pool.tasks_submitted(), kTasks);
   EXPECT_EQ(tel.counter("pool.tasks"), kTasks);
-  EXPECT_EQ(tel.span_stats("pool.task").count, kTasks);
+  EXPECT_EQ(tel.histogram_stats("timing.pool.task_s").count, kTasks);
   // The queue-depth high-water gauge saw at least the deepest backlog,
   // which is at least 1 (the first submit observes its own entry).
   EXPECT_GE(tel.gauges().at("pool.queue_depth.max"), 1.0);

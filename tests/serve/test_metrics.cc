@@ -52,7 +52,8 @@ TEST(ServeMetricsTest, ResponseCarriesServerSectionsAndSessions) {
   EXPECT_EQ(ops.at("metrics").at("requests").as_int(), 1);
   EXPECT_TRUE(metrics.contains("counters"));
   EXPECT_TRUE(metrics.contains("gauges"));
-  EXPECT_TRUE(metrics.contains("spans"));
+  // Spans are histograms; there is no separate spans section.
+  EXPECT_FALSE(metrics.contains("spans"));
   EXPECT_TRUE(metrics.contains("histograms"));
   // Stepping through the server records the step-latency histogram.
   EXPECT_TRUE(metrics.at("histograms").contains("timing.serve.step_s"));
@@ -68,6 +69,67 @@ TEST(ServeMetricsTest, ResponseCarriesServerSectionsAndSessions) {
   EXPECT_EQ(session.at("budget_used").as_int() +
                 session.at("budget_remaining").as_int(),
             session.at("budget").as_int());
+}
+
+TEST(ServeMetricsTest, StepSpanRecordsOncePerRequest) {
+  telemetry::Telemetry tel;
+  ServerOptions options;
+  options.telemetry = &tel;
+  ServerCore core(options);
+  expect_ok(core.handle_line(kCreateLine));
+  constexpr int kSteps = 3;
+  for (int i = 0; i < kSteps; ++i) {
+    expect_ok(core.handle_line(
+        "{\"op\":\"session.step\",\"id\":\"m1\",\"steps\":1}"));
+  }
+  // One histogram per request: a second timer on the same interval
+  // would double the count.
+  const json::Value metrics = core.metrics_json();
+  EXPECT_EQ(metrics.at("histograms").at("timing.serve.step_s").at("count")
+                .as_int(),
+            kSteps);
+  EXPECT_FALSE(metrics.contains("spans"));
+
+  // Prometheus carries it once, as a histogram, and no span counters.
+  const std::string text = to_prometheus(metrics);
+  validate_prometheus(text);
+  const std::string type_line = "# TYPE ceal_timing_serve_step_s histogram";
+  const std::size_t at = text.find(type_line);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(text.find(type_line, at + 1), std::string::npos);
+  EXPECT_EQ(text.find("# TYPE ceal_timing_serve_step_s "),
+            text.find(type_line));
+  EXPECT_NE(text.find("ceal_timing_serve_step_s_count " +
+                      std::to_string(kSteps) + "\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("_seconds_total"), std::string::npos);
+  EXPECT_EQ(text.find("ceal_serve_step_count"), std::string::npos);
+}
+
+TEST(ServeMetricsTest, DeterministicSubsetDropsEveryWallClockMember) {
+  telemetry::Telemetry tel;
+  ServerOptions options;
+  options.telemetry = &tel;
+  ServerCore core(options);
+  expect_ok(core.handle_line(kCreateLine));
+  expect_ok(core.handle_line(
+      "{\"op\":\"session.step\",\"id\":\"m1\",\"steps\":2}"));
+  tel.observe("serve.batch", 2.0);  // a deterministic histogram stays
+  json::Value metrics = core.metrics_json();
+  json::Value timing = json::Value::object();
+  timing.set("exported_unix_s", json::Value::number(1.5));
+  metrics.set("timing", std::move(timing));
+  ASSERT_TRUE(metrics.at("histograms").contains("timing.serve.step_s"));
+
+  const json::Value stripped = strip_wall_clock(metrics);
+  EXPECT_FALSE(stripped.contains("timing"));
+  EXPECT_FALSE(stripped.contains("spans"));
+  for (const auto& [name, hist] : stripped.at("histograms").members()) {
+    EXPECT_FALSE(name.starts_with("timing.")) << name;
+  }
+  EXPECT_TRUE(stripped.at("histograms").contains("serve.batch"));
+  EXPECT_EQ(stripped.at("counters").dump(), metrics.at("counters").dump());
+  EXPECT_EQ(stripped.at("sessions").dump(), metrics.at("sessions").dump());
 }
 
 TEST(ServeMetricsTest, PerOpErrorTalliesCountFailures) {
@@ -266,7 +328,7 @@ TEST(ServeMetricsTest, NullTelemetryYieldsEmptySections) {
   const json::Value sections = telemetry_sections_json(nullptr);
   EXPECT_EQ(sections.at("counters").members().size(), 0u);
   EXPECT_EQ(sections.at("gauges").members().size(), 0u);
-  EXPECT_EQ(sections.at("spans").members().size(), 0u);
+  EXPECT_FALSE(sections.contains("spans"));
   EXPECT_EQ(sections.at("histograms").members().size(), 0u);
 }
 

@@ -28,9 +28,9 @@ std::vector<json::Value> sample_trace(std::uint64_t seed) {
   telemetry::Telemetry tel(&sink);
   tel.seed_trace(seed);
   {
-    telemetry::ScopedCausalSpan step(&tel, "tuner.step");
-    { telemetry::ScopedCausalSpan fit(&tel, "surrogate.fit"); }
-    { telemetry::ScopedCausalSpan predict(&tel, "surrogate.predict"); }
+    telemetry::ScopedSpan step(&tel, "tuner.step");
+    { telemetry::ScopedSpan fit(&tel, "surrogate.fit"); }
+    { telemetry::ScopedSpan predict(&tel, "surrogate.predict"); }
   }
   // A non-span event interleaved, as real traces have.
   tel.emit(telemetry::TraceEvent("tune.finish"));

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,9 @@ TEST(TraceAccumulator, SumsSummariesAcrossFilesAndDerivesRates) {
   const MetricMap m = acc.finish();
   EXPECT_DOUBLE_EQ(m.at("trace.measure.requests"), 30.0);
   EXPECT_DOUBLE_EQ(m.at("trace.gbt.rounds"), 200.0);
-  EXPECT_DOUBLE_EQ(m.at("trace.gbt.round.total_s"), 1.0);
+  // The older format's span total reads as the span's histogram sum.
+  EXPECT_DOUBLE_EQ(m.at("trace.hist.timing.gbt.round_s.sum"), 1.0);
+  EXPECT_EQ(m.count("trace.gbt.round.total_s"), 0u);
   // Derived: switch mean over both traces, failure rate over the sums,
   // fit throughput from rounds / round seconds.
   EXPECT_DOUBLE_EQ(m.at("trace.ceal.switch_iteration.mean"), 12.0);
@@ -49,6 +52,64 @@ TEST(TraceAccumulator, SumsSummariesAcrossFilesAndDerivesRates) {
   EXPECT_DOUBLE_EQ(m.at("trace.gbt.fit_rounds_per_s"), 200.0);
   // seq is bookkeeping, not a metric.
   EXPECT_EQ(m.count("trace.seq"), 0u);
+}
+
+MetricMap metrics_of(const std::string& summary_line) {
+  TraceAccumulator acc;
+  acc.add(events_of({summary_line}));
+  return acc.finish();
+}
+
+TEST(TraceAccumulator, OldFormatSpanBaselineComparesAgainstNewFormat) {
+  // Spans used to report `x.total_s`; they are `hist.timing.x_s.*` now.
+  const MetricMap baseline = metrics_of(
+      R"({"event":"telemetry.summary","x.count":2,)"
+      R"("timing":{"x.total_s":1.0}})");
+  const MetricMap current = metrics_of(
+      R"({"event":"telemetry.summary","x.count":2,)"
+      R"("timing":{"hist.timing.x_s.count":2,"hist.timing.x_s.sum":9.0,)"
+      R"("hist.timing.x_s.p50":4.5}})");
+  const auto rows = compare(baseline, current, 0.5);
+  const auto row = std::find_if(rows.begin(), rows.end(), [](const auto& r) {
+    return r.name == "trace.hist.timing.x_s.sum";
+  });
+  ASSERT_NE(row, rows.end());
+  EXPECT_TRUE(row->in_baseline);
+  EXPECT_TRUE(row->in_current);
+  EXPECT_DOUBLE_EQ(row->baseline, 1.0);
+  EXPECT_DOUBLE_EQ(row->current, 9.0);
+  EXPECT_TRUE(row->regression);
+  for (const Comparison& c : rows) {
+    EXPECT_EQ(c.name.find("total_s"), std::string::npos) << c.name;
+  }
+}
+
+TEST(TraceAccumulator, DerivedThroughputsMatchAcrossSummaryFormats) {
+  const MetricMap old_format = metrics_of(
+      R"({"event":"telemetry.summary","gbt.rounds":300,)"
+      R"("gbt.predict.rows":8000,"surrogate.fits":3,)"
+      R"("timing":{"gbt.round.total_s":0.6,"gbt.predict.total_s":0.004,)"
+      R"("surrogate.fit.total_s":0.012,)"
+      R"("hist.timing.gbt.predict_s.sum":0.004}})");
+  const MetricMap new_format = metrics_of(
+      R"({"event":"telemetry.summary","gbt.rounds":300,)"
+      R"("gbt.predict.rows":8000,"surrogate.fits":3,)"
+      R"("timing":{"hist.timing.gbt.predict_s.sum":0.004,)"
+      R"("hist.timing.gbt.round_s.sum":0.6,)"
+      R"("hist.timing.surrogate.fit_s.sum":0.012}})");
+  for (const char* name :
+       {"trace.gbt.fit_rounds_per_s", "trace.gbt.predict_rows_per_s",
+        "trace.surrogate.fits_per_s"}) {
+    ASSERT_EQ(old_format.count(name), 1u) << name;
+    ASSERT_EQ(new_format.count(name), 1u) << name;
+    EXPECT_DOUBLE_EQ(old_format.at(name), new_format.at(name)) << name;
+  }
+  EXPECT_DOUBLE_EQ(new_format.at("trace.gbt.fit_rounds_per_s"), 500.0);
+  EXPECT_DOUBLE_EQ(new_format.at("trace.gbt.predict_rows_per_s"), 2e6);
+  EXPECT_DOUBLE_EQ(new_format.at("trace.surrogate.fits_per_s"), 250.0);
+  // The older format timed gbt.predict twice; its interval counts once.
+  EXPECT_DOUBLE_EQ(old_format.at("trace.hist.timing.gbt.predict_s.sum"),
+                   0.004);
 }
 
 TEST(TraceAccumulator, NoDerivedMetricsWithoutTheirInputs) {

@@ -1,8 +1,13 @@
 // Focused tests of GEIST's parameter graph and selection behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "config/config_space.h"
 #include "core/error.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "tuner/geist.h"
 
@@ -68,6 +73,66 @@ TEST(PoolGraph, KClampedToPoolSize) {
   const PoolGraph graph(space, configs, /*k_neighbors=*/10);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(graph.neighbors(i).size(), 2u);  // everyone else
+  }
+}
+
+TEST(PoolGraph, NeighborsMatchSerialReferenceAtAnyThreadCount) {
+  // The graph builds blocks of rows on the shared pool; every row must
+  // get exactly the neighbour list of a serial per-row loop, ties
+  // included (the small ranges below produce many), at 1 and 4 workers.
+  const ConfigSpace space({Parameter::range("a", 0, 3),
+                           Parameter::range("b", 2, 1085, 7),
+                           Parameter::range("c", 1, 5),
+                           Parameter::range("d", 0, 40, 4)});
+  Rng rng(11);
+  const std::vector<Configuration> configs = space.sample_valid(rng, 300);
+  constexpr std::size_t kNeighbors = 6;
+  set_global_thread_pool_threads(4);
+  const PoolGraph pooled(space, configs, kNeighbors);
+  set_global_thread_pool_threads(1);
+  const PoolGraph serial(space, configs, kNeighbors);
+  set_global_thread_pool_threads(0);
+
+  const std::size_t n = configs.size();
+  const std::size_t d = space.dimension();
+  std::vector<double> feat(n * d);
+  std::vector<double> lo(d, std::numeric_limits<double>::infinity());
+  std::vector<double> hi(d, -std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto f = space.features(configs[i]);
+    for (std::size_t j = 0; j < d; ++j) {
+      feat[i * d + j] = f[j];
+      lo[j] = std::min(lo[j], f[j]);
+      hi[j] = std::max(hi[j], f[j]);
+    }
+  }
+  for (std::size_t j = 0; j < d; ++j) {
+    const double span = hi[j] - lo[j];
+    const double scale = span > 0.0 ? 1.0 / span : 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      feat[i * d + j] = (feat[i * d + j] - lo[j]) * scale;
+    }
+  }
+  std::vector<std::pair<double, std::size_t>> dist(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t m = 0; m < n; ++m) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < d; ++j) {
+        const double delta = feat[i * d + j] - feat[m * d + j];
+        acc += delta * delta;
+      }
+      dist[m] = {acc, m};
+    }
+    dist[i].first = std::numeric_limits<double>::infinity();
+    std::partial_sort(dist.begin(),
+                      dist.begin() + static_cast<std::ptrdiff_t>(kNeighbors),
+                      dist.end());
+    std::vector<std::size_t> expect;
+    for (std::size_t m = 0; m < kNeighbors; ++m) {
+      expect.push_back(dist[m].second);
+    }
+    EXPECT_EQ(pooled.neighbors(i), expect) << "config " << i;
+    EXPECT_EQ(serial.neighbors(i), expect) << "config " << i;
   }
 }
 

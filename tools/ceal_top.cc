@@ -10,8 +10,8 @@
 //   ceal_top --once --csv --deterministic ...   # byte-stable subset only
 //   ceal_top --check-prom /tmp/ceal.metrics.json.prom
 //
-// --deterministic drops every wall-clock field (the "spans" section,
-// timing.* histograms, the export-timestamp "timing" object), leaving a
+// --deterministic drops every wall-clock field (timing.* histograms,
+// spans among them, and the export-timestamp "timing" object), leaving a
 // subset that is byte-identical across daemon thread counts for the
 // same request stream — the tier-1 gate diffs it at --threads 1 vs 4.
 #include <cerrno>
@@ -52,9 +52,10 @@ constexpr const char* kUsage =
     "  [--interval S]           poll period for the dashboard (default: 2)\n"
     "  [--once]                 print one sample and exit\n"
     "  [--csv]                  flat key,value CSV instead of the dashboard\n"
-    "  [--deterministic]        drop wall-clock fields (spans, timing.*\n"
-    "                           histograms, export timestamp) so output is\n"
-    "                           byte-stable across daemon thread counts\n"
+    "  [--deterministic]        drop wall-clock fields (timing.* histograms,\n"
+    "                           spans among them, export timestamp) so\n"
+    "                           output is byte-stable across daemon thread\n"
+    "                           counts\n"
     "\n"
     "validation:\n"
     "  [--check-prom FILE]      strictly validate a Prometheus exposition\n"
@@ -156,28 +157,6 @@ Value fetch(const std::string& socket_path, const std::string& file_path) {
     }
   }
   return doc;
-}
-
-// Strips every wall-clock member: the spans section, timing.*
-// histograms, and the export-timestamp object. Mirrors the contract in
-// docs/OBSERVABILITY.md — everything left is a deterministic function
-// of the request stream.
-void strip_wall_clock(Value& metrics) {
-  Value stripped = Value::object();
-  for (const auto& [key, value] : metrics.members()) {
-    if (key == "spans" || key == "timing") continue;
-    if (key == "histograms") {
-      Value kept = Value::object();
-      for (const auto& [name, hist] : value.members()) {
-        if (name.starts_with("timing.")) continue;
-        kept.set(name, hist);
-      }
-      stripped.set(key, std::move(kept));
-      continue;
-    }
-    stripped.set(key, value);
-  }
-  metrics = std::move(stripped);
 }
 
 // Flattens the metrics document into dotted key/value CSV rows, in
@@ -322,7 +301,7 @@ int main(int argc, char** argv) {
     }
     for (;;) {
       Value metrics = fetch(socket_path, file_path);
-      if (deterministic) strip_wall_clock(metrics);
+      if (deterministic) metrics = ceal::serve::strip_wall_clock(metrics);
       if (csv)
         print_csv(metrics, std::cout);
       else

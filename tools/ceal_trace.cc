@@ -26,6 +26,7 @@
 
 #include "core/json.h"
 #include "core/table.h"
+#include "core/telemetry.h"
 #include "tools/args.h"
 #include "tools/chrome_trace.h"
 #include "tools/trace_io.h"
@@ -308,23 +309,30 @@ void report_session(std::size_t index, const Session& session, bool csv) {
     print_table(failures, csv);
   }
 
-  // Phase-timing profile from the session's telemetry.summary event.
+  // Phase-timing profile from the session's telemetry.summary event:
+  // span `x` is the field `x.count` plus the histogram `timing.x_s`.
   const Value* summary = nullptr;
   for (const Value* event : session.events) {
     if (text_field(*event, "event") == "telemetry.summary") summary = event;
   }
-  if (summary != nullptr) {
-    const Value* timing = summary->find("timing");
-    if (timing != nullptr && timing->members().size() > 0) {
-      Table phases({"span", "count", "total (s)"});
-      for (const auto& [key, value] : timing->members()) {
-        if (!key.ends_with(".total_s")) continue;
-        const std::string span = key.substr(0, key.size() - 8);
-        phases.add_row({span, num_field(*summary, span + ".count"),
-                        Table::num(value.as_double(), 6)});
+  const Value* timing = summary ? summary->find("timing") : nullptr;
+  if (timing != nullptr && timing->members().size() > 0) {
+    Table phases({"span", "count", "total (s)", "p50 (s)", "p99 (s)"});
+    for (const auto& [key, value] : summary->members()) {
+      if (!key.ends_with(".count") || key.starts_with("hist.") ||
+          value.kind() != Value::Kind::kNumber) {
+        continue;
       }
-      print_table(phases, csv);
+      const std::string span = key.substr(0, key.size() - 6);
+      const std::string hist =
+          "hist." + ceal::telemetry::span_histogram_name(span) + ".";
+      if (timing->find(hist + "sum") == nullptr) continue;
+      phases.add_row({span, value.number_lexeme(),
+                      Table::num(real_field(*timing, hist + "sum", 0.0), 6),
+                      Table::num(real_field(*timing, hist + "p50", 0.0), 6),
+                      Table::num(real_field(*timing, hist + "p99", 0.0), 6)});
     }
+    print_table(phases, csv);
   }
 }
 

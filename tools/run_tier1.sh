@@ -195,10 +195,10 @@ for t in 1 4; do
 done
 # Response streams stay byte-identical across thread counts except the
 # server.metrics response, which is documented to carry wall clocks
-# (its "spans" member marks it) — the deterministic subset of that one
-# is covered by the ceal_top CSV diff below instead.
-diff <(grep -v '"spans"' "$metrics_dir/t1.responses") \
-     <(grep -v '"spans"' "$metrics_dir/t4.responses") \
+# (its "histograms" member marks it) — the deterministic subset of that
+# one is covered by the ceal_top CSV diff below instead.
+diff <(grep -v '"histograms"' "$metrics_dir/t1.responses") \
+     <(grep -v '"histograms"' "$metrics_dir/t4.responses") \
   || { echo "serve responses differ across thread counts"; exit 1; }
 diff "$metrics_dir/t1.det.csv" "$metrics_dir/t4.det.csv" \
   || { echo "deterministic metric subset differs across thread counts"; exit 1; }
@@ -343,6 +343,8 @@ fi
 # Self-check: identical inputs must pass, a degraded fixture must not.
 ./build/tools/ceal_report --current "$bench_dir/current" \
   --baseline "$bench_dir/current" > /dev/null
+# The degraded span fixture, in the older summary format (`x.total_s`,
+# still read as `hist.timing.x_s.sum`) ...
 printf '{"event":"telemetry.summary","seq":0,"x.count":2,"timing":{"x.total_s":1.0}}\n' \
   > "$trace_dir/gate_base.jsonl"
 printf '{"event":"telemetry.summary","seq":0,"x.count":2,"timing":{"x.total_s":9.0}}\n' \
@@ -350,6 +352,15 @@ printf '{"event":"telemetry.summary","seq":0,"x.count":2,"timing":{"x.total_s":9
 if ./build/tools/ceal_report --current "$trace_dir/gate_cur.jsonl" \
      --baseline "$trace_dir/gate_base.jsonl" --tolerance 0.5 > /dev/null; then
   echo "ceal_report failed to flag a degraded span fixture"; exit 1
+fi
+# ... and its twin in the current format (span `x` as `hist.timing.x_s`).
+printf '{"event":"telemetry.summary","seq":0,"x.count":2,"timing":{"hist.timing.x_s.count":2,"hist.timing.x_s.sum":1.0}}\n' \
+  > "$trace_dir/gate_base_hist.jsonl"
+printf '{"event":"telemetry.summary","seq":0,"x.count":2,"timing":{"hist.timing.x_s.count":2,"hist.timing.x_s.sum":9.0}}\n' \
+  > "$trace_dir/gate_cur_hist.jsonl"
+if ./build/tools/ceal_report --current "$trace_dir/gate_cur_hist.jsonl" \
+     --baseline "$trace_dir/gate_base_hist.jsonl" --tolerance 0.5 > /dev/null; then
+  echo "ceal_report failed to flag a degraded span histogram fixture"; exit 1
 fi
 # Rotate: this pass becomes the next pass's baseline.
 rm -rf "$bench_dir/baseline"
@@ -366,7 +377,8 @@ for san in address undefined; do
   cmake -B "$dir" -S . -DCEAL_SANITIZE="$san" >/dev/null
   cmake --build "$dir" -j "$jobs" --target unit_tests system_tests \
     serve_tests measure_tests ceal_worker ceal_tune quickstart component_models \
-    miniapp_demo custom_workflow md_insitu bench_fig5_autotune_no_hist
+    miniapp_demo custom_workflow md_insitu bench_fig5_autotune_no_hist \
+    ceal_trace
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L tier1
 done
 
@@ -377,7 +389,7 @@ if [[ "$with_tsan" == 1 ]]; then
   cmake --build "$dir" -j "$jobs" --target unit_tests system_tests \
     serve_tests measure_tests ceal_worker
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L tier1 \
-    -R 'Telemetry|ThreadPool|NestedParallel|Trace|Parallel|Quantized|ThreadCountDeterminism|Compiled|PoolScorer|Serve|Measure|EvaluationTest'
+    -R 'Telemetry|ThreadPool|NestedParallel|Trace|Parallel|Quantized|ThreadCountDeterminism|Compiled|PoolScorer|Serve|Measure|EvaluationTest|PoolGraph'
 fi
 
 echo "tier-1 OK (plain + asan + ubsan$([[ "$with_tsan" == 1 ]] && echo ' + tsan'))"
