@@ -9,6 +9,7 @@
 #include "core/table.h"
 #include "ml/metrics.h"
 #include "tuner/low_fidelity.h"
+#include "tuner/pool_features.h"
 
 int main() {
   using namespace ceal;
@@ -29,8 +30,9 @@ int main() {
 
   // Score the first 500 pool configurations, as in the paper.
   const std::size_t n = 500;
-  std::vector<config::Configuration> sub(pool.configs.begin(),
-                                         pool.configs.begin() + n);
+  const ml::FeatureMatrix sub = featurize_joint(
+      wl.workflow.joint_space(),
+      std::span(pool.configs.data(), n));
 
   Rng rng(99);
   Table table({"top-n", "max of exec time (%)", "random (exec) (%)",

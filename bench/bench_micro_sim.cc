@@ -11,6 +11,7 @@
 #include "sim/workloads.h"
 #include "tuner/low_fidelity.h"
 #include "tuner/measured_pool.h"
+#include "tuner/pool_features.h"
 
 namespace {
 
@@ -70,7 +71,8 @@ void BM_LowFidelityScorePool(benchmark::State& state) {
   const tuner::LowFidelityModel lf(wl.workflow, tuner::Objective::kExecTime,
                                    cm);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lf.score_many(pool.configs));
+    benchmark::DoNotOptimize(lf.score_many(
+        tuner::featurize_joint(wl.workflow.joint_space(), pool.configs)));
   }
   state.SetItemsProcessed(state.iterations() * 2000);
 }

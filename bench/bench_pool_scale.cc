@@ -1,11 +1,15 @@
 // Pool-scale benchmark: candidate scoring + top-k selection as C_pool
 // grows from 2k to 2M configurations (google-benchmark).
 //
-// Each iteration streams the pool through a fitted surrogate in
-// fixed-size blocks (tuner/pool_scorer.h, streaming mode) and selects
-// the best 64 with the bounded heap (tuner/tuning_util.h). Memory stays
-// flat as the pool grows: no full-pool feature matrix is ever
-// materialised, only the 8-byte/row score vector. Reported counters:
+// Each iteration scores the pool through tuner/pool_scorer.h and selects
+// the best 64 with the bounded heap (tuner/tuning_util.h). Two models
+// score it: a fitted surrogate (BM_PoolScore*) and the low-fidelity
+// combination model M_L over fitted component models
+// (BM_PoolLowFidelity*). The *Streaming cases featurize in fixed-size
+// blocks, so memory stays flat as the pool grows: no full-pool feature
+// matrix is ever materialised, only the 8-byte/row score vector. The
+// *Cached cases featurize the whole pool into one joint matrix per
+// iteration. Reported counters:
 //   items_per_second — configurations scored per second
 //   peak_rss_mb      — process high-water RSS (bench/common.h)
 //   recall_at_64     — % overlap of predicted vs true (noise-free) top-64
@@ -19,12 +23,18 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <memory>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "config/config_space.h"
 #include "core/rng.h"
 #include "ml/gbt.h"
 #include "sim/workloads.h"
+#include "tuner/low_fidelity.h"
+#include "tuner/measured_pool.h"
 #include "tuner/pool_scorer.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
@@ -68,6 +78,29 @@ const tuner::Surrogate& surrogate() {
   return model;
 }
 
+/// M_L for LV execution time: one component model per app, fitted once
+/// on kTrainConfigs solo runs each with the quantized trainer.
+const tuner::LowFidelityModel& low_fidelity() {
+  static const tuner::LowFidelityModel model = [] {
+    const auto& wf = lv().workflow;
+    const auto samples =
+        tuner::measure_components(wf, kTrainConfigs, bench::kPoolSeed);
+    std::vector<std::vector<std::size_t>> all(samples.size());
+    for (std::size_t j = 0; j < samples.size(); ++j) {
+      all[j].resize(samples[j].size());
+      std::iota(all[j].begin(), all[j].end(), std::size_t{0});
+    }
+    auto params = ml::GradientBoostedTrees::surrogate_defaults();
+    params.tree.method = ml::TreeMethod::kQuantized;
+    Rng fit_rng(bench::kEvalSeed);
+    auto components = std::make_shared<const tuner::ComponentModelSet>(
+        wf, tuner::Objective::kExecTime, samples, all, fit_rng, params);
+    return tuner::LowFidelityModel(wf, tuner::Objective::kExecTime,
+                                   std::move(components));
+  }();
+  return model;
+}
+
 struct PoolCase {
   std::vector<config::Configuration> configs;
   std::vector<std::size_t> truth_topk;  // sorted ascending by index
@@ -105,15 +138,16 @@ double recall_percent(std::vector<std::size_t> picked,
          static_cast<double>(truth.size());
 }
 
-void run_scoring(benchmark::State& state, std::size_t chunk_rows) {
+/// Scores of every configuration of a pool.
+using ScorePool = std::function<std::vector<double>(
+    std::span<const config::Configuration>)>;
+
+void run_scoring(benchmark::State& state, const ScorePool& score_pool) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto& pc = pool_case(n);
-  const auto& model = surrogate();
-  const auto& space = lv().workflow.joint_space();
   double recall = 0.0;
   for (auto _ : state) {
-    const tuner::PoolScorer scorer(space, pc.configs, chunk_rows, nullptr);
-    const auto scores = scorer.surrogate_scores(model);
+    const auto scores = score_pool(pc.configs);
     auto picked = tuner::smallest_k(scores, kTopK);
     benchmark::DoNotOptimize(picked);
     recall = recall_percent(std::move(picked), pc.truth_topk);
@@ -124,12 +158,38 @@ void run_scoring(benchmark::State& state, std::size_t chunk_rows) {
   state.counters["peak_rss_mb"] = bench::peak_rss_mb();
 }
 
+void run_surrogate(benchmark::State& state, std::size_t chunk_rows) {
+  const auto& model = surrogate();
+  run_scoring(state, [&](std::span<const config::Configuration> configs) {
+    const tuner::PoolScorer scorer(lv().workflow.joint_space(), configs,
+                                   chunk_rows, nullptr);
+    return scorer.surrogate_scores(model);
+  });
+}
+
+void run_low_fidelity(benchmark::State& state, std::size_t chunk_rows) {
+  const auto& model = low_fidelity();
+  run_scoring(state, [&](std::span<const config::Configuration> configs) {
+    const tuner::PoolScorer scorer(lv().workflow, configs, chunk_rows,
+                                   nullptr);
+    return scorer.low_fidelity_scores(model);
+  });
+}
+
 void BM_PoolScoreStreaming(benchmark::State& state) {
-  run_scoring(state, kChunkRows);
+  run_surrogate(state, kChunkRows);
 }
 
 void BM_PoolScoreCached(benchmark::State& state) {
-  run_scoring(state, /*chunk_rows=*/0);
+  run_surrogate(state, /*chunk_rows=*/0);
+}
+
+void BM_PoolLowFidelityStreaming(benchmark::State& state) {
+  run_low_fidelity(state, kChunkRows);
+}
+
+void BM_PoolLowFidelityCached(benchmark::State& state) {
+  run_low_fidelity(state, /*chunk_rows=*/0);
 }
 
 std::size_t pool_scale_cap() {
@@ -159,6 +219,8 @@ void cached_args(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_PoolScoreStreaming)->Apply(streaming_args);
 BENCHMARK(BM_PoolScoreCached)->Apply(cached_args);
+BENCHMARK(BM_PoolLowFidelityStreaming)->Apply(streaming_args);
+BENCHMARK(BM_PoolLowFidelityCached)->Apply(cached_args);
 
 }  // namespace
 

@@ -11,6 +11,7 @@
 #include "sim/workloads.h"
 #include "tuner/low_fidelity.h"
 #include "tuner/measured_pool.h"
+#include "tuner/pool_features.h"
 
 int main() {
   using namespace ceal;
@@ -48,7 +49,8 @@ int main() {
 
     // Combine and score the coupled pool.
     const tuner::LowFidelityModel low_fid(lv.workflow, obj, models);
-    const auto scores = low_fid.score_many(pool.configs);
+    const auto scores = low_fid.score_many(
+        tuner::featurize_joint(lv.workflow.joint_space(), pool.configs));
     const auto& measured = pool.measured(obj);
     table.add_row({tuner::objective_name(obj),
                    obj == Objective::kExecTime ? "max (Eqn. 1)"

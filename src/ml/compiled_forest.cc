@@ -121,10 +121,11 @@ double CompiledForest::predict(std::span<const double> features) const {
   return out;
 }
 
-std::vector<double> CompiledForest::predict_batch(std::span<const double> x,
-                                                  std::size_t width) const {
+std::vector<double> CompiledForest::predict_batch(
+    std::span<const double> x, std::size_t width,
+    std::size_t first_column) const {
   const std::size_t n = x.size() / width;
-  CEAL_EXPECT_MSG(n == 0 || width >= min_width_,
+  CEAL_EXPECT_MSG(n == 0 || first_column + min_width_ <= width,
                   "row narrower than the forest's largest split feature");
   std::vector<double> out(n, base_score_);
   // Tree by tree within a block: one tree's nodes stay hot while the
@@ -133,7 +134,7 @@ std::vector<double> CompiledForest::predict_batch(std::span<const double> x,
   const auto fill_block = [&](std::size_t b) {
     const std::size_t lo = b * kBlockRows;
     const std::size_t lanes = std::min(kBlockRows, n - lo);
-    const double* rows = x.data() + lo * width;
+    const double* rows = x.data() + lo * width + first_column;
     std::array<std::uint32_t, kBlockRows> at{};
     for (const TreeSpan& tree : trees_) {
       std::fill_n(at.begin(), lanes, tree.root);
@@ -153,12 +154,12 @@ std::vector<double> CompiledForest::predict_batch(std::span<const double> x,
 }
 
 std::vector<double> CompiledForest::predict_matrix(
-    const FeatureMatrix& rows) const {
-  return predict_batch(rows.values(), rows.n_features());
+    const FeatureMatrix& rows, std::size_t first_column) const {
+  return predict_batch(rows.values(), rows.n_features(), first_column);
 }
 
 std::vector<double> CompiledForest::predict_dataset(const Dataset& data) const {
-  return predict_batch(data.values(), data.n_features());
+  return predict_batch(data.values(), data.n_features(), 0);
 }
 
 }  // namespace ceal::ml

@@ -61,9 +61,13 @@ class CompiledForest {
   double predict(std::span<const double> features) const;
 
   /// Batch prediction over a feature matrix, parallel over blocks of
-  /// rows on the global thread pool. Throws PreconditionError when the
-  /// matrix has rows and is narrower than predict() requires.
-  std::vector<double> predict_matrix(const FeatureMatrix& rows) const;
+  /// rows on the global thread pool. Feature f of row i is read from
+  /// column first_column + f, so a model of a sub-space scores its
+  /// column window of a wider matrix in place. Throws PreconditionError
+  /// when the matrix has rows and first_column plus the width predict()
+  /// requires exceeds the matrix width.
+  std::vector<double> predict_matrix(const FeatureMatrix& rows,
+                                     std::size_t first_column = 0) const;
 
   /// Batch prediction over a dataset's feature rows (targets ignored);
   /// same width rule as predict_matrix.
@@ -96,10 +100,11 @@ class CompiledForest {
   void descend(std::uint32_t* at, std::size_t lanes, std::uint32_t steps,
                const double* x, std::size_t stride) const;
 
-  /// Predictions for the rows of a row-major buffer of `width` features
-  /// per row.
+  /// Predictions for the rows of a row-major buffer of `width` values
+  /// per row, reading feature f at column first_column + f.
   std::vector<double> predict_batch(std::span<const double> x,
-                                    std::size_t width) const;
+                                    std::size_t width,
+                                    std::size_t first_column) const;
 
   double base_score_ = 0.0;
   /// Largest split feature + 1 (0 when every tree is a single leaf).

@@ -159,14 +159,14 @@ std::vector<double> GradientBoostedTrees::predict_all(
 }
 
 std::vector<double> GradientBoostedTrees::predict_matrix(
-    const FeatureMatrix& rows) const {
+    const FeatureMatrix& rows, std::size_t first_column) const {
   CEAL_EXPECT_MSG(fitted_, "predict_matrix() before fit()");
   telemetry::ScopedSpan span(telemetry_, "gbt.predict");
   if (telemetry_ != nullptr) {
     telemetry_->count("gbt.predict.batches");
     telemetry_->count("gbt.predict.rows", rows.size());
   }
-  return compiled_->predict_matrix(rows);
+  return compiled_->predict_matrix(rows, first_column);
 }
 
 }  // namespace ceal::ml

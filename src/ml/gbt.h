@@ -44,8 +44,11 @@ class GradientBoostedTrees final : public Regressor {
   std::vector<double> predict_all(const Dataset& data) const override;
 
   /// Same as predict_all for a cached (target-less) feature matrix —
-  /// the pool-scoring hot path of the tuners.
-  std::vector<double> predict_matrix(const FeatureMatrix& rows) const;
+  /// the pool-scoring hot path of the tuners. Features are read from the
+  /// column window starting at first_column
+  /// (CompiledForest::predict_matrix).
+  std::vector<double> predict_matrix(const FeatureMatrix& rows,
+                                     std::size_t first_column = 0) const;
 
   /// Attaches (or detaches, with nullptr) a concurrency-safe telemetry
   /// registry; not owned, must outlive the model's fits/predictions.

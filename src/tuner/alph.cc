@@ -11,25 +11,11 @@
 #include "ml/gbt.h"
 #include "tuner/collector.h"
 #include "tuner/low_fidelity.h"
+#include "tuner/pool_features.h"
 #include "tuner/stepper.h"
 #include "tuner/tuning_util.h"
 
 namespace ceal::tuner {
-
-namespace {
-
-/// Joint-config features augmented with per-component model predictions.
-std::vector<double> augmented_features(const sim::InSituWorkflow& workflow,
-                                       const ComponentModelSet& components,
-                                       const config::Configuration& joint) {
-  std::vector<double> f = workflow.joint_space().features(joint);
-  for (std::size_t j = 0; j < workflow.component_count(); ++j) {
-    f.push_back(components.predict(j, workflow.space().slice(joint, j)));
-  }
-  return f;
-}
-
-}  // namespace
 
 Alph::Alph(AlphParams params) : params_(params) {
   CEAL_EXPECT(params_.iterations >= 1);
@@ -110,15 +96,22 @@ class AlphStepper final : public TunerStepper {
           workflow, problem_.objective, *problem_.component_samples,
           *component_indices, *rng_);
 
-      // Pre-compute the augmented feature rows for the whole pool once.
-      const std::size_t pool_size = problem_.pool->size();
-      pool_features_.emplace(
-          workflow.joint_space().dimension() + workflow.component_count(),
-          pool_size);
-      for (std::size_t i = 0; i < pool_size; ++i) {
-        pool_features_->set_row(
-            i, augmented_features(workflow, *components_,
-                                  problem_.pool->configs[i]));
+      // Pre-compute the augmented feature rows for the whole pool once:
+      // the joint features, then one column per component model's
+      // prediction, each a batch over its columns of the joint matrix.
+      const ml::FeatureMatrix joint =
+          featurize_joint(workflow.joint_space(), problem_.pool->configs);
+      const std::size_t dim = joint.n_features();
+      pool_features_.emplace(dim + workflow.component_count(), joint.size());
+      for (std::size_t i = 0; i < joint.size(); ++i) {
+        std::ranges::copy(joint.row(i), pool_features_->mutable_row(i).begin());
+      }
+      for (std::size_t j = 0; j < workflow.component_count(); ++j) {
+        const std::vector<double> predicted =
+            components_->predict_many(j, joint);
+        for (std::size_t i = 0; i < predicted.size(); ++i) {
+          pool_features_->mutable_row(i)[dim + j] = predicted[i];
+        }
       }
       phase_ = Phase::kWarmup;
       return;

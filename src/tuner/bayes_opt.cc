@@ -151,8 +151,7 @@ class BayesOptStepper final : public TunerStepper {
             *component_indices, *rng_);
         const LowFidelityModel low_fidelity(workflow, problem_.objective,
                                             components);
-        const auto low_scores =
-            low_fidelity.score_many(problem_.pool->configs);
+        const auto low_scores = low_fidelity.score_many(pool_features());
         measure_batch(collector_,
                       top_unmeasured(low_scores, collector_,
                                      std::min(init, collector_.remaining())));

@@ -47,9 +47,9 @@ class CealStepper final : public TunerStepper {
         params_(params),
         collector_(problem_, budget_runs, rng_),
         // Every model evaluation below scores the same fixed pool. The
-        // scorer featurizes it (joint + per-component slices) exactly
-        // once in the default cached mode, or streams fixed-size blocks
-        // per scoring pass when the problem opts into bounded memory
+        // scorer featurizes it into one joint matrix exactly once in the
+        // default cached mode, or streams fixed-size blocks per scoring
+        // pass when the problem opts into bounded memory
         // (pool_chunk_rows > 0).
         pool_scorer_(problem_.workload->workflow, problem_.pool->configs,
                      problem_.pool_chunk_rows, problem_.telemetry),

@@ -10,6 +10,7 @@
 #include "core/stats.h"
 #include "core/telemetry.h"
 #include "tuner/collector.h"
+#include "tuner/pool_scorer.h"
 #include "tuner/stepper.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
@@ -200,8 +201,10 @@ class GeistStepper final : public TunerStepper {
     Surrogate surrogate(problem_.surrogate_gbt);
     fit_on_measured(surrogate, collector_, *rng_);
     telemetry::ScopedSpan predict_span(tel, "surrogate.predict");
-    auto scores = surrogate.predict_many(
-        problem_.workload->workflow.joint_space(), problem_.pool->configs);
+    const PoolScorer pool_scorer(problem_.workload->workflow,
+                                 problem_.pool->configs,
+                                 problem_.pool_chunk_rows, tel);
+    auto scores = pool_scorer.surrogate_scores(surrogate);
     predict_span.stop();
     finish(finalize_result(collector_, std::move(scores)));
   }

@@ -44,9 +44,11 @@ double ComponentModelSet::predict(
 }
 
 std::vector<double> ComponentModelSet::predict_many(
-    std::size_t j, const ml::FeatureMatrix& rows) const {
+    std::size_t j, const ml::FeatureMatrix& joint) const {
   CEAL_EXPECT(j < models_.size());
-  return models_[j].predict_many(rows);
+  CEAL_EXPECT(joint.n_features() == workflow_->joint_space().dimension());
+  return models_[j].predict_many(joint,
+                                 workflow_->space().slice_range(j).first);
 }
 
 LowFidelityModel::LowFidelityModel(
@@ -74,25 +76,14 @@ double LowFidelityModel::score(const config::Configuration& joint) const {
 }
 
 std::vector<double> LowFidelityModel::score_many(
-    std::span<const config::Configuration> joints) const {
-  std::vector<double> out(joints.size());
-  for (std::size_t i = 0; i < joints.size(); ++i) out[i] = score(joints[i]);
-  return out;
-}
-
-std::vector<double> LowFidelityModel::score_many(
-    const PoolFeatures& pool) const {
-  const std::size_t n_comps = workflow_->component_count();
-  CEAL_EXPECT(pool.components.size() == n_comps);
-
+    const ml::FeatureMatrix& joint) const {
   // Component-major evaluation: each component's surrogate scores its
-  // cached slice matrix in one (parallel) batch. The per-row combine
-  // folds components in ascending j, exactly like score(), so results
-  // match the uncached path bitwise.
-  std::vector<double> out(pool.size(), 0.0);
-  for (std::size_t j = 0; j < n_comps; ++j) {
-    const std::vector<double> comp =
-        components_->predict_many(j, pool.components[j]);
+  // column window of the joint matrix in one (parallel) batch. The
+  // per-row combine folds components in ascending j, exactly like
+  // score(), so results match the per-row path bitwise.
+  std::vector<double> out(joint.size(), 0.0);
+  for (std::size_t j = 0; j < workflow_->component_count(); ++j) {
+    const std::vector<double> comp = components_->predict_many(j, joint);
     if (objective_ == Objective::kExecTime) {
       for (std::size_t i = 0; i < out.size(); ++i) {
         out[i] = std::max(out[i], comp[i]);

@@ -7,15 +7,20 @@
 // combination function follows the objective:
 //   execution time  -> Score_e(c) = max_j t_e(c_j)   (Eqn. 1)
 //   computer  time  -> Score_c(c) = sum_j t_c(c_j)   (Eqn. 2)
+//
+// A pool is scored from its joint feature matrix alone. Each c_j is the
+// contiguous column range CompositeSpace::slice_range(j) of the joint
+// configuration, and features are plain value casts, so component j's
+// model reads its columns of the joint matrix in place: no slice is
+// copied or featurized a second time.
 #pragma once
 
 #include <memory>
-#include <span>
 #include <vector>
 
+#include "ml/dataset.h"
 #include "tuner/measured_pool.h"
 #include "tuner/objective.h"
-#include "tuner/pool_features.h"
 #include "tuner/surrogate.h"
 
 namespace ceal::tuner {
@@ -42,9 +47,11 @@ class ComponentModelSet {
   double predict(std::size_t j, const config::Configuration& component_config)
       const;
 
-  /// Batch predictions of component j over its cached slice matrix.
+  /// Batch predictions of component j over the pool's joint feature
+  /// matrix, read at the columns slice_range(j) of each row. Bitwise
+  /// equal to predict() on each row's slice.
   std::vector<double> predict_many(std::size_t j,
-                                   const ml::FeatureMatrix& rows) const;
+                                   const ml::FeatureMatrix& joint) const;
 
  private:
   const sim::InSituWorkflow* workflow_;
@@ -62,14 +69,10 @@ class LowFidelityModel {
   /// for ranking, not as a time prediction (§4).
   double score(const config::Configuration& joint) const;
 
-  /// Scores for a batch of joint configurations.
-  std::vector<double> score_many(
-      std::span<const config::Configuration> joints) const;
-
-  /// Scores for the whole pool from its cached per-component feature
-  /// matrices; bitwise equal to score() per row, but featurizes and
-  /// slices nothing.
-  std::vector<double> score_many(const PoolFeatures& pool) const;
+  /// Scores for every row of a joint feature matrix (featurize_joint
+  /// over the workflow's joint space); bitwise equal to score() per
+  /// row, but slices and featurizes nothing.
+  std::vector<double> score_many(const ml::FeatureMatrix& joint) const;
 
  private:
   const sim::InSituWorkflow* workflow_;

@@ -155,7 +155,7 @@ struct TuningProblem {
   ml::GbtParams surrogate_gbt = ml::GradientBoostedTrees::surrogate_defaults();
   /// When > 0, pool scoring streams featurization in blocks of this
   /// many rows (tuner/pool_scorer.h) instead of caching the whole
-  /// pool's feature matrices — bounded memory for million-entry pools,
+  /// pool's feature matrix — bounded memory for million-entry pools,
   /// bitwise-identical scores. 0 (the default) keeps the cached path.
   std::size_t pool_chunk_rows = 0;
 };

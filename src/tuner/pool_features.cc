@@ -16,35 +16,6 @@ constexpr std::size_t kParallelRows = 256;
 
 }  // namespace
 
-PoolFeatures featurize_pool(const sim::InSituWorkflow& workflow,
-                            std::span<const config::Configuration> configs) {
-  const auto& composite = workflow.space();
-  const std::size_t n = configs.size();
-  const std::size_t n_comps = workflow.component_count();
-
-  PoolFeatures out{ml::FeatureMatrix(workflow.joint_space().dimension(), n),
-                   {}};
-  out.components.reserve(n_comps);
-  for (std::size_t j = 0; j < n_comps; ++j) {
-    out.components.emplace_back(composite.component_space(j).dimension(), n);
-  }
-
-  const auto fill_row = [&](std::size_t i) {
-    out.joint.set_row(i, workflow.joint_space().features(configs[i]));
-    for (std::size_t j = 0; j < n_comps; ++j) {
-      out.components[j].set_row(
-          i, composite.component_space(j).features(
-                 composite.slice(configs[i], j)));
-    }
-  };
-  if (n >= kParallelRows) {
-    ceal::parallel_apply(0, n, fill_row);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fill_row(i);
-  }
-  return out;
-}
-
 ml::FeatureMatrix featurize_joint(
     const config::ConfigSpace& space,
     std::span<const config::Configuration> configs) {
@@ -60,35 +31,15 @@ ml::FeatureMatrix featurize_joint(
   return out;
 }
 
-void featurize_pool_chunked(
-    const sim::InSituWorkflow& workflow,
-    std::span<const config::Configuration> configs, std::size_t chunk_rows,
-    const std::function<void(std::size_t, const PoolFeatures&)>& fn,
-    telemetry::Telemetry* telemetry) {
-  CEAL_EXPECT(chunk_rows >= 1);
-  // Each block is featurized by the same per-row code as the monolithic
-  // path, so block row (first + i) equals monolithic row (first + i)
-  // bitwise; only the allocation footprint changes.
-  for (std::size_t first = 0; first < configs.size(); first += chunk_rows) {
-    const std::size_t len = std::min(chunk_rows, configs.size() - first);
-    telemetry::ScopedSpan span(telemetry, "pool.chunk",
-                               telemetry::ScopedSpan::kNoEvents);
-    if (telemetry != nullptr) {
-      telemetry->count("pool.chunks");
-      telemetry->count("pool.chunk.rows", len);
-    }
-    const PoolFeatures block =
-        featurize_pool(workflow, configs.subspan(first, len));
-    fn(first, block);
-  }
-}
-
 void featurize_joint_chunked(
     const config::ConfigSpace& space,
     std::span<const config::Configuration> configs, std::size_t chunk_rows,
     const std::function<void(std::size_t, const ml::FeatureMatrix&)>& fn,
     telemetry::Telemetry* telemetry) {
   CEAL_EXPECT(chunk_rows >= 1);
+  // Each block is featurized by the same per-row code as the monolithic
+  // path, so block row (first + i) equals monolithic row (first + i)
+  // bitwise; only the allocation footprint changes.
   for (std::size_t first = 0; first < configs.size(); first += chunk_rows) {
     const std::size_t len = std::min(chunk_rows, configs.size() - first);
     telemetry::ScopedSpan span(telemetry, "pool.chunk",

@@ -1,13 +1,13 @@
-// Cached featurization of a candidate pool.
+// Featurization of a candidate pool.
 //
-// CEAL's inner loop scores the same ~2000-configuration pool with both
-// the low-fidelity combination model and the high-fidelity surrogate on
-// every iteration. Featurizing a configuration allocates a fresh
-// std::vector<double> per call, and the low-fidelity model additionally
-// slices the joint configuration per component — all of it identical
-// work every time. A PoolFeatures materialises the joint feature matrix
-// and each component's sliced feature matrix once per tune() so every
-// later scoring pass is a pure read of a row-major array.
+// The tuners score the same pool with their models on every iteration.
+// Featurizing a configuration allocates a fresh std::vector<double> per
+// call, so the pool is featurized once into one row-major joint feature
+// matrix and every later scoring pass is a pure read of it. That matrix
+// is the pool's only featurization: a component model reads its columns
+// slice_range(j) in place (tuner/low_fidelity.h), since each
+// component's sub-configuration is a contiguous column range of the
+// joint one and features are plain value casts.
 #pragma once
 
 #include <functional>
@@ -16,7 +16,6 @@
 
 #include "config/config_space.h"
 #include "ml/dataset.h"
-#include "sim/workflow.h"
 
 namespace ceal::telemetry {
 class Telemetry;
@@ -24,45 +23,21 @@ class Telemetry;
 
 namespace ceal::tuner {
 
-struct PoolFeatures {
-  /// Joint-space features, one row per pool configuration.
-  ml::FeatureMatrix joint;
-  /// Per component j: features of the component's slice of each pool
-  /// configuration (same row order as `joint`).
-  std::vector<ml::FeatureMatrix> components;
-
-  std::size_t size() const { return joint.size(); }
-};
-
-/// Featurizes `configs` against the workflow's joint and component
-/// spaces, parallel over rows on the global thread pool. Row values are
-/// exactly space.features(config), so cached and uncached scoring agree
-/// bitwise.
-PoolFeatures featurize_pool(const sim::InSituWorkflow& workflow,
-                            std::span<const config::Configuration> configs);
-
-/// Joint-space-only featurization for tuners that never slice per
-/// component (active learning, random search).
+/// Featurizes `configs` against `space`, parallel over rows on the
+/// global thread pool. Row i is exactly space.features(configs[i]), so
+/// matrix and per-row scoring agree bitwise.
 ml::FeatureMatrix featurize_joint(
     const config::ConfigSpace& space,
     std::span<const config::Configuration> configs);
 
-/// Streaming counterpart of featurize_pool for pools too large to hold
+/// Streaming counterpart of featurize_joint for pools too large to hold
 /// as one feature matrix: featurizes consecutive blocks of at most
 /// `chunk_rows` configurations (chunk_rows >= 1) into a reusable block
 /// and calls `fn(first, block)` for each, where `first` is the pool
 /// index of the block's row 0. Block rows are bitwise identical to the
-/// corresponding monolithic featurize_pool rows for any thread count.
+/// corresponding monolithic featurize_joint rows for any thread count.
 /// `telemetry` (nullable) receives the "pool.chunk" span plus
 /// "pool.chunks"/"pool.chunk.rows" counters per block.
-void featurize_pool_chunked(
-    const sim::InSituWorkflow& workflow,
-    std::span<const config::Configuration> configs, std::size_t chunk_rows,
-    const std::function<void(std::size_t, const PoolFeatures&)>& fn,
-    telemetry::Telemetry* telemetry = nullptr);
-
-/// Joint-space-only streaming featurization (same contract as
-/// featurize_pool_chunked, without the per-component slices).
 void featurize_joint_chunked(
     const config::ConfigSpace& space,
     std::span<const config::Configuration> configs, std::size_t chunk_rows,

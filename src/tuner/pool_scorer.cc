@@ -4,6 +4,7 @@
 
 #include "core/error.h"
 #include "tuner/low_fidelity.h"
+#include "tuner/pool_features.h"
 #include "tuner/surrogate.h"
 
 namespace ceal::tuner {
@@ -12,13 +13,7 @@ PoolScorer::PoolScorer(const sim::InSituWorkflow& workflow,
                        std::span<const config::Configuration> configs,
                        std::size_t chunk_rows,
                        telemetry::Telemetry* telemetry)
-    : workflow_(&workflow),
-      joint_space_(&workflow.joint_space()),
-      configs_(configs),
-      chunk_rows_(chunk_rows),
-      telemetry_(telemetry) {
-  if (chunk_rows_ == 0) cached_.emplace(featurize_pool(workflow, configs));
-}
+    : PoolScorer(workflow.joint_space(), configs, chunk_rows, telemetry) {}
 
 PoolScorer::PoolScorer(const config::ConfigSpace& joint_space,
                        std::span<const config::Configuration> configs,
@@ -28,48 +23,39 @@ PoolScorer::PoolScorer(const config::ConfigSpace& joint_space,
       configs_(configs),
       chunk_rows_(chunk_rows),
       telemetry_(telemetry) {
-  if (chunk_rows_ == 0) {
-    cached_joint_.emplace(featurize_joint(joint_space, configs));
-  }
+  if (chunk_rows_ == 0) cached_.emplace(featurize_joint(joint_space, configs));
 }
 
-std::vector<double> PoolScorer::surrogate_scores(
-    const Surrogate& surrogate) const {
-  if (!streaming()) {
-    return surrogate.predict_many(cached_ ? cached_->joint : *cached_joint_);
-  }
+template <typename Score>
+std::vector<double> PoolScorer::score_pool(const Score& score) const {
+  if (!streaming()) return score(*cached_);
   std::vector<double> out(configs_.size());
   featurize_joint_chunked(
       *joint_space_, configs_, chunk_rows_,
       [&](std::size_t first, const ml::FeatureMatrix& block) {
-        const auto scores = surrogate.predict_many(block);
+        const std::vector<double> scores = score(block);
         std::copy(scores.begin(), scores.end(), out.begin() + first);
       },
       telemetry_);
   return out;
+}
+
+std::vector<double> PoolScorer::surrogate_scores(
+    const Surrogate& surrogate) const {
+  return score_pool([&](const ml::FeatureMatrix& rows) {
+    return surrogate.predict_many(rows);
+  });
 }
 
 std::vector<double> PoolScorer::low_fidelity_scores(
     const LowFidelityModel& model) const {
-  CEAL_EXPECT_MSG(workflow_ != nullptr,
-                  "low-fidelity scoring needs the full (workflow) scorer");
-  if (!streaming()) return model.score_many(*cached_);
-  std::vector<double> out(configs_.size());
-  featurize_pool_chunked(
-      *workflow_, configs_, chunk_rows_,
-      [&](std::size_t first, const PoolFeatures& block) {
-        const auto scores = model.score_many(block);
-        std::copy(scores.begin(), scores.end(), out.begin() + first);
-      },
-      telemetry_);
-  return out;
+  return score_pool(
+      [&](const ml::FeatureMatrix& rows) { return model.score_many(rows); });
 }
 
 std::span<const double> PoolScorer::joint_row(std::size_t index) const {
   CEAL_EXPECT(index < configs_.size());
-  if (!streaming()) {
-    return cached_ ? cached_->joint.row(index) : cached_joint_->row(index);
-  }
+  if (!streaming()) return cached_->row(index);
   row_scratch_ = joint_space_->features(configs_[index]);
   return row_scratch_;
 }

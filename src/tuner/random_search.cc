@@ -5,6 +5,7 @@
 
 #include "core/telemetry.h"
 #include "tuner/collector.h"
+#include "tuner/pool_scorer.h"
 #include "tuner/stepper.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
@@ -68,8 +69,10 @@ class RandomSearchStepper final : public TunerStepper {
     fit_on_measured(surrogate, collector_, *rng_);
     telemetry::ScopedSpan predict_span(problem_.telemetry,
                                        "surrogate.predict");
-    auto scores = surrogate.predict_many(
-        problem_.workload->workflow.joint_space(), problem_.pool->configs);
+    const PoolScorer pool_scorer(problem_.workload->workflow,
+                                 problem_.pool->configs,
+                                 problem_.pool_chunk_rows, problem_.telemetry);
+    auto scores = pool_scorer.surrogate_scores(surrogate);
     predict_span.stop();
     finish(finalize_result(collector_, std::move(scores)));
   }

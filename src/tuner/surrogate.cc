@@ -41,19 +41,9 @@ double Surrogate::predict_features(std::span<const double> features) const {
   return log_targets_ ? std::exp(raw) : raw;
 }
 
-std::vector<double> Surrogate::predict_many(
-    const config::ConfigSpace& space,
-    std::span<const config::Configuration> configs) const {
-  std::vector<double> out(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    out[i] = predict(space, configs[i]);
-  }
-  return out;
-}
-
-std::vector<double> Surrogate::predict_many(
-    const ml::FeatureMatrix& rows) const {
-  std::vector<double> out = model_.predict_matrix(rows);
+std::vector<double> Surrogate::predict_many(const ml::FeatureMatrix& rows,
+                                            std::size_t first_column) const {
+  std::vector<double> out = model_.predict_matrix(rows, first_column);
   if (log_targets_) {
     for (double& v : out) v = std::exp(v);
   }

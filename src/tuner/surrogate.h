@@ -36,14 +36,12 @@ class Surrogate {
   /// featurized from.
   double predict_features(std::span<const double> features) const;
 
-  /// Predictions for a batch of configurations.
-  std::vector<double> predict_many(
-      const config::ConfigSpace& space,
-      std::span<const config::Configuration> configs) const;
-
-  /// Batch predictions from a cached feature matrix, parallel over rows
-  /// (bitwise equal to predict() per row for any worker count).
-  std::vector<double> predict_many(const ml::FeatureMatrix& rows) const;
+  /// Batch predictions from a feature matrix, parallel over rows
+  /// (bitwise equal to predict() per row for any worker count). The
+  /// model's features are the matrix columns starting at first_column,
+  /// so a component model scores its slice of a joint pool matrix.
+  std::vector<double> predict_many(const ml::FeatureMatrix& rows,
+                                   std::size_t first_column = 0) const;
 
   /// Forwards a (concurrency-safe, nullable) telemetry registry to the
   /// underlying boosted-tree model, which records per-round fit spans,

@@ -11,6 +11,7 @@
 #include "tuner/ceal.h"
 #include "tuner/evaluation.h"
 #include "tuner/low_fidelity.h"
+#include "tuner/pool_features.h"
 #include "tuner/random_search.h"
 
 namespace ceal::tuner {
@@ -44,7 +45,8 @@ TEST(EndToEnd, LowFidelityModelBeatsRandomOrderingAtRecall) {
   auto cm = std::make_shared<const ComponentModelSet>(
       e.wl.workflow, Objective::kExecTime, e.comps, all, rng);
   const LowFidelityModel lf(e.wl.workflow, Objective::kExecTime, cm);
-  const auto scores = lf.score_many(e.pool.configs);
+  const auto scores = lf.score_many(
+      featurize_joint(e.wl.workflow.joint_space(), e.pool.configs));
 
   // Random ordering recall for top-25 of 600 is ~4% in expectation; the
   // low-fidelity model must do far better.

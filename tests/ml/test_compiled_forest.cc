@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -44,6 +45,22 @@ Dataset grid_like(std::size_t n, ceal::Rng& rng) {
 FeatureMatrix matrix_of(const Dataset& d) {
   FeatureMatrix m(d.n_features(), d.size());
   for (std::size_t i = 0; i < d.size(); ++i) m.set_row(i, d.row(i));
+  return m;
+}
+
+/// `d`'s rows at columns [before, before + d.n_features()) of a wider
+/// matrix whose other columns hold values that would reroute any split
+/// that read them (NaN, huge, negative).
+FeatureMatrix windowed_matrix_of(const Dataset& d, std::size_t before,
+                                 std::size_t after) {
+  constexpr double kJunk[] = {std::numeric_limits<double>::quiet_NaN(),
+                              1e300, -1e300};
+  FeatureMatrix m(before + d.n_features() + after, d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    const auto row = m.mutable_row(i);
+    for (std::size_t k = 0; k < row.size(); ++k) row[k] = kJunk[k % 3];
+    std::copy(d.row(i).begin(), d.row(i).end(), row.begin() + before);
+  }
   return m;
 }
 
@@ -298,14 +315,19 @@ TEST(CompiledForest, MixedDepthForestMatchesReferenceOnEveryBatchSize) {
       for (std::size_t i = 0; i < n; ++i) rows.add(all_rows.row(i), 0.0);
       const auto by_dataset = forest.predict_dataset(rows);
       const auto by_matrix = forest.predict_matrix(matrix_of(rows));
+      // The same rows as a column window of a wider matrix.
+      const auto by_window =
+          forest.predict_matrix(windowed_matrix_of(rows, 3, 2), 3);
       ASSERT_EQ(by_dataset.size(), n);
       ASSERT_EQ(by_matrix.size(), n);
+      ASSERT_EQ(by_window.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
         const double ref = reference(model, rows.row(i));
         // Bitwise, NaN-safe: every reference here is finite.
         ASSERT_EQ(forest.predict(rows.row(i)), ref) << "row " << i;
         ASSERT_EQ(by_dataset[i], ref) << "row " << i;
         ASSERT_EQ(by_matrix[i], ref) << "row " << i;
+        ASSERT_EQ(by_window[i], ref) << "row " << i;
       }
     }
   }
@@ -387,6 +409,16 @@ TEST(CompiledForest, RowsNarrowerThanLargestSplitFeatureAreRejected) {
   const FeatureMatrix narrow_matrix = matrix_of(narrow_data);
   EXPECT_THROW(forest.predict_matrix(narrow_matrix), ceal::PreconditionError);
   EXPECT_THROW(model.predict_matrix(narrow_matrix), ceal::PreconditionError);
+
+  // A column window must hold the largest split feature too: four
+  // columns from column 1 need a width of 5.
+  Dataset wide_data(4);
+  wide_data.add(wide, 0.0);
+  const FeatureMatrix shifted = windowed_matrix_of(wide_data, 1, 0);
+  EXPECT_EQ(forest.predict_matrix(shifted, 1)[0], reference(model, wide));
+  const FeatureMatrix wide_matrix = matrix_of(wide_data);
+  EXPECT_THROW(forest.predict_matrix(wide_matrix, 1), ceal::PreconditionError);
+  EXPECT_THROW(model.predict_matrix(wide_matrix, 1), ceal::PreconditionError);
 
   // A batch without rows has nothing to check.
   EXPECT_TRUE(forest.predict_dataset(Dataset(2)).empty());

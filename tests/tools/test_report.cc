@@ -29,22 +29,20 @@ TEST(TraceAccumulator, SumsSummariesAcrossFilesAndDerivesRates) {
       R"({"event":"ceal.switch","iteration":10})",
       R"({"event":"telemetry.summary","seq":9,"measure.requests":20,)"
       R"("measure.failed":2,"gbt.rounds":100,)"
-      R"("timing":{"gbt.round.total_s":0.5}})",
+      R"("timing":{"hist.timing.gbt.round_s.sum":0.5}})",
   }));
   acc.add(events_of({
       R"({"event":"ceal.switch","iteration":14})",
       R"({"event":"telemetry.summary","seq":3,"measure.requests":10,)"
       R"("measure.censored":1,"gbt.rounds":100,)"
-      R"("timing":{"gbt.round.total_s":0.5}})",
+      R"("timing":{"hist.timing.gbt.round_s.sum":0.5}})",
   }));
   EXPECT_FALSE(acc.empty());
 
   const MetricMap m = acc.finish();
   EXPECT_DOUBLE_EQ(m.at("trace.measure.requests"), 30.0);
   EXPECT_DOUBLE_EQ(m.at("trace.gbt.rounds"), 200.0);
-  // The older format's span total reads as the span's histogram sum.
   EXPECT_DOUBLE_EQ(m.at("trace.hist.timing.gbt.round_s.sum"), 1.0);
-  EXPECT_EQ(m.count("trace.gbt.round.total_s"), 0u);
   // Derived: switch mean over both traces, failure rate over the sums,
   // fit throughput from rounds / round seconds.
   EXPECT_DOUBLE_EQ(m.at("trace.ceal.switch_iteration.mean"), 12.0);
@@ -60,56 +58,39 @@ MetricMap metrics_of(const std::string& summary_line) {
   return acc.finish();
 }
 
-TEST(TraceAccumulator, OldFormatSpanBaselineComparesAgainstNewFormat) {
-  // Spans used to report `x.total_s`; they are `hist.timing.x_s.*` now.
-  const MetricMap baseline = metrics_of(
-      R"({"event":"telemetry.summary","x.count":2,)"
-      R"("timing":{"x.total_s":1.0}})");
-  const MetricMap current = metrics_of(
-      R"({"event":"telemetry.summary","x.count":2,)"
-      R"("timing":{"hist.timing.x_s.count":2,"hist.timing.x_s.sum":9.0,)"
-      R"("hist.timing.x_s.p50":4.5}})");
-  const auto rows = compare(baseline, current, 0.5);
-  const auto row = std::find_if(rows.begin(), rows.end(), [](const auto& r) {
-    return r.name == "trace.hist.timing.x_s.sum";
-  });
-  ASSERT_NE(row, rows.end());
-  EXPECT_TRUE(row->in_baseline);
-  EXPECT_TRUE(row->in_current);
-  EXPECT_DOUBLE_EQ(row->baseline, 1.0);
-  EXPECT_DOUBLE_EQ(row->current, 9.0);
-  EXPECT_TRUE(row->regression);
-  for (const Comparison& c : rows) {
-    EXPECT_EQ(c.name.find("total_s"), std::string::npos) << c.name;
-  }
-}
-
 TEST(TraceAccumulator, DerivedThroughputsMatchAcrossSummaryFormats) {
-  const MetricMap old_format = metrics_of(
-      R"({"event":"telemetry.summary","gbt.rounds":300,)"
-      R"("gbt.predict.rows":8000,"surrogate.fits":3,)"
-      R"("timing":{"gbt.round.total_s":0.6,"gbt.predict.total_s":0.004,)"
-      R"("surrogate.fit.total_s":0.012,)"
-      R"("hist.timing.gbt.predict_s.sum":0.004}})");
-  const MetricMap new_format = metrics_of(
+  // One session's summary, and the same totals split over two trace
+  // files (e.g. two replications): the derived rates must agree.
+  const MetricMap one_file = metrics_of(
       R"({"event":"telemetry.summary","gbt.rounds":300,)"
       R"("gbt.predict.rows":8000,"surrogate.fits":3,)"
       R"("timing":{"hist.timing.gbt.predict_s.sum":0.004,)"
       R"("hist.timing.gbt.round_s.sum":0.6,)"
       R"("hist.timing.surrogate.fit_s.sum":0.012}})");
+  TraceAccumulator split;
+  split.add(events_of({
+      R"({"event":"telemetry.summary","gbt.rounds":100,)"
+      R"("gbt.predict.rows":3000,"surrogate.fits":1,)"
+      R"("timing":{"hist.timing.gbt.predict_s.sum":0.001,)"
+      R"("hist.timing.gbt.round_s.sum":0.2,)"
+      R"("hist.timing.surrogate.fit_s.sum":0.004}})"}));
+  split.add(events_of({
+      R"({"event":"telemetry.summary","gbt.rounds":200,)"
+      R"("gbt.predict.rows":5000,"surrogate.fits":2,)"
+      R"("timing":{"hist.timing.gbt.predict_s.sum":0.003,)"
+      R"("hist.timing.gbt.round_s.sum":0.4,)"
+      R"("hist.timing.surrogate.fit_s.sum":0.008}})"}));
+  const MetricMap two_files = split.finish();
   for (const char* name :
        {"trace.gbt.fit_rounds_per_s", "trace.gbt.predict_rows_per_s",
         "trace.surrogate.fits_per_s"}) {
-    ASSERT_EQ(old_format.count(name), 1u) << name;
-    ASSERT_EQ(new_format.count(name), 1u) << name;
-    EXPECT_DOUBLE_EQ(old_format.at(name), new_format.at(name)) << name;
+    ASSERT_EQ(one_file.count(name), 1u) << name;
+    ASSERT_EQ(two_files.count(name), 1u) << name;
+    EXPECT_DOUBLE_EQ(one_file.at(name), two_files.at(name)) << name;
   }
-  EXPECT_DOUBLE_EQ(new_format.at("trace.gbt.fit_rounds_per_s"), 500.0);
-  EXPECT_DOUBLE_EQ(new_format.at("trace.gbt.predict_rows_per_s"), 2e6);
-  EXPECT_DOUBLE_EQ(new_format.at("trace.surrogate.fits_per_s"), 250.0);
-  // The older format timed gbt.predict twice; its interval counts once.
-  EXPECT_DOUBLE_EQ(old_format.at("trace.hist.timing.gbt.predict_s.sum"),
-                   0.004);
+  EXPECT_DOUBLE_EQ(one_file.at("trace.gbt.fit_rounds_per_s"), 500.0);
+  EXPECT_DOUBLE_EQ(one_file.at("trace.gbt.predict_rows_per_s"), 2e6);
+  EXPECT_DOUBLE_EQ(one_file.at("trace.surrogate.fits_per_s"), 250.0);
 }
 
 TEST(TraceAccumulator, NoDerivedMetricsWithoutTheirInputs) {
@@ -238,17 +219,17 @@ TEST(BenchMetrics, NonBenchDocumentsAreRecognised) {
 TEST(Compare, DirectionDependsOnTheMetricName) {
   // Times are lower-better: +30% is a regression at 10% tolerance.
   // Throughputs are higher-better: -30% is the regression there.
-  const MetricMap base{{"trace.fit.total_s", 1.0},
+  const MetricMap base{{"trace.hist.timing.fit_s.sum", 1.0},
                        {"trace.gbt.fit_rounds_per_s", 100.0}};
-  const MetricMap slower{{"trace.fit.total_s", 1.3},
+  const MetricMap slower{{"trace.hist.timing.fit_s.sum", 1.3},
                          {"trace.gbt.fit_rounds_per_s", 70.0}};
   const auto rows = compare(base, slower, 0.1);
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_TRUE(rows[0].regression);  // total_s up
-  EXPECT_TRUE(rows[1].regression);  // per_s down
-  EXPECT_FALSE(rows[0].improvement);
+  EXPECT_TRUE(rows[0].regression);  // per_s down
+  EXPECT_TRUE(rows[1].regression);  // span time up
+  EXPECT_FALSE(rows[1].improvement);
 
-  const MetricMap faster{{"trace.fit.total_s", 0.7},
+  const MetricMap faster{{"trace.hist.timing.fit_s.sum", 0.7},
                          {"trace.gbt.fit_rounds_per_s", 130.0}};
   for (const auto& row : compare(base, faster, 0.1)) {
     EXPECT_FALSE(row.regression) << row.name;
@@ -281,8 +262,8 @@ TEST(Compare, BenchCountersAreDirectionAware) {
 }
 
 TEST(Compare, WithinToleranceIsNeither) {
-  const MetricMap base{{"m.total_s", 1.0}};
-  const MetricMap cur{{"m.total_s", 1.05}};
+  const MetricMap base{{"trace.hist.timing.m_s.sum", 1.0}};
+  const MetricMap cur{{"trace.hist.timing.m_s.sum", 1.05}};
   const auto rows = compare(base, cur, 0.1);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_FALSE(rows[0].regression);
@@ -291,8 +272,8 @@ TEST(Compare, WithinToleranceIsNeither) {
 }
 
 TEST(Compare, OneSidedMetricsAreReportedButNeverRegress) {
-  const MetricMap base{{"gone.total_s", 1.0}};
-  const MetricMap cur{{"new.total_s", 2.0}};
+  const MetricMap base{{"trace.hist.timing.gone_s.sum", 1.0}};
+  const MetricMap cur{{"trace.hist.timing.new_s.sum", 2.0}};
   const auto rows = compare(base, cur, 0.1);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_TRUE(rows[0].in_baseline);

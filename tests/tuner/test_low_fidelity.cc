@@ -7,6 +7,7 @@
 #include "core/error.h"
 #include "core/stats.h"
 #include "sim/workloads.h"
+#include "tuner/pool_features.h"
 
 namespace ceal::tuner {
 namespace {
@@ -74,18 +75,23 @@ TEST_F(LowFidelityTest, ScoresRankCoupledPerformanceWell) {
   // rank coupled configurations far better than chance.
   const auto cm = models(Objective::kExecTime);
   const LowFidelityModel lf(wl_.workflow, Objective::kExecTime, cm);
-  const auto scores = lf.score_many(pool_.configs);
+  const auto scores = lf.score_many(
+      featurize_joint(wl_.workflow.joint_space(), pool_.configs));
   EXPECT_GT(ceal::spearman(scores, pool_.exec_s), 0.8);
 }
 
 TEST_F(LowFidelityTest, ScoreManyMatchesScore) {
-  const auto cm = models(Objective::kExecTime);
-  const LowFidelityModel lf(wl_.workflow, Objective::kExecTime, cm);
-  std::vector<config::Configuration> sub(pool_.configs.begin(),
-                                         pool_.configs.begin() + 5);
-  const auto scores = lf.score_many(sub);
-  for (std::size_t i = 0; i < sub.size(); ++i) {
-    EXPECT_DOUBLE_EQ(scores[i], lf.score(sub[i]));
+  // Computer time sums every component, so a component reading the
+  // wrong columns cannot hide behind another component's max.
+  const std::span<const config::Configuration> sub(pool_.configs.data(), 50);
+  const auto joint = featurize_joint(wl_.workflow.joint_space(), sub);
+  for (const auto obj : {Objective::kExecTime, Objective::kComputerTime}) {
+    const LowFidelityModel lf(wl_.workflow, obj, models(obj));
+    const auto scores = lf.score_many(joint);
+    ASSERT_EQ(scores.size(), sub.size());
+    for (std::size_t i = 0; i < sub.size(); ++i) {
+      EXPECT_EQ(scores[i], lf.score(sub[i]));  // bitwise
+    }
   }
 }
 

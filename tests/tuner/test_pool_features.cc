@@ -1,6 +1,7 @@
-// Pool featurization cache: cached scoring must agree bitwise with the
-// per-configuration paths, and CEAL end-to-end must be independent of
-// the worker count.
+// Pool featurization: the joint matrix must hold every component's
+// features in its slice columns, scoring from it must agree bitwise with
+// the per-configuration paths, and CEAL end-to-end must be independent
+// of the worker count.
 #include "tuner/pool_features.h"
 
 #include <gtest/gtest.h>
@@ -33,25 +34,26 @@ class PoolFeaturesTest : public ::testing::Test {
 };
 
 TEST_F(PoolFeaturesTest, RowsMatchDirectFeaturization) {
-  const auto pf = featurize_pool(wl_.workflow, pool_.configs);
-  ASSERT_EQ(pf.size(), pool_.configs.size());
-  ASSERT_EQ(pf.components.size(), wl_.workflow.component_count());
+  const auto joint = featurize_joint(wl_.workflow.joint_space(), pool_.configs);
+  ASSERT_EQ(joint.size(), pool_.configs.size());
 
+  // The one-matrix design rests on this: component j's features of its
+  // slice c_j are exactly the joint row's columns slice_range(j).
   const auto& composite = wl_.workflow.space();
   for (std::size_t i = 0; i < pool_.configs.size(); ++i) {
-    const auto joint = wl_.workflow.joint_space().features(pool_.configs[i]);
-    const auto row = pf.joint.row(i);
-    ASSERT_EQ(joint.size(), row.size());
+    const auto direct = wl_.workflow.joint_space().features(pool_.configs[i]);
+    const auto row = joint.row(i);
+    ASSERT_EQ(direct.size(), row.size());
     for (std::size_t k = 0; k < row.size(); ++k) {
-      ASSERT_EQ(joint[k], row[k]);
+      ASSERT_EQ(direct[k], row[k]);
     }
-    for (std::size_t j = 0; j < pf.components.size(); ++j) {
+    for (std::size_t j = 0; j < composite.component_count(); ++j) {
       const auto sliced = composite.component_space(j).features(
           composite.slice(pool_.configs[i], j));
-      const auto comp_row = pf.components[j].row(i);
-      ASSERT_EQ(sliced.size(), comp_row.size());
-      for (std::size_t k = 0; k < comp_row.size(); ++k) {
-        ASSERT_EQ(sliced[k], comp_row[k]);
+      const auto [begin, end] = composite.slice_range(j);
+      ASSERT_EQ(sliced.size(), end - begin);
+      for (std::size_t k = 0; k < sliced.size(); ++k) {
+        ASSERT_EQ(sliced[k], row[begin + k]) << "component " << j;
       }
     }
   }
@@ -67,12 +69,11 @@ TEST_F(PoolFeaturesTest, SurrogateCachedPredictionsBitwiseEqual) {
       pool_.measured(Objective::kExecTime).data(), 40);
   surrogate.fit(space, train, targets, rng);
 
-  const auto direct = surrogate.predict_many(space, pool_.configs);
   const auto cached =
       surrogate.predict_many(featurize_joint(space, pool_.configs));
-  ASSERT_EQ(direct.size(), cached.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    ASSERT_EQ(direct[i], cached[i]);
+  ASSERT_EQ(cached.size(), pool_.configs.size());
+  for (std::size_t i = 0; i < cached.size(); ++i) {
+    ASSERT_EQ(cached[i], surrogate.predict(space, pool_.configs[i]));
     ASSERT_EQ(cached[i],
               surrogate.predict_features(space.features(pool_.configs[i])));
   }
@@ -91,13 +92,13 @@ TEST_F(PoolFeaturesTest, LowFidelityCachedScoresBitwiseEqual) {
   const LowFidelityModel model(wl_.workflow, Objective::kExecTime,
                                components);
 
-  const auto direct = model.score_many(pool_.configs);
-  const auto cached =
-      model.score_many(featurize_pool(wl_.workflow, pool_.configs));
-  ASSERT_EQ(direct.size(), cached.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    ASSERT_EQ(direct[i], cached[i]);
-    ASSERT_EQ(direct[i], model.score(pool_.configs[i]));
+  // Each component model reads its column window of the joint matrix;
+  // score() slices and featurizes c_j per row.
+  const auto cached = model.score_many(
+      featurize_joint(wl_.workflow.joint_space(), pool_.configs));
+  ASSERT_EQ(cached.size(), pool_.configs.size());
+  for (std::size_t i = 0; i < cached.size(); ++i) {
+    ASSERT_EQ(cached[i], model.score(pool_.configs[i]));
   }
 }
 

@@ -1,9 +1,9 @@
 // Streaming pool scoring (tuner/pool_scorer.h): chunked featurization
-// must reproduce the monolithic matrices row for row at any thread
-// count and chunk size (including chunk sizes that do not divide the
-// pool), streaming scores must be bitwise equal to cached scores, and a
-// CEAL session that opts into pool_chunk_rows must return the identical
-// TuneResult.
+// must reproduce the monolithic matrix row for row at any thread count
+// and chunk size (including chunk sizes that do not divide the pool),
+// streaming scores must be bitwise equal to cached scores, and CEAL, RS
+// and GEIST sessions that opt into pool_chunk_rows must return the
+// identical TuneResult.
 #include "tuner/pool_scorer.h"
 
 #include <gtest/gtest.h>
@@ -15,9 +15,11 @@
 #include "core/rng.h"
 #include "sim/workloads.h"
 #include "tuner/ceal.h"
+#include "tuner/geist.h"
 #include "tuner/low_fidelity.h"
 #include "tuner/measured_pool.h"
 #include "tuner/pool_features.h"
+#include "tuner/random_search.h"
 #include "tuner/surrogate.h"
 
 namespace ceal::tuner {
@@ -64,7 +66,8 @@ class PoolScorerTest : public ::testing::Test {
 };
 
 TEST_F(PoolScorerTest, ChunkedFeaturizationMatchesMonolithicRows) {
-  const PoolFeatures whole = featurize_pool(wl_.workflow, pool_.configs);
+  const auto& space = wl_.workflow.joint_space();
+  const ml::FeatureMatrix whole = featurize_joint(space, pool_.configs);
   // Chunk sizes that divide the pool, that do not (300 = 7*42 + 6), and
   // that exceed it — each at 1 and 4 workers.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -73,26 +76,17 @@ TEST_F(PoolScorerTest, ChunkedFeaturizationMatchesMonolithicRows) {
                                     std::size_t{50}, std::size_t{299},
                                     std::size_t{300}, std::size_t{1000}}) {
       std::size_t rows_seen = 0;
-      featurize_pool_chunked(
-          wl_.workflow, pool_.configs, chunk,
-          [&](std::size_t first, const PoolFeatures& block) {
+      featurize_joint_chunked(
+          space, pool_.configs, chunk,
+          [&](std::size_t first, const ml::FeatureMatrix& block) {
             ASSERT_EQ(first, rows_seen);
             ASSERT_LE(block.size(), chunk);
-            ASSERT_EQ(block.components.size(), whole.components.size());
+            ASSERT_EQ(block.n_features(), whole.n_features());
             for (std::size_t r = 0; r < block.size(); ++r) {
-              const auto want = whole.joint.row(first + r);
-              const auto got = block.joint.row(r);
-              ASSERT_EQ(want.size(), got.size());
+              const auto want = whole.row(first + r);
+              const auto got = block.row(r);
               for (std::size_t k = 0; k < got.size(); ++k) {
                 ASSERT_EQ(want[k], got[k]) << "chunk " << chunk;
-              }
-              for (std::size_t j = 0; j < block.components.size(); ++j) {
-                const auto cwant = whole.components[j].row(first + r);
-                const auto cgot = block.components[j].row(r);
-                ASSERT_EQ(cwant.size(), cgot.size());
-                for (std::size_t k = 0; k < cgot.size(); ++k) {
-                  ASSERT_EQ(cwant[k], cgot[k]);
-                }
               }
             }
             rows_seen += block.size();
@@ -162,6 +156,29 @@ TEST_F(PoolScorerTest, CealWithChunkedPoolReturnsIdenticalResult) {
   ASSERT_EQ(cached.model_scores.size(), chunked.model_scores.size());
   for (std::size_t i = 0; i < cached.model_scores.size(); ++i) {
     ASSERT_EQ(cached.model_scores[i], chunked.model_scores[i]);
+  }
+}
+
+TEST_F(PoolScorerTest, ChunkedPoolLeavesRsAndGeistResultsUnchanged) {
+  TuningProblem problem{&wl_, Objective::kExecTime, &pool_, &comps_, true,
+                        {}};
+  const RandomSearch rs;
+  const Geist geist;
+  const std::vector<const AutoTuner*> algorithms{&rs, &geist};
+  for (const AutoTuner* algorithm : algorithms) {
+    SCOPED_TRACE(algorithm->name());
+    problem.pool_chunk_rows = 0;
+    ceal::Rng rng_cached(17);
+    const TuneResult cached = algorithm->tune(problem, 20, rng_cached);
+    problem.pool_chunk_rows = 77;
+    ceal::Rng rng_chunked(17);
+    const TuneResult chunked = algorithm->tune(problem, 20, rng_chunked);
+    ASSERT_EQ(cached.best_predicted_index, chunked.best_predicted_index);
+    ASSERT_EQ(cached.measured_indices, chunked.measured_indices);
+    ASSERT_EQ(cached.model_scores.size(), chunked.model_scores.size());
+    for (std::size_t i = 0; i < cached.model_scores.size(); ++i) {
+      ASSERT_EQ(cached.model_scores[i], chunked.model_scores[i]);
+    }
   }
 }
 

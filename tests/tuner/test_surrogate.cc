@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.h"
 #include "core/rng.h"
+#include "tuner/pool_features.h"
 
 namespace ceal::tuner {
 namespace {
@@ -93,10 +95,21 @@ TEST(Surrogate, PredictManyMatchesPredict) {
   std::vector<double> targets{30.0, 20.0, 10.0};
   Surrogate model;
   model.fit(space, configs, targets, rng);
-  const auto many = model.predict_many(space, configs);
+  const auto many = model.predict_many(featurize_joint(space, configs));
+  // The same features behind a junk column, read from column 1 on.
+  ml::FeatureMatrix wide(space.dimension() + 1, configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const auto row = wide.mutable_row(i);
+    row[0] = 1e9;
+    const auto f = space.features(configs[i]);
+    std::copy(f.begin(), f.end(), row.begin() + 1);
+  }
+  const auto windowed = model.predict_many(wide, 1);
   ASSERT_EQ(many.size(), 3u);
+  ASSERT_EQ(windowed.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(many[i], model.predict(space, configs[i]));
+    EXPECT_EQ(many[i], model.predict(space, configs[i]));
+    EXPECT_EQ(windowed[i], many[i]);
   }
 }
 

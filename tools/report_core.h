@@ -13,10 +13,7 @@
 //    aggregate by stat kind: .count/.sum add, .max/.p50/.p90/.p99 take
 //    the max across files (a quantile of merged runs is bounded by the
 //    worst per-run quantile's bucket, so the max is the honest
-//    loud-side aggregate), .min takes the min. A span total in the
-//    older summary format (`timing.x.total_s`) is read as
-//    `hist.timing.x_s.sum`, so baselines recorded before spans became
-//    histograms still compare.
+//    loud-side aggregate), .min takes the min.
 //  * google-benchmark JSON files (`BENCH_*.json` from bench/): each
 //    benchmark's cpu/real time becomes "bench.<name>.cpu_time" /
 //    ".real_time", and every custom numeric counter (state.counters,
@@ -42,7 +39,6 @@
 #include <vector>
 
 #include "core/json.h"
-#include "core/telemetry.h"
 
 namespace ceal::tools::report {
 
@@ -152,8 +148,7 @@ class TraceAccumulator {
       if (key == "event" || key == "seq") continue;
       if (key == "timing") {
         for (const auto& [tkey, tvalue] : value.members()) {
-          const std::string metric = span_total_alias(value, tkey);
-          if (!metric.empty()) accumulate(metric, tvalue.as_double());
+          accumulate(tkey, tvalue.as_double());
         }
         continue;
       }
@@ -161,20 +156,6 @@ class TraceAccumulator {
         accumulate(key, value.as_double());
       }
     }
-  }
-
-  // The older summary format kept span `x`'s total as `x.total_s`; it is
-  // `hist.timing.x_s.sum` now. Where the older format also timed the
-  // same interval as that histogram, the histogram's own sum is kept
-  // and the alias is dropped, so the interval is not counted twice.
-  static std::string span_total_alias(const json::Value& timing,
-                                      const std::string& key) {
-    constexpr std::string_view kOld = ".total_s";
-    if (!key.ends_with(kOld) || key.starts_with("hist.")) return key;
-    const std::string span = key.substr(0, key.size() - kOld.size());
-    const std::string renamed =
-        "hist." + telemetry::span_histogram_name(span) + ".sum";
-    return timing.find(renamed) == nullptr ? renamed : std::string();
   }
 
   static double value_or(const MetricMap& m, const std::string& key,
