@@ -76,23 +76,15 @@ class CealStepper final : public TunerStepper {
       const auto& workflow = problem_.workload->workflow;
       // ---- Phase 1: low-fidelity model via component combination (lines
       // 1-6). Historical samples are free; otherwise m_R is charged.
-      std::size_t m_r = 0;
-      const std::vector<std::vector<std::size_t>>* component_indices =
-          nullptr;
-      if (problem_.components_are_history) {
-        component_indices = &collector_.all_component_samples();
-      } else {
-        m_r = std::clamp<std::size_t>(
-            rounded_fraction(params_.mR_fraction, m), 1, m - 2);
-        component_indices = &collector_.acquire_component_samples(m_r, *rng_);
-      }
-      telemetry::ScopedSpan components_span(tel, "components.fit");
-      auto components = std::make_shared<const ComponentModelSet>(
-          workflow, problem_.objective, *problem_.component_samples,
-          *component_indices, *rng_, problem_.surrogate_gbt);
-      const double components_fit_s = components_span.stop();
-      const LowFidelityModel low_fidelity(workflow, problem_.objective,
-                                          components);
+      const std::size_t m_r =
+          problem_.components_are_history
+              ? 0
+              : std::clamp<std::size_t>(
+                    rounded_fraction(params_.mR_fraction, m), 1, m - 2);
+      double components_fit_s = 0.0;
+      const LowFidelityModel low_fidelity(
+          workflow, problem_.objective,
+          train_component_models(collector_, m_r, *rng_, &components_fit_s));
       telemetry::ScopedSpan low_score_span(tel, "low_fidelity.score");
       low_scores_ = pool_scorer_.low_fidelity_scores(low_fidelity);
       const double low_score_s = low_score_span.stop();
@@ -411,6 +403,9 @@ std::unique_ptr<TunerStepper> Ceal::make_stepper(const TuningProblem& problem,
                           ? CealParams::with_history()
                           : CealParams::no_history())
                    : params_;
+  // Charged component rounds (at least 1) must leave two workflow runs.
+  CEAL_EXPECT_MSG(problem.components_are_history || budget_runs >= 3,
+                  "CEAL without history needs a budget of at least 3 runs");
   return std::make_unique<CealStepper>(*this, params, problem, budget_runs,
                                        rng);
 }

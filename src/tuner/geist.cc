@@ -1,7 +1,6 @@
 #include "tuner/geist.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
 
@@ -9,9 +8,8 @@
 #include "core/parallel.h"
 #include "core/stats.h"
 #include "core/telemetry.h"
-#include "tuner/collector.h"
+#include "tuner/active_learning.h"
 #include "tuner/pool_scorer.h"
-#include "tuner/stepper.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
 
@@ -89,132 +87,90 @@ Geist::Geist(GeistParams params) : params_(std::move(params)) {
 
 namespace {
 
-// GEIST sliced at its natural boundaries: warm-up batch, one label
-// propagation + measurement per step, final surrogate fit.
-class GeistStepper final : public TunerStepper {
+// GEIST's ranker: label propagation over the pool graph, seeded by the
+// measurements so far; the final pass fits a surrogate.
+class GeistStepper final : public ActiveLearningLoop {
  public:
   GeistStepper(const Geist& algorithm, const GeistParams& params,
                const TuningProblem& problem, std::size_t budget_runs,
                ceal::Rng& rng)
-      : TunerStepper(problem, budget_runs, rng),
+      : ActiveLearningLoop(algorithm, problem, budget_runs, rng,
+                           params.iterations, params.init_fraction,
+                           "geist.iteration"),
         params_(params),
-        collector_(problem_, budget_runs, rng_) {
-    emit_tune_start(problem_, algorithm, budget_);
-    const auto& space = problem_.workload->workflow.joint_space();
-    graph_ = params_.graph;
+        graph_(params_.graph) {
     if (!graph_) {
-      graph_ = std::make_shared<PoolGraph>(space, problem_.pool->configs,
-                                           params_.k_neighbors);
+      graph_ = std::make_shared<PoolGraph>(
+          problem_.workload->workflow.joint_space(), problem_.pool->configs,
+          params_.k_neighbors);
     }
     CEAL_EXPECT_MSG(graph_->size() == problem_.pool->size(),
                     "pool graph does not match the pool");
   }
 
-  TunerProgress progress() const override {
-    return collector_progress(collector_);
+ private:
+  PoolRanking rank() override {
+    const std::size_t pool_size = problem_.pool->size();
+    telemetry::ScopedSpan propagate_span(problem_.telemetry,
+                                         "geist.propagate");
+    // Seed labels: successfully measured configs in the running top
+    // quantile are 1 (failed attempts carry no label signal).
+    const auto& indices = collector_.ok_indices();
+    const auto& values = collector_.ok_values();
+    const double threshold = ceal::quantile(values, params_.top_quantile);
+
+    std::vector<double> belief(pool_size, 0.5);  // unknown prior
+    std::vector<double> seed(pool_size, -1.0);
+    for (std::size_t s = 0; s < indices.size(); ++s) {
+      seed[indices[s]] = values[s] <= threshold ? 1.0 : 0.0;
+      belief[indices[s]] = seed[indices[s]];
+    }
+
+    for (std::size_t it = 0; it < params_.propagation_iters; ++it) {
+      std::vector<double> next(pool_size);
+      for (std::size_t i = 0; i < pool_size; ++i) {
+        const auto& nbrs = graph_->neighbors(i);
+        double acc = 0.0;
+        for (const std::size_t nb : nbrs) acc += belief[nb];
+        const double propagated = acc / static_cast<double>(nbrs.size());
+        if (seed[i] >= 0.0) {
+          // Labeled nodes stay anchored to their observation.
+          next[i] =
+              (1.0 - params_.alpha) * propagated + params_.alpha * seed[i];
+        } else {
+          next[i] = propagated;
+        }
+      }
+      belief.swap(next);
+    }
+
+    // Measure the unlabeled nodes believed most likely to be top
+    // (lower = better for top_unmeasured).
+    PoolRanking ranking;
+    ranking.scores.resize(pool_size);
+    for (std::size_t i = 0; i < pool_size; ++i) {
+      ranking.scores[i] = -belief[i];
+    }
+    // Label propagation is this tuner's model step; report as fit_s.
+    ranking.fit_s = propagate_span.stop();
+    return ranking;
   }
 
- private:
-  enum class Phase { kWarmup, kLoop, kFinal };
-
-  void do_step() override {
-    telemetry::Telemetry* tel = problem_.telemetry;
-    const std::size_t pool_size = problem_.pool->size();
-    if (phase_ == Phase::kWarmup) {
-      const auto warmup = std::max<std::size_t>(
-          2, static_cast<std::size_t>(std::llround(
-                 params_.init_fraction * static_cast<double>(budget_))));
-      measure_batch(collector_, random_unmeasured(collector_, warmup, *rng_));
-      batch_size_ = std::max<std::size_t>(
-          1, (budget_ - std::min(warmup, budget_)) / params_.iterations);
-      phase_ = Phase::kLoop;
-      return;
-    }
-    if (phase_ == Phase::kLoop) {
-      while (collector_.remaining() > 0) {
-        const std::size_t req_start = collector_.measured_indices().size();
-        const std::size_t ok_start = collector_.ok_values().size();
-        // Seed labels: successfully measured configs in the running top
-        // quantile are 1 (failed attempts carry no label signal).
-        const auto& indices = collector_.ok_indices();
-        const auto& values = collector_.ok_values();
-        if (indices.empty()) {
-          const auto batch =
-              random_unmeasured(collector_, batch_size_, *rng_);
-          if (batch.empty()) break;
-          measure_batch(collector_, batch);
-          emit_iteration_event(problem_, "geist.iteration", iteration_++,
-                               collector_, req_start, ok_start, 0.0, 0.0);
-          return;  // one iteration per step
-        }
-        telemetry::ScopedSpan propagate_span(tel, "geist.propagate");
-        const double threshold = ceal::quantile(values, params_.top_quantile);
-
-        std::vector<double> belief(pool_size, 0.5);  // unknown prior
-        std::vector<double> seed(pool_size, -1.0);
-        for (std::size_t s = 0; s < indices.size(); ++s) {
-          seed[indices[s]] = values[s] <= threshold ? 1.0 : 0.0;
-          belief[indices[s]] = seed[indices[s]];
-        }
-
-        for (std::size_t it = 0; it < params_.propagation_iters; ++it) {
-          std::vector<double> next(pool_size);
-          for (std::size_t i = 0; i < pool_size; ++i) {
-            const auto& nbrs = graph_->neighbors(i);
-            double acc = 0.0;
-            for (const std::size_t nb : nbrs) acc += belief[nb];
-            const double propagated =
-                acc / static_cast<double>(nbrs.size());
-            if (seed[i] >= 0.0) {
-              // Labeled nodes stay anchored to their observation.
-              next[i] = (1.0 - params_.alpha) * propagated +
-                        params_.alpha * seed[i];
-            } else {
-              next[i] = propagated;
-            }
-          }
-          belief.swap(next);
-        }
-
-        // Measure the unlabeled nodes believed most likely to be top.
-        std::vector<double> selection_score(pool_size);
-        for (std::size_t i = 0; i < pool_size; ++i) {
-          // lower = better for top_unmeasured
-          selection_score[i] = -belief[i];
-        }
-        const double propagate_s = propagate_span.stop();
-        const auto batch =
-            top_unmeasured(selection_score, collector_, batch_size_);
-        if (batch.empty()) break;
-        measure_batch(collector_, batch, selection_score, batch_size_);
-        // Label propagation is this tuner's model step; report as fit_s.
-        emit_iteration_event(problem_, "geist.iteration", iteration_++,
-                             collector_, req_start, ok_start, propagate_s,
-                             0.0);
-        return;  // one iteration per step
-      }
-      phase_ = Phase::kFinal;
-    }
-
-    // Final surrogate for the searcher, trained on everything measured —
-    // the same model family all algorithms use (§7.3).
+  // Final surrogate for the searcher, trained on everything measured —
+  // the same model family all algorithms use (§7.3).
+  std::vector<double> final_scores() override {
     Surrogate surrogate(problem_.surrogate_gbt);
     fit_on_measured(surrogate, collector_, *rng_);
-    telemetry::ScopedSpan predict_span(tel, "surrogate.predict");
+    telemetry::ScopedSpan predict_span(problem_.telemetry,
+                                       "surrogate.predict");
     const PoolScorer pool_scorer(problem_.workload->workflow,
                                  problem_.pool->configs,
-                                 problem_.pool_chunk_rows, tel);
-    auto scores = pool_scorer.surrogate_scores(surrogate);
-    predict_span.stop();
-    finish(finalize_result(collector_, std::move(scores)));
+                                 problem_.pool_chunk_rows, problem_.telemetry);
+    return pool_scorer.surrogate_scores(surrogate);
   }
 
   GeistParams params_;
-  Collector collector_;
   std::shared_ptr<const PoolGraph> graph_;
-  Phase phase_ = Phase::kWarmup;
-  std::size_t batch_size_ = 1;
-  std::size_t iteration_ = 0;
 };
 
 }  // namespace

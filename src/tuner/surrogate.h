@@ -26,6 +26,14 @@ class Surrogate {
            std::span<const config::Configuration> configs,
            std::span<const double> targets, ceal::Rng& rng);
 
+  /// Retrains from scratch on rows `rows` of an already-featurized
+  /// matrix (repeats allowed), target k belonging to row rows[k].
+  /// Equals the configuration overload on the configurations the rows
+  /// were featurized from.
+  void fit(const ml::FeatureMatrix& features,
+           std::span<const std::size_t> rows,
+           std::span<const double> targets, ceal::Rng& rng);
+
   bool is_fitted() const { return model_.is_fitted(); }
 
   double predict(const config::ConfigSpace& space,
@@ -51,6 +59,11 @@ class Surrogate {
   }
 
  private:
+  /// The one training path: `row(k)` gives example k's features.
+  template <typename Row>
+  void fit_rows(std::size_t n_features, std::span<const double> targets,
+                const Row& row, ceal::Rng& rng);
+
   ml::GradientBoostedTrees model_;
   bool log_targets_;
 };

@@ -7,6 +7,7 @@
 #include "core/stats.h"
 #include "core/telemetry.h"
 #include "tuner/checkpoint.h"
+#include "tuner/low_fidelity.h"
 
 namespace ceal::tuner {
 
@@ -118,7 +119,7 @@ std::size_t measure_batch(Collector& collector,
 }
 
 double fit_on_measured(Surrogate& surrogate, const Collector& collector,
-                       ceal::Rng& rng) {
+                       ceal::Rng& rng, const ml::FeatureMatrix* pool_rows) {
   const auto& indices = collector.ok_indices();
   const auto& values = collector.ok_values();
   CEAL_EXPECT_MSG(!indices.empty(), "no usable training samples collected");
@@ -126,20 +127,44 @@ double fit_on_measured(Surrogate& surrogate, const Collector& collector,
     CEAL_EXPECT_MSG(std::isfinite(v),
                     "non-finite measurement in the training set");
   }
-  const MeasuredPool& pool = *collector.problem().pool;
+  const TuningProblem& problem = collector.problem();
   std::vector<config::Configuration> configs;
-  configs.reserve(indices.size());
-  for (const std::size_t idx : indices) configs.push_back(pool.configs[idx]);
-  telemetry::Telemetry* tel = collector.problem().telemetry;
+  if (pool_rows == nullptr) {
+    configs.reserve(indices.size());
+    for (const std::size_t idx : indices) {
+      configs.push_back(problem.pool->configs[idx]);
+    }
+  }
+  telemetry::Telemetry* tel = problem.telemetry;
   if (tel != nullptr) tel->count("surrogate.fits");
   // Push the registry down into the GBT so the fit below (and every
   // later predict through this surrogate) records per-round spans and
   // split-search counters.
   surrogate.set_telemetry(tel);
   telemetry::ScopedSpan span(tel, "surrogate.fit");
-  surrogate.fit(collector.problem().workload->workflow.joint_space(),
-                configs, values, rng);
+  if (pool_rows != nullptr) {
+    surrogate.fit(*pool_rows, indices, values, rng);
+  } else {
+    surrogate.fit(problem.workload->workflow.joint_space(), configs, values,
+                  rng);
+  }
   return span.stop();
+}
+
+std::shared_ptr<const ComponentModelSet> train_component_models(
+    Collector& collector, std::size_t rounds, ceal::Rng& rng,
+    double* fit_s) {
+  const TuningProblem& problem = collector.problem();
+  const auto& indices = problem.components_are_history
+                            ? collector.all_component_samples()
+                            : collector.acquire_component_samples(rounds, rng);
+  telemetry::ScopedSpan span(problem.telemetry, "components.fit");
+  auto components = std::make_shared<const ComponentModelSet>(
+      problem.workload->workflow, problem.objective,
+      *problem.component_samples, indices, rng, problem.surrogate_gbt);
+  const double s = span.stop();
+  if (fit_s != nullptr) *fit_s = s;
+  return components;
 }
 
 TuneResult finalize_result(const Collector& collector,

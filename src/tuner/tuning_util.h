@@ -2,6 +2,7 @@
 #pragma once
 
 #include <initializer_list>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "tuner/surrogate.h"
 
 namespace ceal::tuner {
+
+class ComponentModelSet;
 
 /// Bounded top-k selection over streamed (score, index) pairs: keeps the
 /// k smallest scores seen so far in a max-heap of k entries, so ranking
@@ -78,11 +81,24 @@ std::size_t measure_batch(Collector& collector,
 /// Fits `surrogate` on every *successful* measurement the collector
 /// holds. Failed and censored entries never reach the training set, and
 /// a hard guard rejects non-finite targets before they can reach
-/// GradientBoostedTrees::fit. Returns the fit's wall-clock seconds when
-/// the problem carries telemetry (recorded as the "surrogate.fit" span),
-/// 0 otherwise.
+/// GradientBoostedTrees::fit. With `pool_rows` (one feature row per pool
+/// index) the surrogate trains on those rows; otherwise it featurizes
+/// the measured configurations in the workflow's joint space. Returns
+/// the fit's wall-clock seconds when the problem carries telemetry
+/// (recorded as the "surrogate.fit" span), 0 otherwise.
 double fit_on_measured(Surrogate& surrogate, const Collector& collector,
-                       ceal::Rng& rng);
+                       ceal::Rng& rng,
+                       const ml::FeatureMatrix* pool_rows = nullptr);
+
+/// The per-component models of a tuner that bootstraps from component
+/// runs (CEAL, ALpH, BO-CEAL). Trains on every historical sample when
+/// the problem has them, otherwise charges `rounds` solo rounds
+/// (Collector::acquire_component_samples). The models use the
+/// problem's surrogate_gbt and train inside the "components.fit" span,
+/// whose seconds land in `fit_s` when it is non-null.
+std::shared_ptr<const ComponentModelSet> train_component_models(
+    Collector& collector, std::size_t rounds, ceal::Rng& rng,
+    double* fit_s = nullptr);
 
 /// Builds the TuneResult from the final pool scores and the collector's
 /// ledger (searcher = argmin of scores, §2.2). Only successful

@@ -20,6 +20,8 @@
 #include "core/parallel.h"
 #include "sim/workloads.h"
 #include "tuner/active_learning.h"
+#include "tuner/alph.h"
+#include "tuner/bayes_opt.h"
 #include "tuner/ceal.h"
 #include "tuner/checkpoint.h"
 #include "tuner/random_search.h"
@@ -207,13 +209,18 @@ TEST_F(CrashMatrixTest, FaultFreeSessionsResumeToo) {
 }
 
 TEST_F(CrashMatrixTest, OtherSearchersSurviveMidSessionKills) {
-  // Spot-check the shared-helper path: AL and RS journal through the
-  // same Collector/measure_batch machinery as CEAL.
+  // Spot-check the shared-helper path: AL, ALpH, BO-CEAL and RS journal
+  // through the same Collector/measure_batch machinery as CEAL. ALpH and
+  // BO-CEAL also charge component rounds before their first batch.
   const TuningProblem prob = env().problem(0.2);
   const ActiveLearning al;
+  const Alph alph;
+  BayesOptParams bo_ceal_params;
+  bo_ceal_params.bootstrap_with_low_fidelity = true;
+  const BayesOpt bo_ceal(bo_ceal_params);
   const RandomSearch rs;
   for (const AutoTuner* algo :
-       std::initializer_list<const AutoTuner*>{&al, &rs}) {
+       std::initializer_list<const AutoTuner*>{&al, &alph, &bo_ceal, &rs}) {
     Rng baseline_rng(kSeed);
     const TuneResult baseline = algo->tune(prob, kBudget, baseline_rng);
     std::remove(path_.c_str());

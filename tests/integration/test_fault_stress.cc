@@ -9,8 +9,10 @@
 
 #include "sim/workloads.h"
 #include "tuner/active_learning.h"
+#include "tuner/alph.h"
 #include "tuner/bayes_opt.h"
 #include "tuner/ceal.h"
+#include "tuner/geist.h"
 #include "tuner/random_search.h"
 
 namespace ceal::tuner {
@@ -25,7 +27,12 @@ TEST(FaultStress, EverySearcherOnEveryFaultGrid) {
   ActiveLearning al;
   Ceal ceal;
   BayesOpt bo;
-  const AutoTuner* algos[] = {&rs, &al, &ceal, &bo};
+  Geist geist;
+  Alph alph;
+  BayesOptParams bo_ceal_params;
+  bo_ceal_params.bootstrap_with_low_fidelity = true;
+  BayesOpt bo_ceal(bo_ceal_params);
+  const AutoTuner* algos[] = {&rs, &al, &ceal, &bo, &geist, &alph, &bo_ceal};
 
   std::uint64_t seed = 1;
   for (const double rate : {0.1, 0.3, 0.5}) {

@@ -152,6 +152,22 @@ TEST(ServeProtocolTest, DuplicateCreateAndDoubleCancelAreErrors) {
             std::string::npos);
 }
 
+TEST(ServeProtocolTest, CreateRejectsABudgetTooSmallForComponentRounds) {
+  // CEAL without history charges at least one component round and needs
+  // two workflow runs besides: budget 2 is refused up front, in one
+  // line, and leaves no session behind.
+  ServerCore core{ServerOptions{}};
+  const json::Value response = json::Value::parse(core.handle_line(
+      "{\"op\":\"session.create\",\"id\":\"s1\",\"workflow\":\"LV\","
+      "\"objective\":\"exec\",\"budget\":2,\"algorithm\":\"CEAL\","
+      "\"pool_size\":40,\"component_samples\":20,\"seed\":1}"));
+  EXPECT_FALSE(response.at("ok").as_bool());
+  const std::string error = response.at("error").as_string();
+  EXPECT_NE(error.find("budget of at least 3"), std::string::npos) << error;
+  EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+  EXPECT_EQ(core.session_count(), 0u);
+}
+
 TEST(ServeProtocolTest, OverSteppingADoneSessionIsANoOpSuccess) {
   ServerCore core{ServerOptions{}};
   ASSERT_TRUE(

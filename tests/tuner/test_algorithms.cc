@@ -6,12 +6,15 @@
 #include <memory>
 #include <set>
 
+#include "core/error.h"
 #include "sim/workloads.h"
 #include "tuner/active_learning.h"
 #include "tuner/alph.h"
+#include "tuner/bayes_opt.h"
 #include "tuner/ceal.h"
 #include "tuner/geist.h"
 #include "tuner/random_search.h"
+#include "tuner/stepper.h"
 
 namespace ceal::tuner {
 namespace {
@@ -36,6 +39,12 @@ std::unique_ptr<AutoTuner> make_tuner(const std::string& name) {
   if (name == "AL") return std::make_unique<ActiveLearning>();
   if (name == "GEIST") return std::make_unique<Geist>();
   if (name == "ALpH") return std::make_unique<Alph>();
+  if (name == "BO") return std::make_unique<BayesOpt>();
+  if (name == "BO-CEAL") {
+    BayesOptParams params;
+    params.bootstrap_with_low_fidelity = true;
+    return std::make_unique<BayesOpt>(params);
+  }
   return std::make_unique<Ceal>();
 }
 
@@ -153,6 +162,51 @@ TEST(AlgorithmNames, AreStable) {
   EXPECT_EQ(Geist().name(), "GEIST");
   EXPECT_EQ(Alph().name(), "ALpH");
   EXPECT_EQ(Ceal().name(), "CEAL");
+}
+
+TEST(ComponentBudget, TooSmallChargedBudgetsAreRejectedWhenTheStepperIsBuilt) {
+  // Charged component rounds must leave room for workflow runs: CEAL and
+  // BO-CEAL need 3 runs, ALpH 2. The check runs once, before any step.
+  auto& f = fixture();
+  TuningProblem prob{&f.wl, Objective::kExecTime, &f.pool, &f.comps, false, {}};
+  ceal::Rng rng(4);
+  for (const auto& [name, min_budget] :
+       {std::pair<std::string, std::size_t>{"CEAL", 3}, {"BO-CEAL", 3},
+        {"ALpH", 2}, {"BO", 1}, {"AL", 1}}) {
+    const auto algo = make_tuner(name);
+    for (std::size_t budget = 1; budget < min_budget; ++budget) {
+      EXPECT_THROW(algo->make_stepper(prob, budget, rng), PreconditionError)
+          << name << " budget " << budget;
+    }
+    EXPECT_NO_THROW(algo->make_stepper(prob, min_budget, rng)) << name;
+  }
+
+  // Free histories charge nothing, so any budget runs to completion.
+  prob.components_are_history = true;
+  for (const std::string name : {"CEAL", "BO-CEAL", "ALpH"}) {
+    ceal::Rng session_rng(5);
+    EXPECT_EQ(make_tuner(name)->tune(prob, 1, session_rng).runs_used, 1u)
+        << name;
+  }
+}
+
+TEST(SurrogateGbt, ReachesEverySurrogateTuner) {
+  // TuningProblem::surrogate_gbt configures every model the tuners
+  // train: a 2-bin quantized trainer must change each tuner's scores.
+  auto& f = fixture();
+  TuningProblem exact{&f.wl, Objective::kExecTime, &f.pool, &f.comps, false,
+                      {}};
+  TuningProblem coarse = exact;
+  coarse.surrogate_gbt.tree.method = ml::TreeMethod::kQuantized;
+  coarse.surrogate_gbt.tree.max_bins = 2;
+  for (const std::string name :
+       {"AL", "GEIST", "CEAL", "ALpH", "BO", "BO-CEAL"}) {
+    const auto algo = make_tuner(name);
+    ceal::Rng r1(6), r2(6);
+    EXPECT_NE(algo->tune(exact, 20, r1).model_scores,
+              algo->tune(coarse, 20, r2).model_scores)
+        << name;
+  }
 }
 
 TEST(PoolGraphTest, NeighborsAreSymmetricallySized) {

@@ -75,6 +75,9 @@ TEST(Surrogate, LogTargetsRejectNonPositiveValues) {
   Surrogate model;
   EXPECT_THROW(model.fit(space, configs, targets, rng),
                ceal::PreconditionError);
+  const std::vector<std::size_t> rows{0};
+  EXPECT_THROW(model.fit(featurize_joint(space, configs), rows, targets, rng),
+               ceal::PreconditionError);
 }
 
 TEST(Surrogate, RawModeAllowsAnyTargets) {
@@ -113,6 +116,26 @@ TEST(Surrogate, PredictManyMatchesPredict) {
   }
 }
 
+TEST(Surrogate, MatrixRowFitEqualsConfigurationFit) {
+  // Both overloads share one training path: rows of a featurized matrix
+  // (repeats allowed, as in a bootstrap resample) train the same model
+  // as the configurations they were featurized from.
+  const auto space = grid();
+  std::vector<Configuration> pool{{1, 1}, {8, 2}, {32, 8}, {16, 3}};
+  const ml::FeatureMatrix features = featurize_joint(space, pool);
+  const std::vector<std::size_t> rows{2, 0, 2, 3};
+  const std::vector<double> targets{10.0, 30.0, 11.0, 15.0};
+  std::vector<Configuration> configs;
+  for (const std::size_t r : rows) configs.push_back(pool[r]);
+  Surrogate from_configs, from_rows;
+  ceal::Rng r1(9), r2(9);
+  from_configs.fit(space, configs, targets, r1);
+  from_rows.fit(features, rows, targets, r2);
+  EXPECT_EQ(from_rows.predict_many(features),
+            from_configs.predict_many(features));
+  EXPECT_EQ(r1.state(), r2.state());
+}
+
 TEST(Surrogate, MismatchedSizesRejected) {
   const auto space = grid();
   ceal::Rng rng(7);
@@ -120,6 +143,9 @@ TEST(Surrogate, MismatchedSizesRejected) {
   std::vector<double> targets{1.0, 2.0};
   Surrogate model;
   EXPECT_THROW(model.fit(space, configs, targets, rng),
+               ceal::PreconditionError);
+  const std::vector<std::size_t> rows{0};
+  EXPECT_THROW(model.fit(featurize_joint(space, configs), rows, targets, rng),
                ceal::PreconditionError);
 }
 

@@ -5,6 +5,8 @@
 #include <set>
 
 #include "sim/workloads.h"
+#include "tuner/low_fidelity.h"
+#include "tuner/pool_features.h"
 
 namespace ceal::tuner {
 namespace {
@@ -69,6 +71,33 @@ TEST_F(TuningUtilTest, FitOnMeasuredTrainsOnCollectedData) {
   Surrogate model;
   fit_on_measured(model, col, rng);
   EXPECT_TRUE(model.is_fitted());
+}
+
+TEST_F(TuningUtilTest, FitOnMeasuredPoolRowsMatchesFeaturizedConfigs) {
+  Collector col(problem_, 10);
+  for (std::size_t i = 0; i < 10; ++i) col.measure(i * 3);
+  const ml::FeatureMatrix rows =
+      featurize_joint(wl_.workflow.joint_space(), pool_.configs);
+  Surrogate from_configs, from_rows;
+  ceal::Rng r1(3), r2(3);
+  fit_on_measured(from_configs, col, r1);
+  fit_on_measured(from_rows, col, r2, &rows);
+  EXPECT_EQ(from_rows.predict_many(rows), from_configs.predict_many(rows));
+}
+
+TEST_F(TuningUtilTest, ComponentModelsChargeRoundsUnlessHistorical) {
+  Collector charged(problem_, 10);
+  ceal::Rng rng(4);
+  const auto models = train_component_models(charged, 3, rng);
+  EXPECT_EQ(models->component_count(), wl_.workflow.component_count());
+  EXPECT_EQ(charged.runs_used(), 3u);
+
+  TuningProblem history = problem_;
+  history.components_are_history = true;
+  Collector free(history, 10);
+  train_component_models(free, 3, rng);
+  EXPECT_EQ(free.runs_used(), 0u);
+  EXPECT_EQ(free.component_indices().front().size(), comps_.front().size());
 }
 
 TEST_F(TuningUtilTest, FinalizeOverridesMeasuredScoresWithObservations) {

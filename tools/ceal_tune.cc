@@ -361,6 +361,10 @@ int main(int argc, char** argv) {
   } catch (const tuner::CheckpointError& e) {
     std::cerr << "ceal_tune: " << e.what() << "\n";
     return 2;
+  } catch (const PreconditionError& e) {
+    // E.g. a budget too small for the algorithm's component rounds.
+    std::cerr << "ceal_tune: " << e.what() << "\n";
+    return 2;
   } catch (const JournalError& e) {
     std::cerr << "ceal_tune: " << e.what() << "\n";
     return 2;
