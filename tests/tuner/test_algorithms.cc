@@ -190,6 +190,46 @@ TEST(ComponentBudget, TooSmallChargedBudgetsAreRejectedWhenTheStepperIsBuilt) {
   }
 }
 
+TEST(StepCounts, EveryTunerTakesItsPinnedNumberOfSteps) {
+  // A served session yields after every step, and perfbench's steps_per_s
+  // and step_*_ms are per-step figures: a tuner's step count at a fixed
+  // budget is part of its contract. m = 50, session seed 3; "faults" is a
+  // fault rate of 0.3 with two attempts per request.
+  struct Case {
+    const char* tuner;
+    bool history;
+    bool faults;
+    std::size_t steps;
+  };
+  auto& f = fixture();
+  for (const Case& c : {Case{"CEAL", false, false, 9},
+                        Case{"CEAL", true, false, 4},
+                        Case{"CEAL", false, true, 7},
+                        Case{"AL", false, false, 12},
+                        Case{"AL", false, true, 8},
+                        Case{"GEIST", false, false, 12},
+                        Case{"ALpH", false, false, 6},
+                        Case{"ALpH", true, false, 13},
+                        Case{"BO", false, false, 12},
+                        Case{"BO-CEAL", false, false, 5},
+                        Case{"BO-CEAL", true, false, 12},
+                        Case{"RS", false, false, 2}}) {
+    TuningProblem prob{&f.wl, Objective::kExecTime, &f.pool, &f.comps,
+                       c.history, {}};
+    if (c.faults) {
+      prob.measurement.faults.fail_prob = 0.3;
+      prob.measurement.max_attempts = 2;
+    }
+    ceal::Rng rng(3);
+    const auto stepper = make_tuner(c.tuner)->make_stepper(prob, 50, rng);
+    while (stepper->step()) {
+    }
+    EXPECT_EQ(stepper->steps_taken(), c.steps)
+        << c.tuner << (c.history ? " history" : "")
+        << (c.faults ? " faults" : "");
+  }
+}
+
 TEST(SurrogateGbt, ReachesEverySurrogateTuner) {
   // TuningProblem::surrogate_gbt configures every model the tuners
   // train: a 2-bin quantized trainer must change each tuner's scores.
