@@ -1,8 +1,8 @@
 #include "tuner/active_learning.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
+#include <utility>
 
 #include "core/error.h"
 #include "core/telemetry.h"
@@ -12,17 +12,15 @@
 
 namespace ceal::tuner {
 
-ActiveLearningLoop::ActiveLearningLoop(const AutoTuner& algorithm,
-                                       const TuningProblem& problem,
-                                       std::size_t budget_runs,
-                                       ceal::Rng& rng, std::size_t iterations,
-                                       double init_fraction,
-                                       const char* iteration_event)
+ActiveLearningLoop::ActiveLearningLoop(
+    const AutoTuner& algorithm, const TuningProblem& problem,
+    std::size_t budget_runs, ceal::Rng& rng, const char* iteration_event,
+    std::size_t iterations, double init_fraction)
     : TunerStepper(problem, budget_runs, rng),
       collector_(problem_, budget_runs, rng_),
+      iteration_event_(iteration_event),
       iterations_(iterations),
-      init_fraction_(init_fraction),
-      iteration_event_(iteration_event) {
+      init_fraction_(init_fraction) {
   emit_tune_start(problem_, algorithm, budget_);
 }
 
@@ -30,44 +28,56 @@ TunerProgress ActiveLearningLoop::progress() const {
   return collector_progress(collector_);
 }
 
+QueuedBatch ActiveLearningLoop::start() {
+  const auto warmup =
+      std::max<std::size_t>(2, rounded_fraction(init_fraction_, budget_));
+  batch_size_ = std::max<std::size_t>(
+      1, (budget_ - std::min(warmup, budget_)) / iterations_);
+  return {initial_batch(warmup), {}};
+}
+
 std::vector<std::size_t> ActiveLearningLoop::initial_batch(
     std::size_t count) {
   return random_unmeasured(collector_, count, *rng_);
 }
 
+void ActiveLearningLoop::emit_iteration(const QueuedBatch& measured,
+                                        std::size_t req_start,
+                                        std::size_t ok_start) {
+  if (batches_ == 1) return;  // the warm-up
+  emit_iteration_event(problem_, iteration_event_, batches_ - 2, collector_,
+                       req_start, ok_start, measured.ranking.fit_s,
+                       measured.ranking.predict_s);
+}
+
 void ActiveLearningLoop::do_step() {
-  if (phase_ == Phase::kWarmup) {
-    const auto warmup = std::max<std::size_t>(
-        2, static_cast<std::size_t>(std::llround(
-               init_fraction_ * static_cast<double>(budget_))));
-    measure_batch(collector_, initial_batch(warmup));
-    batch_size_ = std::max<std::size_t>(
-        1, (budget_ - std::min(warmup, budget_)) / iterations_);
-    phase_ = Phase::kLoop;
+  if (!started_) {
+    queue_ = start();
+    started_ = true;
     return;
   }
-  if (phase_ == Phase::kLoop) {
-    while (collector_.remaining() > 0) {
-      const std::size_t req_start = collector_.measured_indices().size();
-      const std::size_t ok_start = collector_.ok_values().size();
-      // Every warm-up attempt failed: spend budget on fresh random
-      // configurations until the model has something to train on.
-      const bool untrained = collector_.ok_indices().empty();
-      const PoolRanking ranking = untrained ? PoolRanking{} : rank();
-      const auto batch =
-          untrained ? random_unmeasured(collector_, batch_size_, *rng_)
-                    : top_unmeasured(ranking.scores, collector_, batch_size_);
-      if (batch.empty()) break;
-      measure_batch(collector_, batch, ranking.scores,
-                    untrained ? 0 : batch_size_);
-      emit_iteration_event(problem_, iteration_event_, iteration_++,
-                           collector_, req_start, ok_start, ranking.fit_s,
-                           ranking.predict_s);
-      return;  // one iteration per step
-    }
-    phase_ = Phase::kFinal;
+  if (batches_ == max_batches_ || queue_.indices.empty()) {
+    finish(finalize_result(collector_, final_scores()));
+    return;
   }
-  finish(finalize_result(collector_, final_scores()));
+  const QueuedBatch measured = std::exchange(queue_, {});
+  const std::size_t req_start = collector_.measured_indices().size();
+  const std::size_t ok_start = collector_.ok_values().size();
+  measure_batch(collector_, measured.indices, measured.ranking.scores);
+  ++batches_;
+  queue_.indices = after_batch(ok_start);
+  if (collector_.remaining() > 0) {
+    const bool ranked = has_model();
+    if (ranked) queue_.ranking = rank();
+    const auto picks =
+        ranked ? top_unmeasured(queue_.ranking.scores, collector_, batch_size_)
+               : random_unmeasured(collector_, batch_size_, *rng_);
+    queue_.indices.insert(queue_.indices.end(), picks.begin(), picks.end());
+  }
+  emit_iteration(measured, req_start, ok_start);
+  if (collector_.remaining() == 0) {
+    finish(finalize_result(collector_, final_scores()));
+  }
 }
 
 ActiveLearning::ActiveLearning(ActiveLearningParams params)
@@ -87,8 +97,8 @@ class ActiveLearningStepper final : public ActiveLearningLoop {
                         const TuningProblem& problem, std::size_t budget_runs,
                         ceal::Rng& rng)
       : ActiveLearningLoop(algorithm, problem, budget_runs, rng,
-                           params.iterations, params.init_fraction,
-                           "al.iteration"),
+                           "al.iteration", params.iterations,
+                           params.init_fraction),
         // The pool is rescored every iteration: featurized once here in
         // the default cached mode, streamed in blocks when
         // pool_chunk_rows opts in.
@@ -106,8 +116,6 @@ class ActiveLearningStepper final : public ActiveLearningLoop {
     ranking.predict_s = predict_span.stop();
     return ranking;
   }
-
-  std::vector<double> final_scores() override { return rank().scores; }
 
   const PoolScorer pool_scorer_;
   Surrogate surrogate_;

@@ -1,7 +1,6 @@
 #include "tuner/alph.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <optional>
 
@@ -33,8 +32,8 @@ class AlphStepper final : public ActiveLearningLoop {
               const TuningProblem& problem, std::size_t budget_runs,
               ceal::Rng& rng)
       : ActiveLearningLoop(algorithm, problem, budget_runs, rng,
-                           params.iterations, params.init_fraction,
-                           "alph.iteration"),
+                           "alph.iteration", params.iterations,
+                           params.init_fraction),
         params_(params),
         model_(problem_.surrogate_gbt) {}
 
@@ -48,8 +47,7 @@ class AlphStepper final : public ActiveLearningLoop {
     // runs.
     const auto& workflow = problem_.workload->workflow;
     const auto rounds = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::llround(
-               params_.component_fraction * static_cast<double>(budget_))));
+        1, rounded_fraction(params_.component_fraction, budget_));
     const auto components = train_component_models(collector_, rounds, *rng_);
 
     // Pre-compute the augmented feature rows for the whole pool once:
@@ -79,8 +77,6 @@ class AlphStepper final : public ActiveLearningLoop {
     ranking.predict_s = span.stop();
     return ranking;
   }
-
-  std::vector<double> final_scores() override { return rank().scores; }
 
   AlphParams params_;
   Surrogate model_;  // M'_0 over the augmented rows

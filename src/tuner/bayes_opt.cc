@@ -1,7 +1,6 @@
 #include "tuner/bayes_opt.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "core/error.h"
@@ -40,12 +39,13 @@ ml::GbtParams member_params(const TuningProblem& problem) {
 class BayesOptStepper final : public ActiveLearningLoop {
  public:
   BayesOptStepper(const BayesOpt& algorithm, const BayesOptParams& params,
-                  const TuningProblem& problem, std::size_t budget_runs,
-                  ceal::Rng& rng)
+                  std::size_t m_r, const TuningProblem& problem,
+                  std::size_t budget_runs, ceal::Rng& rng)
       : ActiveLearningLoop(algorithm, problem, budget_runs, rng,
-                           params.iterations, params.init_fraction,
-                           "bo.iteration"),
+                           "bo.iteration", params.iterations,
+                           params.init_fraction),
         params_(params),
+        m_r_(m_r),
         pool_features_(featurize_joint(
             problem_.workload->workflow.joint_space(),
             problem_.pool->configs)),
@@ -59,16 +59,9 @@ class BayesOptStepper final : public ActiveLearningLoop {
     if (!params_.bootstrap_with_low_fidelity) {
       return ActiveLearningLoop::initial_batch(count);
     }
-    const std::size_t m_r =
-        problem_.components_are_history
-            ? 0
-            : std::clamp<std::size_t>(
-                  static_cast<std::size_t>(std::llround(
-                      params_.mR_fraction * static_cast<double>(budget_))),
-                  1, budget_ - 2);
     const LowFidelityModel low_fidelity(
         problem_.workload->workflow, problem_.objective,
-        train_component_models(collector_, m_r, *rng_));
+        train_component_models(collector_, m_r_, *rng_));
     return top_unmeasured(low_fidelity.score_many(pool_features_), collector_,
                           std::min(count, collector_.remaining()));
   }
@@ -127,6 +120,7 @@ class BayesOptStepper final : public ActiveLearningLoop {
   }
 
   BayesOptParams params_;
+  std::size_t m_r_;  // charged component rounds of BO-CEAL
   const ml::FeatureMatrix pool_features_;
   std::vector<Surrogate> members_;
 };
@@ -136,11 +130,12 @@ class BayesOptStepper final : public ActiveLearningLoop {
 std::unique_ptr<TunerStepper> BayesOpt::make_stepper(
     const TuningProblem& problem, std::size_t budget_runs,
     ceal::Rng& rng) const {
-  // Charged component rounds (at least 1) must leave two workflow runs.
-  CEAL_EXPECT_MSG(!params_.bootstrap_with_low_fidelity ||
-                      problem.components_are_history || budget_runs >= 3,
-                  "BO-CEAL without history needs a budget of at least 3 runs");
-  return std::make_unique<BayesOptStepper>(*this, params_, problem,
+  const std::size_t m_r =
+      params_.bootstrap_with_low_fidelity
+          ? charged_component_rounds(problem, budget_runs,
+                                     params_.mR_fraction, "BO-CEAL")
+          : 0;
+  return std::make_unique<BayesOptStepper>(*this, params_, m_r, problem,
                                            budget_runs, rng);
 }
 

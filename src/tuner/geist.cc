@@ -95,8 +95,8 @@ class GeistStepper final : public ActiveLearningLoop {
                const TuningProblem& problem, std::size_t budget_runs,
                ceal::Rng& rng)
       : ActiveLearningLoop(algorithm, problem, budget_runs, rng,
-                           params.iterations, params.init_fraction,
-                           "geist.iteration"),
+                           "geist.iteration", params.iterations,
+                           params.init_fraction),
         params_(params),
         graph_(params_.graph) {
     if (!graph_) {

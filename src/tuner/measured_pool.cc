@@ -1,6 +1,8 @@
 #include "tuner/measured_pool.h"
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "core/error.h"
 
@@ -28,8 +30,18 @@ MeasuredPool measure_pool(const sim::InSituWorkflow& workflow, std::size_t n,
   pool.configs.reserve(n);
   pool.exec_s.reserve(n);
   pool.comp_ch.reserve(n);
+  // Rows are distinct (load_pool_csv rejects a repeat). A repeated draw
+  // is dropped before its noise draw, so a pool without repeats keeps
+  // its bits; 64 * n repeats in a row mean the space is too small.
+  std::set<config::Configuration> drawn;
   for (std::size_t i = 0; i < n; ++i) {
     config::Configuration c = workflow.joint_space().random_valid(rng);
+    for (std::size_t repeats = 0; !drawn.insert(c).second; ++repeats) {
+      CEAL_EXPECT_MSG(repeats < 64 * n,
+                      "cannot draw " + std::to_string(n) +
+                          " distinct configurations of " + workflow.name());
+      c = workflow.joint_space().random_valid(rng);
+    }
     const sim::Measurement m = workflow.run(c, rng);
     const sim::Measurement t = workflow.expected(c);
     pool.configs.push_back(std::move(c));

@@ -70,7 +70,9 @@ struct ComponentSamples {
   }
 };
 
-/// Draws `n` random valid joint configurations and measures each once.
+/// Draws `n` distinct random valid joint configurations and measures
+/// each once. Throws PreconditionError when the valid space cannot
+/// supply `n` distinct configurations.
 MeasuredPool measure_pool(const sim::InSituWorkflow& workflow, std::size_t n,
                           std::uint64_t seed);
 

@@ -11,6 +11,22 @@
 
 namespace ceal::tuner {
 
+std::size_t rounded_fraction(double fraction, std::size_t total) {
+  return static_cast<std::size_t>(
+      std::llround(fraction * static_cast<double>(total)));
+}
+
+std::size_t charged_component_rounds(const TuningProblem& problem,
+                                     std::size_t budget_runs,
+                                     double fraction,
+                                     const std::string& tuner) {
+  if (problem.components_are_history) return 0;
+  CEAL_EXPECT_MSG(budget_runs >= 3,
+                  tuner + " without history needs a budget of at least 3 runs");
+  return std::clamp<std::size_t>(rounded_fraction(fraction, budget_runs), 1,
+                                 budget_runs - 2);
+}
+
 TopKSelector::TopKSelector(std::size_t k) : k_(k) { heap_.reserve(k); }
 
 void TopKSelector::push(double score, std::size_t index) {
@@ -81,8 +97,8 @@ std::vector<std::size_t> random_unmeasured(const Collector& collector,
 
 std::size_t measure_batch(Collector& collector,
                           std::span<const std::size_t> batch,
-                          std::span<const double> topup_scores,
-                          std::size_t want_ok) {
+                          std::span<const double> topup_scores) {
+  const std::size_t want_ok = topup_scores.empty() ? 0 : batch.size();
   if (CheckpointSession* checkpoint = collector.problem().checkpoint) {
     // Journal the batch selection before the first run: a resumed
     // session re-derives the batch from the same model state and the
@@ -109,8 +125,7 @@ std::size_t measure_batch(Collector& collector,
   // Fault top-up: keep the per-iteration count of usable measurements at
   // the intended batch size while budget and candidates last. The
   // fault-free path never enters the loop (every measurement succeeded).
-  while (ok < want_ok && collector.remaining() > 0 &&
-         !topup_scores.empty()) {
+  while (ok < want_ok && collector.remaining() > 0) {
     const auto extra = top_unmeasured(topup_scores, collector, 1);
     if (extra.empty()) break;
     if (collector.try_measure(extra[0]).status == sim::RunStatus::kOk) ++ok;

@@ -4,6 +4,7 @@
 #include <initializer_list>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,17 @@
 namespace ceal::tuner {
 
 class ComponentModelSet;
+
+/// round(fraction * total), the share of a budget a tuner parameter names.
+std::size_t rounded_fraction(double fraction, std::size_t total);
+
+/// CEAL's and BO-CEAL's charged component rounds m_R =
+/// clamp(round(fraction * m), 1, m - 2), or 0 with free history. A
+/// charged budget below 3 throws PreconditionError naming `tuner`.
+std::size_t charged_component_rounds(const TuningProblem& problem,
+                                     std::size_t budget_runs,
+                                     double fraction,
+                                     const std::string& tuner);
 
 /// Bounded top-k selection over streamed (score, index) pairs: keeps the
 /// k smallest scores seen so far in a max-heap of k entries, so ranking
@@ -68,15 +80,15 @@ std::vector<std::size_t> random_unmeasured(const Collector& collector,
 /// problem injects faults, failed attempts can leave the batch short of
 /// usable data; passing `topup_scores` (pool-wide, lower = better) lets
 /// the helper keep measuring the best-scored unmeasured configurations
-/// until `want_ok` measurements succeeded, the budget is spent, or the
-/// pool is exhausted. Returns the number of *successful* measurements
-/// gained (equal to the number measured on the fault-free path).
+/// until as many measurements succeeded as `batch` holds, the budget is
+/// spent, or the pool is exhausted. Returns the number of *successful*
+/// measurements gained (equal to the number measured on the fault-free
+/// path).
 /// With a checkpoint attached the batch selection is journaled (and
 /// validated on resume) before the first measurement runs.
 std::size_t measure_batch(Collector& collector,
                           std::span<const std::size_t> batch,
-                          std::span<const double> topup_scores = {},
-                          std::size_t want_ok = 0);
+                          std::span<const double> topup_scores = {});
 
 /// Fits `surrogate` on every *successful* measurement the collector
 /// holds. Failed and censored entries never reach the training set, and

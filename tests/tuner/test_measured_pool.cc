@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "core/error.h"
 #include "sim/workloads.h"
 
 namespace ceal::tuner {
@@ -23,6 +26,25 @@ TEST_F(MeasuredPoolTest, PoolHasRequestedSizeAndValidConfigs) {
   for (const auto& c : pool.configs) {
     EXPECT_TRUE(wl_.workflow.joint_space().is_valid(c));
   }
+}
+
+TEST(MeasuredPoolSpace, RequestBeyondTheValidSpaceFailsInsteadOfLooping) {
+  // One component with four configurations: four distinct rows exist,
+  // a fifth does not.
+  sim::ParamRoles roles;
+  roles.procs = 0;
+  std::vector<sim::ComponentApp> apps;
+  apps.emplace_back("a", config::ConfigSpace({config::Parameter::range(
+                             "procs", 1, 4)}),
+                    roles, sim::ScalingParams{}, sim::IoProfile{}, 0.0);
+  const sim::InSituWorkflow tiny("tiny", sim::MachineSpec{}, std::move(apps),
+                                 {});
+  const auto pool = measure_pool(tiny, 4, 1);
+  EXPECT_EQ(std::set<config::Configuration>(pool.configs.begin(),
+                                            pool.configs.end())
+                .size(),
+            4u);
+  EXPECT_THROW(measure_pool(tiny, 5, 1), PreconditionError);
 }
 
 TEST_F(MeasuredPoolTest, SameSeedSamePool) {

@@ -27,6 +27,16 @@ class PoolIoTest : public ::testing::Test {
   std::string path_;
 };
 
+TEST_F(PoolIoTest, GeneratedPoolsAlwaysLoadBack) {
+  // The 20k-row LV pool of seed 1 once held a repeated configuration, so
+  // save_pool_csv wrote a file load_pool_csv refused ("duplicate
+  // configuration ... (first at line 527)").
+  const auto& space = wl_.workflow.joint_space();
+  const MeasuredPool pool = measure_pool(wl_.workflow, 20000, 1);
+  save_pool_csv(pool, space, path_);
+  EXPECT_EQ(load_pool_csv(space, path_).configs, pool.configs);
+}
+
 TEST_F(PoolIoTest, RoundTripPreservesEverything) {
   const auto& space = wl_.workflow.joint_space();
   save_pool_csv(pool_, space, path_);

@@ -4,8 +4,10 @@
 //
 //   ceal_pool --workflow LV --size 2000 --seed 7 --out lv_pool.csv
 //   ceal_pool --workflow HS --size 500 --out hs.csv --components hs_comp
+#include <cstdlib>
 #include <iostream>
 
+#include "core/error.h"
 #include "core/table.h"
 #include "tools/args.h"
 #include "tools/common.h"
@@ -36,7 +38,14 @@ int main(int argc, char** argv) {
   args.finish();
 
   sim::Workload wl = tools::workload_by_name(wl_name);
-  const auto pool = tuner::measure_pool(wl.workflow, size, seed);
+  const auto pool = [&] {
+    try {
+      return tuner::measure_pool(wl.workflow, size, seed);
+    } catch (const PreconditionError& e) {
+      std::cerr << "ceal_pool: " << e.what() << "\n";
+      std::exit(2);
+    }
+  }();
   tuner::save_pool_csv(pool, wl.workflow.joint_space(), out);
 
   const auto exec_best = pool.best_index(tuner::Objective::kExecTime);
