@@ -10,6 +10,7 @@
 #include "core/csv.h"
 #include "core/table.h"
 #include "tuner/evaluation.h"
+#include "tuner/session_spec.h"
 
 int main() {
   using namespace ceal;
@@ -36,7 +37,7 @@ int main() {
 
     std::vector<std::string> row{bench::fmt(rate, 2)};
     for (const char* name : algos) {
-      const auto algo = bench::make_algorithm(name, env, w);
+      const auto algo = tuner::algorithm_by_name(name, env.graph(w));
       const auto s = tuner::evaluate(problem, *algo, budget,
                                      bench::Env::replications(),
                                      bench::kEvalSeed);

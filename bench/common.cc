@@ -17,10 +17,7 @@
 #include "core/json.h"
 #include "core/parallel.h"
 #include "core/table.h"
-#include "tuner/active_learning.h"
-#include "tuner/alph.h"
-#include "tuner/ceal.h"
-#include "tuner/random_search.h"
+#include "tuner/session_spec.h"
 
 namespace ceal::bench {
 
@@ -87,25 +84,10 @@ std::size_t Env::replications() {
   return 40;
 }
 
-std::unique_ptr<tuner::AutoTuner> make_algorithm(const std::string& name,
-                                                 const Env& env,
-                                                 std::size_t w) {
-  if (name == "RS") return std::make_unique<tuner::RandomSearch>();
-  if (name == "AL") return std::make_unique<tuner::ActiveLearning>();
-  if (name == "GEIST") {
-    tuner::GeistParams params;
-    params.graph = env.graph(w);
-    return std::make_unique<tuner::Geist>(params);
-  }
-  if (name == "ALpH") return std::make_unique<tuner::Alph>();
-  if (name == "CEAL") return std::make_unique<tuner::Ceal>();
-  throw PreconditionError("unknown algorithm " + name);
-}
-
 tuner::EvalSummary run_cell(const Env& env, const std::string& name,
                             std::size_t w, tuner::Objective objective,
                             std::size_t budget, bool history) {
-  const auto algo = make_algorithm(name, env, w);
+  const auto algo = tuner::algorithm_by_name(name, env.graph(w));
   const auto prob = env.problem(w, objective, history);
   return tuner::evaluate(prob, *algo, budget, Env::replications(),
                          kEvalSeed);

@@ -57,14 +57,10 @@ class Env {
 /// "1.234" style normalised value or "inf".
 std::string fmt(double v, int precision = 3);
 
-/// Builds an algorithm by paper name ("RS", "AL", "GEIST", "ALpH",
-/// "CEAL"); GEIST receives the pre-built pool graph for workload `w`.
-std::unique_ptr<tuner::AutoTuner> make_algorithm(const std::string& name,
-                                                 const Env& env,
-                                                 std::size_t w);
-
-/// Runs one experiment cell: `name` on workload `w` under `objective`
-/// with `budget` training samples, averaged over replications().
+/// Runs one experiment cell: the registered tuner `name` (GEIST shares
+/// the pre-built pool graph of workload `w`) on workload `w` under
+/// `objective` with `budget` training samples, averaged over
+/// replications().
 tuner::EvalSummary run_cell(const Env& env, const std::string& name,
                             std::size_t w, tuner::Objective objective,
                             std::size_t budget, bool history);

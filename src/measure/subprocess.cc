@@ -76,6 +76,34 @@ std::string default_worker_bin() {
   return self.substr(0, slash + 1) + "ceal_worker";
 }
 
+BackendKind backend_kind(const std::string& name) {
+  if (name.empty()) return BackendKind::kNone;
+  if (name == "inproc") return BackendKind::kInProcess;
+  if (name == "subprocess") return BackendKind::kSubprocess;
+  throw PreconditionError("measure-backend: unknown value \"" + name +
+                          "\" (expected inproc|subprocess)");
+}
+
+std::unique_ptr<MeasureBackend> make_backend(
+    BackendKind kind, const tuner::MeasuredPool& pool,
+    SubprocessOptions options, const tuner::SessionSpec& spec,
+    const std::string& pool_file, telemetry::Telemetry* telemetry) {
+  if (kind == BackendKind::kNone) return nullptr;
+  if (kind == BackendKind::kInProcess)
+    return std::make_unique<InProcessBackend>(pool);
+  options.seed = spec.seed;
+  if (pool_file.empty()) {
+    options.worker_args = {"--workflow", spec.workflow, "--pool-size",
+                           std::to_string(spec.pool_size), "--pool-seed",
+                           std::to_string(spec.pool_seed)};
+  } else {
+    options.worker_args = {"--workflow", spec.workflow, "--pool-file",
+                           pool_file};
+  }
+  return std::make_unique<SubprocessBackend>(pool, std::move(options),
+                                             telemetry);
+}
+
 struct SubprocessBackend::Event {
   std::size_t slot = 0;
   std::uint64_t generation = 0;
@@ -111,6 +139,7 @@ SubprocessBackend::SubprocessBackend(const tuner::MeasuredPool& pool,
                                      telemetry::Telemetry* telemetry)
     : pool_(&pool), options_(std::move(options)), telemetry_(telemetry) {
   if (options_.workers == 0) options_.workers = 1;
+  if (options_.degrade_after == 0) options_.degrade_after = 1;
   worker_bin_ = options_.worker_bin.empty() ? default_worker_bin()
                                             : options_.worker_bin;
 }

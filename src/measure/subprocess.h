@@ -57,6 +57,7 @@
 #include "core/backoff.h"
 #include "core/json.h"
 #include "measure/backend.h"
+#include "tuner/session_spec.h"
 
 namespace ceal::telemetry {
 class Telemetry;
@@ -73,7 +74,7 @@ struct SubprocessOptions {
   /// Pool-construction arguments forwarded to every worker verbatim
   /// (e.g. {"--workflow","LV","--pool-size","2000","--pool-seed","1"}).
   /// The worker rebuilds the identical pool and proves it via the hello
-  /// fingerprint.
+  /// fingerprint. make_backend() derives them from the session spec.
   std::vector<std::string> worker_args;
   /// Straggler threshold: an in-flight run older than this is hedged to
   /// an idle worker.
@@ -82,7 +83,7 @@ struct SubprocessOptions {
   /// hello) older than this gets its worker killed and restarted.
   double hang_after_s = 10.0;
   /// Consecutive worker-pool faults (no successful result in between)
-  /// that trigger degradation to in-process execution.
+  /// that trigger degradation to in-process execution; clamped to >= 1.
   std::size_t degrade_after = 3;
   /// Restart delay schedule per worker slot (real sleeps, seeded
   /// jitter; see core/backoff.h). Short defaults: a worker restart is
@@ -174,5 +175,21 @@ class SubprocessBackend final : public MeasureBackend {
   std::condition_variable events_cv_;
   std::deque<Event> events_;
 };
+
+/// Where a session's measurements execute: front-end configuration,
+/// not session identity, since no result or journal byte depends on it.
+enum class BackendKind { kNone, kInProcess, kSubprocess };
+
+/// "" (kNone: the Collector reads pool rows inline), "inproc" or
+/// "subprocess"; anything else throws a one-line PreconditionError.
+BackendKind backend_kind(const std::string& name);
+
+/// The backend of session `spec` over `pool` (null for kNone). Subprocess
+/// workers get the spec's seed and rebuild its pool, or load `pool_file`
+/// when it is not empty. `telemetry` may be null.
+std::unique_ptr<MeasureBackend> make_backend(
+    BackendKind kind, const tuner::MeasuredPool& pool,
+    SubprocessOptions options, const tuner::SessionSpec& spec,
+    const std::string& pool_file, telemetry::Telemetry* telemetry);
 
 }  // namespace ceal::measure

@@ -1,7 +1,8 @@
 #include "serve/protocol.h"
 
 #include <charconv>
-#include <initializer_list>
+#include <concepts>
+#include <vector>
 
 namespace ceal::serve {
 
@@ -23,11 +24,6 @@ std::string get_string(const json::Value& v, const std::string& where) {
   return v.as_string();
 }
 
-bool get_bool(const json::Value& v, const std::string& where) {
-  if (v.kind() != json::Value::Kind::kBool) fail(where, "expected a boolean");
-  return v.as_bool();
-}
-
 // Unsigned integers (seeds, counts) go through from_chars on the exact
 // number lexeme: 1.5, -1, and 1e3 are all rejected rather than rounded.
 std::uint64_t get_u64(const json::Value& v, const std::string& where) {
@@ -42,42 +38,37 @@ std::uint64_t get_u64(const json::Value& v, const std::string& where) {
   return out;
 }
 
-std::size_t get_size(const json::Value& v, const std::string& where,
-                     std::size_t min_value) {
-  const std::uint64_t raw = get_u64(v, where);
-  if (raw < min_value) fail(where, "must be >= " + std::to_string(min_value));
-  return static_cast<std::size_t>(raw);
+// One JSON reader per knob type: the knob's own type picks it.
+void read(const json::Value& v, const std::string& where, std::string& out) {
+  out = get_string(v, where);
 }
-
-double get_nonnegative(const json::Value& v, const std::string& where) {
+void read(const json::Value& v, const std::string& where, bool& out) {
+  if (v.kind() != json::Value::Kind::kBool) fail(where, "expected a boolean");
+  out = v.as_bool();
+}
+void read(const json::Value& v, const std::string& where, double& out) {
   if (v.kind() != json::Value::Kind::kNumber) fail(where, "expected a number");
-  const double value = v.as_double();
-  if (!(value >= 0.0)) fail(where, "must be >= 0, got " + v.number_lexeme());
-  return value;
+  out = v.as_double();
+}
+template <std::unsigned_integral T>
+void read(const json::Value& v, const std::string& where, T& out) {
+  out = get_u64(v, where);
 }
 
-double get_rate(const json::Value& v, const std::string& where) {
-  const double value = get_nonnegative(v, where);
-  if (value > 1.0) fail(where, "must be in [0, 1], got " + v.number_lexeme());
-  return value;
+json::Value to_json(const std::string& value) {
+  return json::Value::string(value);
 }
-
-std::string check_choice(std::string value,
-                         std::initializer_list<std::string_view> choices,
-                         const std::string& where) {
-  std::string expected;
-  for (std::string_view choice : choices) {
-    if (value == choice) return value;
-    if (!expected.empty()) expected += '|';
-    expected += choice;
-  }
-  fail(where, "unknown value \"" + value + "\" (expected " + expected + ")");
+json::Value to_json(bool value) { return json::Value::boolean(value); }
+json::Value to_json(double value) { return json::Value::number(value); }
+template <std::unsigned_integral T>
+json::Value to_json(T value) {
+  return json::Value::number(static_cast<std::uint64_t>(value));
 }
 
 // Strictness first: any field outside the op's schema is an error, so a
 // typo'd knob can never silently fall back to its default.
 void reject_unknown(const json::Value& obj,
-                    std::initializer_list<std::string_view> allowed,
+                    const std::vector<std::string_view>& allowed,
                     const std::string& where) {
   for (const auto& [key, value] : obj.members()) {
     bool known = false;
@@ -107,48 +98,37 @@ std::string get_session_id(const json::Value& obj, const std::string& where) {
   return id;
 }
 
-const std::initializer_list<std::string_view> kCreateKeys = {
-    "op",          "id",          "workflow",     "objective",
-    "algorithm",   "budget",      "seed",         "pool_size",
-    "pool_seed",   "component_samples",           "history",
-    "fault_rate",  "outlier_rate", "deadline",    "max_attempts"};
+// op, id and the session spec's knobs.
+const std::vector<std::string_view>& create_keys() {
+  static const std::vector<std::string_view> keys = [] {
+    std::vector<std::string_view> out = {"op", "id"};
+    const CreateParams spec;
+    tuner::for_each_knob(spec, [&](const char* key, const auto&) {
+      out.push_back(key);
+    });
+    return out;
+  }();
+  return keys;
+}
 
 // The session.create fields minus op/id — shared verbatim with the
 // durable manifest, so a request and a resumed manifest cannot drift.
+// Only JSON types are checked here; names and ranges are the spec's.
 CreateParams parse_create_fields(const json::Value& obj,
                                  const std::string& where) {
   CreateParams p;
-  p.workflow = check_choice(
-      get_string(require(obj, "workflow", where), where + ":workflow"),
-      {"LV", "HS", "GP"}, where + ":workflow");
-  p.objective = check_choice(
-      get_string(require(obj, "objective", where), where + ":objective"),
-      {"exec", "comp"}, where + ":objective");
-  if (const json::Value* v = obj.find("algorithm")) {
-    p.algorithm = check_choice(get_string(*v, where + ":algorithm"),
-                               {"CEAL", "AL", "RS", "GEIST", "ALpH", "BO",
-                                "BO-CEAL"},
-                               where + ":algorithm");
+  tuner::for_each_knob(p, [&](const std::string& key, auto& value) {
+    if (const json::Value* v = obj.find(key)) {
+      read(*v, where + ":" + key, value);
+    } else if (key == "workflow" || key == "objective" || key == "budget") {
+      fail(where + ":" + key, "missing required field");
+    }
+  });
+  try {
+    p.validate();
+  } catch (const tuner::SpecError& e) {
+    throw ProtocolError(where + ":" + e.what());
   }
-  p.budget = get_size(require(obj, "budget", where), where + ":budget", 1);
-  if (const json::Value* v = obj.find("seed"))
-    p.seed = get_u64(*v, where + ":seed");
-  if (const json::Value* v = obj.find("pool_size"))
-    p.pool_size = get_size(*v, where + ":pool_size", 1);
-  if (const json::Value* v = obj.find("pool_seed"))
-    p.pool_seed = get_u64(*v, where + ":pool_seed");
-  if (const json::Value* v = obj.find("component_samples"))
-    p.component_samples = get_size(*v, where + ":component_samples", 1);
-  if (const json::Value* v = obj.find("history"))
-    p.history = get_bool(*v, where + ":history");
-  if (const json::Value* v = obj.find("fault_rate"))
-    p.fault_rate = get_rate(*v, where + ":fault_rate");
-  if (const json::Value* v = obj.find("outlier_rate"))
-    p.outlier_rate = get_rate(*v, where + ":outlier_rate");
-  if (const json::Value* v = obj.find("deadline"))
-    p.deadline_s = get_nonnegative(*v, where + ":deadline");
-  if (const json::Value* v = obj.find("max_attempts"))
-    p.max_attempts = get_size(*v, where + ":max_attempts", 1);
   return p;
 }
 
@@ -169,15 +149,17 @@ Request parse_request(const std::string& line) {
   Request req;
   if (op == "session.create") {
     req.op = Op::kCreate;
-    reject_unknown(doc, kCreateKeys, "request");
+    reject_unknown(doc, create_keys(), "request");
     req.session_id = get_session_id(doc, "request");
     req.create = parse_create_fields(doc, "request");
   } else if (op == "session.step") {
     req.op = Op::kStep;
     reject_unknown(doc, {"op", "id", "steps"}, "request");
     req.session_id = get_session_id(doc, "request");
-    if (const json::Value* v = doc.find("steps"))
-      req.steps = get_size(*v, "request:steps", 1);
+    if (const json::Value* v = doc.find("steps")) {
+      req.steps = get_u64(*v, "request:steps");
+      if (req.steps < 1) fail("request:steps", "must be >= 1");
+    }
   } else if (op == "session.query") {
     req.op = Op::kQuery;
     reject_unknown(doc, {"op", "id", "save_result"}, "request");
@@ -229,31 +211,16 @@ json::Value error_response(std::string message) {
 json::Value to_manifest(const std::string& id, const CreateParams& params) {
   json::Value m = json::Value::object();
   m.set("id", json::Value::string(id));
-  m.set("workflow", json::Value::string(params.workflow));
-  m.set("objective", json::Value::string(params.objective));
-  m.set("algorithm", json::Value::string(params.algorithm));
-  m.set("budget",
-        json::Value::number(static_cast<std::uint64_t>(params.budget)));
-  m.set("seed", json::Value::number(params.seed));
-  m.set("pool_size",
-        json::Value::number(static_cast<std::uint64_t>(params.pool_size)));
-  m.set("pool_seed", json::Value::number(params.pool_seed));
-  m.set("component_samples",
-        json::Value::number(
-            static_cast<std::uint64_t>(params.component_samples)));
-  m.set("history", json::Value::boolean(params.history));
-  m.set("fault_rate", json::Value::number(params.fault_rate));
-  m.set("outlier_rate", json::Value::number(params.outlier_rate));
-  m.set("deadline", json::Value::number(params.deadline_s));
-  m.set("max_attempts",
-        json::Value::number(static_cast<std::uint64_t>(params.max_attempts)));
+  tuner::for_each_knob(params, [&](const char* key, const auto& value) {
+    m.set(key, to_json(value));
+  });
   return m;
 }
 
 CreateParams create_from_manifest(const json::Value& manifest,
                                   const std::string& where) {
   if (!manifest.is_object()) fail(where, "expected a JSON object");
-  reject_unknown(manifest, kCreateKeys, where);
+  reject_unknown(manifest, create_keys(), where);
   get_session_id(manifest, where);  // validates the embedded id
   return parse_create_fields(manifest, where);
 }

@@ -12,13 +12,13 @@
 //   {"op":"server.dump"}                            -> {"ok":true,...}
 //
 // Validation is strict and reuses src/core/json: unknown fields, wrong
-// types, and out-of-range values are rejected before any session state
-// changes, each with a one-line "request:<field>: why" error (the same
-// "<where>: why" convention the pool loader and trace reader use). A
-// malformed request NEVER takes the server down — the daemon answers
-// {"ok":false,"error":"..."} and keeps serving (tests/serve/
-// test_protocol.cc holds it to this). docs/SERVING.md is the full
-// reference.
+// types, and values out of the session spec's ranges are rejected before
+// any session state changes, each with a one-line "request:<field>: why"
+// error (the same "<where>: why" convention the pool loader and trace
+// reader use). A malformed request NEVER takes the server down — the
+// daemon answers {"ok":false,"error":"..."} and keeps serving
+// (tests/serve/test_protocol.cc holds it to this). docs/SERVING.md is
+// the full reference.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 #include <string>
 
 #include "core/json.h"
+#include "tuner/session_spec.h"
 
 namespace ceal::serve {
 
@@ -50,26 +51,11 @@ enum class Op {
 /// serve.op.<name> and serve.op.<name>.errors metric families.
 const char* op_name(Op op);
 
-/// The session parameters of session.create — deliberately the same
-/// knobs (and defaults) as the ceal_tune command line, so a served
-/// session's result CSV is byte-comparable to a `ceal_tune
-/// --save-result` run with the matching flags.
-struct CreateParams {
-  std::string workflow;            ///< LV | HS | GP (required)
-  std::string objective;           ///< exec | comp (required)
-  std::string algorithm = "CEAL";  ///< CEAL|AL|RS|GEIST|ALpH|BO|BO-CEAL
-  std::size_t budget = 0;          ///< required, >= 1
-  std::uint64_t seed = 42;
-  std::size_t pool_size = 2000;
-  std::uint64_t pool_seed = 1;
-  std::size_t component_samples = 500;
-  bool history = false;
-  // Fault model (per-attempt; same semantics as ceal_tune).
-  double fault_rate = 0.0;
-  double outlier_rate = 0.0;
-  double deadline_s = 0.0;
-  std::size_t max_attempts = 1;
-};
+/// The session parameters of session.create and of the durable manifest:
+/// the one session spec (tuner/session_spec.h) that ceal_tune's flags
+/// fill too, so a served session's result CSV is byte-comparable to a
+/// `ceal_tune --save-result` run with the matching flags.
+using CreateParams = tuner::SessionSpec;
 
 /// One parsed, validated request.
 struct Request {

@@ -117,13 +117,7 @@ std::size_t ServerCore::resume_sessions() {
     // session killed before its first durable record starts fresh.
     const std::string journal = journal_path(id);
     const bool resume = file_non_empty(journal);
-    auto session = std::make_shared<ServeSession>(
-        id, std::move(params), journal, resume, trace_path(id),
-        options_.trace_fsync, options_.flight_recorder, options_.measure);
-    {
-      std::lock_guard lock(mutex_);
-      sessions_.emplace(id, std::move(session));
-    }
+    open_session(id, std::move(params), journal, resume);
     ++resumed;
   }
   update_active_gauge();
@@ -239,13 +233,8 @@ json::Value ServerCore::create_session(const Request& request) {
     // Built outside the registry lock: pool measurement is the
     // expensive part and concurrent creates of different sessions must
     // overlap. Same-id races are excluded by the caller's strand.
-    auto session = std::make_shared<ServeSession>(
-        id, request.create, journal, /*resume=*/false, trace_path(id),
-        options_.trace_fsync, options_.flight_recorder, options_.measure);
-    {
-      std::lock_guard lock(mutex_);
-      sessions_.emplace(id, session);
-    }
+    const auto session =
+        open_session(id, request.create, journal, /*resume=*/false);
     update_active_gauge();
     return session->status_json();
   } catch (...) {
@@ -256,6 +245,18 @@ json::Value ServerCore::create_session(const Request& request) {
     }
     throw;
   }
+}
+
+std::shared_ptr<ServeSession> ServerCore::open_session(
+    const std::string& id, CreateParams params, const std::string& journal,
+    bool resume) {
+  auto session = std::make_shared<ServeSession>(
+      id, std::move(params), journal, resume, trace_path(id),
+      options_.trace_fsync, options_.flight_recorder,
+      options_.measure_backend, options_.subprocess);
+  std::lock_guard lock(mutex_);
+  sessions_.emplace(id, session);
+  return session;
 }
 
 std::shared_ptr<ServeSession> ServerCore::find_session(

@@ -53,12 +53,13 @@ struct ServerOptions {
   /// Server metrics (serve.* counters, serve.sessions_active gauge,
   /// serve.step span). Not owned; may be null.
   telemetry::Telemetry* telemetry = nullptr;
-  /// Measurement-plane selection applied to every session this daemon
-  /// creates or resumes (session.h). Daemon configuration, not session
+  /// Measurement plane of every session this daemon creates or resumes
+  /// (measure::make_backend). Daemon configuration, not session
   /// identity: results and journals are byte-identical under any
   /// backend, so a journal written under one backend resumes under
   /// another.
-  MeasureConfig measure;
+  measure::BackendKind measure_backend = measure::BackendKind::kNone;
+  measure::SubprocessOptions subprocess;
 };
 
 class ServerCore {
@@ -116,6 +117,11 @@ class ServerCore {
 
  private:
   json::Value create_session(const Request& request);
+  /// Builds a session with this daemon's options and registers it.
+  std::shared_ptr<ServeSession> open_session(const std::string& id,
+                                             CreateParams params,
+                                             const std::string& journal,
+                                             bool resume);
   std::shared_ptr<ServeSession> find_session(const std::string& id) const;
   std::string manifest_path(const std::string& id) const;
   std::string journal_path(const std::string& id) const;

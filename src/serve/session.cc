@@ -1,52 +1,8 @@
 #include "serve/session.h"
 
-#include "measure/subprocess.h"
-#include "tuner/active_learning.h"
-#include "tuner/alph.h"
-#include "tuner/bayes_opt.h"
-#include "tuner/ceal.h"
-#include "tuner/geist.h"
-#include "tuner/objective.h"
-#include "tuner/random_search.h"
 #include "tuner/result_io.h"
 
 namespace ceal::serve {
-
-namespace {
-
-// The same name tables as tools/common.h, but throwing instead of
-// std::exit — a daemon must survive a bad request. Names were already
-// validated by the protocol layer, so the terminal throws are
-// unreachable belt-and-braces.
-sim::Workload workload_by_name(const std::string& name) {
-  if (name == "LV") return sim::make_lv();
-  if (name == "HS") return sim::make_hs();
-  if (name == "GP") return sim::make_gp();
-  throw ProtocolError("request:workflow: unknown workflow '" + name + "'");
-}
-
-tuner::Objective objective_by_name(const std::string& name) {
-  if (name == "exec") return tuner::Objective::kExecTime;
-  if (name == "comp") return tuner::Objective::kComputerTime;
-  throw ProtocolError("request:objective: unknown objective '" + name + "'");
-}
-
-std::unique_ptr<tuner::AutoTuner> algorithm_by_name(const std::string& name) {
-  if (name == "CEAL") return std::make_unique<tuner::Ceal>();
-  if (name == "AL") return std::make_unique<tuner::ActiveLearning>();
-  if (name == "RS") return std::make_unique<tuner::RandomSearch>();
-  if (name == "GEIST") return std::make_unique<tuner::Geist>();
-  if (name == "ALpH") return std::make_unique<tuner::Alph>();
-  if (name == "BO") return std::make_unique<tuner::BayesOpt>();
-  if (name == "BO-CEAL") {
-    tuner::BayesOptParams params;
-    params.bootstrap_with_low_fidelity = true;
-    return std::make_unique<tuner::BayesOpt>(params);
-  }
-  throw ProtocolError("request:algorithm: unknown algorithm '" + name + "'");
-}
-
-}  // namespace
 
 const char* session_state_name(SessionState state) {
   switch (state) {
@@ -66,15 +22,16 @@ ServeSession::ServeSession(std::string id, CreateParams params,
                            const std::string& journal_path, bool resume,
                            const std::string& trace_path, bool trace_fsync,
                            std::size_t flight_recorder_capacity,
-                           const MeasureConfig& measure)
+                           measure::BackendKind backend,
+                           const measure::SubprocessOptions& subprocess)
     : id_(std::move(id)),
       params_(std::move(params)),
-      workload_(workload_by_name(params_.workflow)),
+      workload_(tuner::workload_by_name(params_.workflow)),
       pool_(tuner::measure_pool(workload_.workflow, params_.pool_size,
                                 params_.pool_seed)),
       comps_(tuner::measure_components(workload_.workflow,
                                        params_.component_samples,
-                                       params_.pool_seed + 1)),
+                                       params_.component_seed())),
       rng_(params_.seed) {
   if (!trace_path.empty()) {
     trace_sink_ = std::make_unique<telemetry::JsonlTraceSink>(trace_path,
@@ -93,47 +50,20 @@ ServeSession::ServeSession(std::string id, CreateParams params,
       telemetry::register_crash_recorder(recorder_.get(), "session:" + id_);
     }
   }
-  // Measurement backend (daemon-wide MeasureConfig; cannot change any
-  // result or journal byte — see session.h). Built before the stepper
-  // so problem_.measure is set when the first batch runs; resume works
-  // unchanged because replayed measurements never reach a backend.
-  if (measure.backend == "subprocess") {
-    ceal::measure::SubprocessOptions mopts;
-    mopts.workers = std::max<std::size_t>(1, measure.workers);
-    mopts.worker_bin = measure.worker_bin;
-    mopts.hedge_after_s = measure.hedge_after_s;
-    mopts.hang_after_s = measure.hang_after_s;
-    mopts.degrade_after = std::max<std::size_t>(1, measure.degrade_after);
-    mopts.seed = params_.seed;
-    mopts.worker_args = {"--workflow", params_.workflow,
-                         "--pool-size", std::to_string(params_.pool_size),
-                         "--pool-seed", std::to_string(params_.pool_seed)};
-    measure_backend_ = std::make_unique<ceal::measure::SubprocessBackend>(
-        pool_, std::move(mopts), telemetry_.get());
-  } else if (measure.backend == "inproc") {
-    measure_backend_ = std::make_unique<ceal::measure::InProcessBackend>(
-        pool_);
-  } else if (!measure.backend.empty()) {
-    throw ProtocolError("measure: unknown backend '" + measure.backend +
-                        "' (expected inproc|subprocess)");
-  }
+  // Built before the stepper so problem_.measure is set when the first
+  // batch runs; resume works unchanged because replayed measurements
+  // never reach a backend.
+  measure_backend_ = measure::make_backend(backend, pool_, subprocess,
+                                           params_, /*pool_file=*/"",
+                                           telemetry_.get());
   if (!journal_path.empty()) {
     checkpoint_ = std::make_unique<tuner::CheckpointSession>(
         journal_path, resume ? tuner::CheckpointSession::Mode::kResume
                              : tuner::CheckpointSession::Mode::kStart);
     if (telemetry_ != nullptr) checkpoint_->set_telemetry(telemetry_.get());
   }
-  algorithm_ = algorithm_by_name(params_.algorithm);
-  problem_.workload = &workload_;
-  problem_.objective = objective_by_name(params_.objective);
-  problem_.pool = &pool_;
-  problem_.component_samples = &comps_;
-  problem_.components_are_history = params_.history;
-  problem_.measurement.faults.fail_prob = params_.fault_rate;
-  problem_.measurement.faults.outlier_prob = params_.outlier_rate;
-  problem_.measurement.faults.deadline_s = params_.deadline_s;
-  problem_.measurement.max_attempts = params_.max_attempts;
-  problem_.measurement.faults.validate();
+  algorithm_ = tuner::algorithm_by_name(params_.algorithm);
+  problem_ = tuner::make_problem(params_, workload_, pool_, comps_);
   problem_.telemetry = telemetry_.get();
   problem_.measure = measure_backend_.get();
   // Writes (or, on resume, validates) the session header immediately;
@@ -221,10 +151,7 @@ void ServeSession::save_result(const std::string& path) const {
     throw ProtocolError("session " + id_ + ": no result yet (state " +
                         std::string(session_state_name(state())) + ")");
   }
-  tuner::save_result_csv(path, stepper_->result(), algorithm_->name(),
-                         workload_.workflow.name(),
-                         tuner::objective_name(problem_.objective),
-                         params_.budget, params_.seed);
+  tuner::save_result_csv(path, stepper_->result(), params_);
 }
 
 json::Value ServeSession::metrics_json() const {

@@ -27,30 +27,13 @@
 #include "core/flight_recorder.h"
 #include "core/rng.h"
 #include "core/telemetry.h"
-#include "measure/backend.h"
+#include "measure/subprocess.h"
 #include "serve/protocol.h"
 #include "tuner/autotuner.h"
 #include "tuner/checkpoint.h"
 #include "tuner/stepper.h"
 
 namespace ceal::serve {
-
-/// Measurement-plane selection for served sessions (the daemon-wide
-/// mirror of ceal_tune's --measure-backend family; docs/RELIABILITY.md
-/// "Distributed measurement plane"). Backends are dispatch strategies,
-/// never data sources, so the choice cannot change any session's result
-/// or journal bytes — it is daemon configuration, not session identity,
-/// and deliberately stays out of CreateParams and the checkpoint header.
-struct MeasureConfig {
-  /// "" (inline pool reads, the default), "inproc", or "subprocess".
-  std::string backend;
-  std::size_t workers = 4;
-  /// Empty resolves to the sibling ceal_worker binary.
-  std::string worker_bin;
-  double hedge_after_s = 0.25;
-  double hang_after_s = 10.0;
-  std::size_t degrade_after = 3;
-};
 
 enum class SessionState {
   kRunning,    ///< stepper has work left
@@ -72,13 +55,16 @@ class ServeSession {
   /// `flight_recorder_capacity` attaches a per-session FlightRecorder
   /// (creating session telemetry even without a trace sink) and
   /// registers it with the process crash registry under "session:<id>".
+  /// `backend` and `subprocess` go to measure::make_backend; no result
+  /// or journal byte depends on them, so they stay out of CreateParams.
   /// Throws (CheckpointError, PreconditionError) on invalid
   /// combinations; the server reports the error and drops the session.
   ServeSession(std::string id, CreateParams params,
                const std::string& journal_path, bool resume,
                const std::string& trace_path, bool trace_fsync = false,
                std::size_t flight_recorder_capacity = 0,
-               const MeasureConfig& measure = {});
+               measure::BackendKind backend = measure::BackendKind::kNone,
+               const measure::SubprocessOptions& subprocess = {});
 
   ServeSession(const ServeSession&) = delete;
   ServeSession& operator=(const ServeSession&) = delete;

@@ -14,18 +14,16 @@ std::string hex_double(double v) {
 }
 
 void save_result_csv(const std::string& path, const TuneResult& result,
-                     const std::string& algorithm,
-                     const std::string& workflow,
-                     const std::string& objective, std::size_t budget,
-                     std::uint64_t seed) {
+                     const SessionSpec& spec) {
   AtomicFile file(path);
   auto& os = file.stream();
   os << "key,value\n";
-  os << "algorithm," << algorithm << '\n';
-  os << "workflow," << workflow << '\n';
-  os << "objective," << objective << '\n';
-  os << "budget," << budget << '\n';
-  os << "seed," << seed << '\n';
+  os << "algorithm," << spec.algorithm << '\n';
+  os << "workflow," << spec.workflow << '\n';
+  os << "objective," << objective_name(objective_by_name(spec.objective))
+     << '\n';
+  os << "budget," << spec.budget << '\n';
+  os << "seed," << spec.seed << '\n';
   os << "runs_used," << result.runs_used << '\n';
   os << "measured," << result.measured_indices.size() << '\n';
   os << "failed_runs," << result.failed_runs << '\n';

@@ -5,23 +5,19 @@
 // session-matrix tests compare runs across process boundaries.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "tuner/autotuner.h"
+#include "tuner/session_spec.h"
 
 namespace ceal::tuner {
 
 /// C99 hex-float ("%a"): exact bitwise round-trip through text.
 std::string hex_double(double v);
 
-/// Writes the result CSV (atomic replace, doubles as hex floats).
-/// `algorithm`/`workflow`/`objective` are the display names; `budget`
-/// and `seed` identify the session the result came from.
+/// Writes the result CSV (atomic replace, doubles as hex floats),
+/// headed by the identity of the session `spec` it came from.
 void save_result_csv(const std::string& path, const TuneResult& result,
-                     const std::string& algorithm,
-                     const std::string& workflow,
-                     const std::string& objective, std::size_t budget,
-                     std::uint64_t seed);
+                     const SessionSpec& spec);
 
 }  // namespace ceal::tuner

@@ -78,6 +78,28 @@ TEST(ServeProtocolTest, FieldErrorsAreOneLinePathMessages) {
                      "\"budget\":0}")
                 .find("request:budget: must be >= 1"),
             std::string::npos);
+  // Rates of 1 would fail (or corrupt) every attempt: the spec's range
+  // is [0, 1), and the wire answers it before a session is built.
+  EXPECT_NE(error_of("{\"op\":\"session.create\",\"id\":\"s\","
+                     "\"workflow\":\"LV\",\"objective\":\"exec\","
+                     "\"budget\":1,\"fault_rate\":1.0}")
+                .find("request:fault_rate: must be in [0, 1)"),
+            std::string::npos);
+  EXPECT_NE(error_of("{\"op\":\"session.create\",\"id\":\"s\","
+                     "\"workflow\":\"LV\",\"objective\":\"exec\","
+                     "\"budget\":1,\"outlier_rate\":1.0}")
+                .find("request:outlier_rate: must be in [0, 1)"),
+            std::string::npos);
+  EXPECT_NE(error_of("{\"op\":\"session.create\",\"id\":\"s\","
+                     "\"workflow\":\"LV\",\"objective\":\"exec\","
+                     "\"budget\":1,\"deadline\":-1}")
+                .find("request:deadline: must be >= 0"),
+            std::string::npos);
+  EXPECT_NE(error_of("{\"op\":\"session.create\",\"id\":\"s\","
+                     "\"workflow\":\"LV\",\"objective\":\"exec\","
+                     "\"budget\":1,\"max_attempts\":0}")
+                .find("request:max_attempts: must be >= 1"),
+            std::string::npos);
   EXPECT_NE(error_of("{\"op\":\"session.create\",\"id\":\"s\","
                      "\"workflow\":\"LV\",\"objective\":\"exec\","
                      "\"budget\":1,\"bogus\":true}")
@@ -96,6 +118,37 @@ TEST(ServeProtocolTest, FieldErrorsAreOneLinePathMessages) {
   EXPECT_NE(error_of("[1,2]").find("request: expected a JSON object"),
             std::string::npos);
   EXPECT_NE(error_of("").find("request: invalid JSON"), std::string::npos);
+}
+
+// The wire's choice lists are the session registry's: every registered
+// name is accepted, and a near miss is refused with the registry's list.
+TEST(ServeProtocolTest, AcceptsExactlyTheRegistryNames) {
+  const auto create = [](const std::string& workflow,
+                         const std::string& objective,
+                         const std::string& algorithm) {
+    return "{\"op\":\"session.create\",\"id\":\"s\",\"workflow\":\"" +
+           workflow + "\",\"objective\":\"" + objective +
+           "\",\"budget\":1,\"algorithm\":\"" + algorithm + "\"}";
+  };
+  std::string expected;
+  for (const std::string& name : tuner::algorithm_names()) {
+    EXPECT_EQ(parse_request(create("LV", "exec", name)).create.algorithm,
+              name);
+    expected += (expected.empty() ? "" : "|") + name;
+  }
+  for (const std::string name : {"LV", "HS", "GP"}) {
+    EXPECT_EQ(parse_request(create(name, "exec", "RS")).create.workflow,
+              name);
+  }
+  for (const std::string name : {"exec", "comp"}) {
+    EXPECT_EQ(parse_request(create("LV", name, "RS")).create.objective,
+              name);
+  }
+  EXPECT_EQ(error_of(create("LV", "exec", "BO_CEAL")),
+            "request:algorithm: unknown value \"BO_CEAL\" (expected " +
+                expected + ")");
+  EXPECT_NE(error_of(create("lv", "exec", "RS")), "");
+  EXPECT_NE(error_of(create("LV", "exec_time", "RS")), "");
 }
 
 // Every proper prefix of a valid frame is a structured error, never an
@@ -296,6 +349,27 @@ TEST(ServeProtocolTest, RandomCreateRequestsRoundTrip) {
       EXPECT_EQ(got.max_attempts, params.max_attempts);
     }
   }
+}
+
+// The durable manifest's bytes are what a restarted daemon reads back:
+// its field order and number formats stay as older daemons wrote them.
+TEST(ServeProtocolTest, ManifestBytesArePinned) {
+  CreateParams params;
+  params.workflow = "HS";
+  params.objective = "comp";
+  params.budget = 30;
+  params.seed = 9;
+  params.pool_size = 300;
+  params.component_samples = 80;
+  params.fault_rate = 0.25;
+  params.deadline_s = 500;
+  params.max_attempts = 2;
+  EXPECT_EQ(to_manifest("s1", params).dump(),
+            "{\"id\":\"s1\",\"workflow\":\"HS\",\"objective\":\"comp\","
+            "\"algorithm\":\"CEAL\",\"budget\":30,\"seed\":9,"
+            "\"pool_size\":300,\"pool_seed\":1,\"component_samples\":80,"
+            "\"history\":false,\"fault_rate\":0.25,\"outlier_rate\":0,"
+            "\"deadline\":500,\"max_attempts\":2}");
 }
 
 // Fuzz: random garbage lines never escape handle_line as exceptions and

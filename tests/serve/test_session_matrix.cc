@@ -14,8 +14,8 @@
 
 #include "core/rng.h"
 #include "serve/server.h"
-#include "tools/common.h"
 #include "tuner/result_io.h"
+#include "tuner/session_spec.h"
 
 namespace ceal::serve {
 namespace {
@@ -32,9 +32,10 @@ constexpr std::size_t kPoolSeed = 7;
 constexpr std::size_t kComponentSamples = 60;
 
 std::vector<SessionSpec> specs() {
-  return {{"m-ceal", "CEAL", 11}, {"m-rs", "RS", 12},
-          {"m-al", "AL", 13},     {"m-geist", "GEIST", 14},
-          {"m-alph", "ALpH", 15}, {"m-bo", "BO", 16}};
+  return {{"m-ceal", "CEAL", 11},  {"m-rs", "RS", 12},
+          {"m-al", "AL", 13},      {"m-geist", "GEIST", 14},
+          {"m-alph", "ALpH", 15},  {"m-bo", "BO", 16},
+          {"m-bo-ceal", "BO-CEAL", 17}};
 }
 
 std::string create_line(const SessionSpec& spec) {
@@ -62,11 +63,15 @@ void write_solo_csv(const SessionSpec& spec, const std::string& path) {
   problem.pool = &pool;
   problem.component_samples = &comps;
   ceal::Rng rng(spec.seed);
-  const auto algo = tools::algorithm_by_name(spec.algorithm);
+  const auto algo = tuner::algorithm_by_name(spec.algorithm);
   const tuner::TuneResult result = algo->tune(problem, kBudget, rng);
-  tuner::save_result_csv(path, result, algo->name(), wl.workflow.name(),
-                         tuner::objective_name(problem.objective), kBudget,
-                         spec.seed);
+  tuner::SessionSpec identity;
+  identity.workflow = "LV";
+  identity.objective = "exec";
+  identity.algorithm = algo->name();
+  identity.budget = kBudget;
+  identity.seed = spec.seed;
+  tuner::save_result_csv(path, result, identity);
 }
 
 std::string slurp(const std::string& path) {

@@ -40,8 +40,8 @@ TEST(Args, OptionReturnsValueOrFallback) {
 TEST(Args, IntegerParsesAndDefaults) {
   Argv a({"--budget", "25"});
   Args args(a.argc(), a.argv(), "usage");
-  EXPECT_EQ(args.integer("budget", 0), 25);
-  EXPECT_EQ(args.integer("seed", 42), 42);
+  EXPECT_EQ(args.integer("budget", 0), 25u);
+  EXPECT_EQ(args.integer("seed", 42), 42u);
   args.finish();
 }
 
@@ -81,6 +81,26 @@ TEST(ArgsDeathTest, MalformedIntegerExits) {
               "expects an integer");
 }
 
+TEST(Args, IntegerTakesTheWholeUnsignedRange) {
+  // Seeds on the wire are unsigned 64-bit; the command line agrees.
+  Argv a({"--seed", "18446744073709551615", "--threads", "0"});
+  Args args(a.argc(), a.argv(), "usage");
+  EXPECT_EQ(args.integer("seed", 5), 18446744073709551615u);
+  EXPECT_EQ(args.integer("threads", 4), 0u);
+  args.finish();
+}
+
+TEST(ArgsDeathTest, NegativeIntegerExits) {
+  // A cast of -1 to size_t would ask for 2^64 - 1 rows.
+  for (const char* bad : {"-1", "1.5", "", "12x", "18446744073709551616"}) {
+    Argv a({"--pool-size", bad});
+    Args args(a.argc(), a.argv(), "usage");
+    EXPECT_EXIT(args.integer("pool-size", 1), ::testing::ExitedWithCode(2),
+                "--pool-size expects an integer >= 0")
+        << bad;
+  }
+}
+
 TEST(Args, QuietVerboseAndTraceCombine) {
   // The ceal_tune observability flags: --quiet/--verbose are independent
   // booleans and --trace carries a path; all must survive finish().
@@ -100,7 +120,7 @@ TEST(Args, MultipleFlagsAndOptionsTogether) {
   EXPECT_EQ(args.required("workflow"), "GP");
   EXPECT_TRUE(args.flag("history"));
   EXPECT_TRUE(args.flag("explain"));
-  EXPECT_EQ(args.integer("budget", 0), 50);
+  EXPECT_EQ(args.integer("budget", 0), 50u);
   args.finish();
 }
 

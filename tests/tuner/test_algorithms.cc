@@ -14,6 +14,7 @@
 #include "tuner/ceal.h"
 #include "tuner/geist.h"
 #include "tuner/random_search.h"
+#include "tuner/session_spec.h"
 #include "tuner/stepper.h"
 
 namespace ceal::tuner {
@@ -34,20 +35,6 @@ Fixture& fixture() {
   return f;
 }
 
-std::unique_ptr<AutoTuner> make_tuner(const std::string& name) {
-  if (name == "RS") return std::make_unique<RandomSearch>();
-  if (name == "AL") return std::make_unique<ActiveLearning>();
-  if (name == "GEIST") return std::make_unique<Geist>();
-  if (name == "ALpH") return std::make_unique<Alph>();
-  if (name == "BO") return std::make_unique<BayesOpt>();
-  if (name == "BO-CEAL") {
-    BayesOptParams params;
-    params.bootstrap_with_low_fidelity = true;
-    return std::make_unique<BayesOpt>(params);
-  }
-  return std::make_unique<Ceal>();
-}
-
 class AlgorithmContract
     : public ::testing::TestWithParam<std::tuple<std::string, bool>> {
  protected:
@@ -58,7 +45,7 @@ class AlgorithmContract
   }
 
   std::unique_ptr<AutoTuner> tuner() {
-    return make_tuner(std::get<0>(GetParam()));
+    return algorithm_by_name(std::get<0>(GetParam()));
   }
 };
 
@@ -173,7 +160,7 @@ TEST(ComponentBudget, TooSmallChargedBudgetsAreRejectedWhenTheStepperIsBuilt) {
   for (const auto& [name, min_budget] :
        {std::pair<std::string, std::size_t>{"CEAL", 3}, {"BO-CEAL", 3},
         {"ALpH", 2}, {"BO", 1}, {"AL", 1}}) {
-    const auto algo = make_tuner(name);
+    const auto algo = algorithm_by_name(name);
     for (std::size_t budget = 1; budget < min_budget; ++budget) {
       EXPECT_THROW(algo->make_stepper(prob, budget, rng), PreconditionError)
           << name << " budget " << budget;
@@ -185,7 +172,7 @@ TEST(ComponentBudget, TooSmallChargedBudgetsAreRejectedWhenTheStepperIsBuilt) {
   prob.components_are_history = true;
   for (const std::string name : {"CEAL", "BO-CEAL", "ALpH"}) {
     ceal::Rng session_rng(5);
-    EXPECT_EQ(make_tuner(name)->tune(prob, 1, session_rng).runs_used, 1u)
+    EXPECT_EQ(algorithm_by_name(name)->tune(prob, 1, session_rng).runs_used, 1u)
         << name;
   }
 }
@@ -221,7 +208,8 @@ TEST(StepCounts, EveryTunerTakesItsPinnedNumberOfSteps) {
       prob.measurement.max_attempts = 2;
     }
     ceal::Rng rng(3);
-    const auto stepper = make_tuner(c.tuner)->make_stepper(prob, 50, rng);
+    const auto stepper =
+        algorithm_by_name(c.tuner)->make_stepper(prob, 50, rng);
     while (stepper->step()) {
     }
     EXPECT_EQ(stepper->steps_taken(), c.steps)
@@ -241,7 +229,7 @@ TEST(SurrogateGbt, ReachesEverySurrogateTuner) {
   coarse.surrogate_gbt.tree.max_bins = 2;
   for (const std::string name :
        {"AL", "GEIST", "CEAL", "ALpH", "BO", "BO-CEAL"}) {
-    const auto algo = make_tuner(name);
+    const auto algo = algorithm_by_name(name);
     ceal::Rng r1(6), r2(6);
     EXPECT_NE(algo->tune(exact, 20, r1).model_scores,
               algo->tune(coarse, 20, r2).model_scores)

@@ -3,6 +3,8 @@
 // the usage text.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -10,6 +12,8 @@
 #include <set>
 #include <string>
 #include <vector>
+
+#include "core/error.h"
 
 namespace ceal::tools {
 
@@ -47,29 +51,30 @@ class Args {
     return *v;
   }
 
-  long integer(const std::string& name, long fallback) {
-    const auto v = value_of(name);
-    if (!v) return fallback;
-    char* end = nullptr;
-    const long parsed = std::strtol(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0') {
-      std::cerr << "--" << name << " expects an integer, got '" << *v
-                << "'\n";
-      std::exit(2);
-    }
-    return parsed;
+  /// An unsigned 64-bit integer: a count (a size, a budget, a thread or
+  /// worker number) or a seed, the range the wire protocol accepts. No
+  /// flag is signed, so "-1" exits with one line like any other
+  /// malformed value instead of becoming 2^64 - 1.
+  std::uint64_t integer(const std::string& name, std::uint64_t fallback) {
+    return number<std::uint64_t>(name, fallback, "an integer >= 0");
   }
 
   double real(const std::string& name, double fallback) {
-    const auto v = value_of(name);
-    if (!v) return fallback;
-    char* end = nullptr;
-    const double parsed = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0') {
-      std::cerr << "--" << name << " expects a number, got '" << *v << "'\n";
-      std::exit(2);
+    return number<double>(name, fallback, "a number");
+  }
+
+  /// Returns `build()`; a bad knob or name (PreconditionError) or an
+  /// unreadable file (std::runtime_error) exits with one line
+  /// "<program>: why" and status 2.
+  template <typename F>
+  auto or_exit(F&& build) -> decltype(build()) {
+    try {
+      return build();
+    } catch (const PreconditionError& e) {
+      exit_with(e);
+    } catch (const std::runtime_error& e) {
+      exit_with(e);
     }
-    return parsed;
   }
 
   /// Call after all declarations: rejects unknown/unconsumed flags and
@@ -93,6 +98,27 @@ class Args {
   }
 
  private:
+  [[noreturn]] void exit_with(const std::exception& e) const {
+    std::cerr << program_.substr(program_.rfind('/') + 1) << ": "
+              << e.what() << "\n";
+    std::exit(2);
+  }
+
+  template <typename T>
+  T number(const std::string& name, T fallback, const char* expected) {
+    const auto v = value_of(name);
+    if (!v) return fallback;
+    T parsed{};
+    const char* end = v->data() + v->size();
+    const auto [ptr, ec] = std::from_chars(v->data(), end, parsed);
+    if (ec != std::errc() || ptr != end) {
+      std::cerr << "--" << name << " expects " << expected << ", got '"
+                << *v << "'\n";
+      std::exit(2);
+    }
+    return parsed;
+  }
+
   std::optional<std::string> value_of(const std::string& name) {
     declared_.insert(name);
     for (std::size_t i = 0; i + 1 < tokens_.size(); ++i) {

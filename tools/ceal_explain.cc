@@ -4,11 +4,13 @@
 //
 //   ceal_explain --workflow LV --config 288,18,2,288,18,2
 //   ceal_explain --workflow HS --expert exec
+#include <cstdlib>
 #include <iostream>
+#include <sstream>
 
 #include "core/table.h"
 #include "tools/args.h"
-#include "tools/common.h"
+#include "tuner/session_spec.h"
 
 namespace {
 
@@ -25,10 +27,14 @@ int main(int argc, char** argv) {
   const auto expert = args.option("expert", "");
   args.finish();
 
-  sim::Workload wl = tools::workload_by_name(wl_name);
+  const sim::Workload wl =
+      args.or_exit([&] { return tuner::workload_by_name(wl_name); });
   config::Configuration c;
   if (!config_text.empty()) {
-    c = tools::parse_config(config_text);
+    // "288,18,2,288,18,2"
+    std::istringstream is(config_text);
+    for (std::string v; std::getline(is, v, ',');)
+      c.push_back(static_cast<int>(std::strtol(v.c_str(), nullptr, 10)));
   } else if (expert == "exec") {
     c = wl.expert_exec;
   } else if (expert == "comp") {

@@ -4,15 +4,13 @@
 //
 //   ceal_pool --workflow LV --size 2000 --seed 7 --out lv_pool.csv
 //   ceal_pool --workflow HS --size 500 --out hs.csv --components hs_comp
-#include <cstdlib>
 #include <iostream>
 
-#include "core/error.h"
 #include "core/table.h"
 #include "tools/args.h"
-#include "tools/common.h"
 #include "tuner/measured_pool.h"
 #include "tuner/pool_io.h"
+#include "tuner/session_spec.h"
 
 namespace {
 
@@ -30,22 +28,20 @@ int main(int argc, char** argv) {
   tools::Args args(argc, argv, kUsage);
   const auto wl_name = args.required("workflow");
   const auto out = args.required("out");
-  const auto size = static_cast<std::size_t>(args.integer("size", 2000));
-  const auto seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+  // The pool and component samples a session with these knobs measures.
+  tuner::SessionSpec spec;
+  spec.pool_size = args.integer("size", spec.pool_size);
+  spec.pool_seed = args.integer("seed", spec.pool_seed);
   const auto components_prefix = args.option("components", "");
-  const auto comp_samples =
-      static_cast<std::size_t>(args.integer("component-samples", 500));
+  spec.component_samples =
+      args.integer("component-samples", spec.component_samples);
   args.finish();
 
-  sim::Workload wl = tools::workload_by_name(wl_name);
-  const auto pool = [&] {
-    try {
-      return tuner::measure_pool(wl.workflow, size, seed);
-    } catch (const PreconditionError& e) {
-      std::cerr << "ceal_pool: " << e.what() << "\n";
-      std::exit(2);
-    }
-  }();
+  const sim::Workload wl =
+      args.or_exit([&] { return tuner::workload_by_name(wl_name); });
+  const auto pool = args.or_exit([&] {
+    return tuner::measure_pool(wl.workflow, spec.pool_size, spec.pool_seed);
+  });
   tuner::save_pool_csv(pool, wl.workflow.joint_space(), out);
 
   const auto exec_best = pool.best_index(tuner::Objective::kExecTime);
@@ -59,8 +55,10 @@ int main(int argc, char** argv) {
             << "\n";
 
   if (!components_prefix.empty()) {
-    const auto comps =
-        tuner::measure_components(wl.workflow, comp_samples, seed + 1);
+    const auto comps = args.or_exit([&] {
+      return tuner::measure_components(wl.workflow, spec.component_samples,
+                                       spec.component_seed());
+    });
     for (std::size_t j = 0; j < comps.size(); ++j) {
       const std::string path =
           components_prefix + "_" + wl.workflow.app(j).name() + ".csv";

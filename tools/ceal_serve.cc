@@ -178,34 +178,31 @@ int main(int argc, char** argv) {
   tools::Args args(argc, argv, kUsage);
 
   const auto socket_path = args.option("socket", "");
-  const auto threads = static_cast<std::size_t>(args.integer("threads", 0));
+  const std::size_t threads = args.integer("threads", 0);
   const auto checkpoint_dir = args.option("checkpoint", "");
   const bool resume = args.flag("resume");
   const auto trace_path = args.option("trace", "");
   const auto trace_dir = args.option("trace-dir", "");
-  const auto flight_capacity =
-      static_cast<std::size_t>(args.integer("flight-recorder", 0));
+  const std::size_t flight_capacity = args.integer("flight-recorder", 0);
   const auto flight_dump = args.option("flight-dump",
                                        "ceal_serve.flight.jsonl");
   const auto metrics_export = args.option("metrics-export", "");
   const double metrics_interval = args.real("metrics-interval", 5.0);
   const bool metrics_summary = args.flag("metrics-summary");
   const auto measure_backend = args.option("measure-backend", "");
-  const auto measure_workers =
-      static_cast<std::size_t>(args.integer("measure-workers", 4));
-  const auto worker_bin = args.option("worker-bin", "");
-  const double hedge_after_s = args.real("hedge-after-s", 0.25);
-  const double hang_after_s = args.real("hang-after-s", 10.0);
-  const auto degrade_after =
-      static_cast<std::size_t>(args.integer("degrade-after", 3));
+  serve::ServerOptions options;
+  measure::SubprocessOptions& subprocess = options.subprocess;
+  subprocess.workers = args.integer("measure-workers", subprocess.workers);
+  subprocess.worker_bin = args.option("worker-bin", subprocess.worker_bin);
+  subprocess.hedge_after_s =
+      args.real("hedge-after-s", subprocess.hedge_after_s);
+  subprocess.hang_after_s = args.real("hang-after-s", subprocess.hang_after_s);
+  subprocess.degrade_after =
+      args.integer("degrade-after", subprocess.degrade_after);
   args.finish();
 
-  if (!measure_backend.empty() && measure_backend != "inproc" &&
-      measure_backend != "subprocess") {
-    std::cerr << "unknown --measure-backend: " << measure_backend
-              << " (expected inproc|subprocess)\n";
-    return 2;
-  }
+  options.measure_backend =
+      args.or_exit([&] { return measure::backend_kind(measure_backend); });
 
   if (resume && checkpoint_dir.empty()) {
     std::cerr << "--resume requires --checkpoint DIR\n";
@@ -232,7 +229,6 @@ int main(int argc, char** argv) {
     telemetry::install_crash_dump_handler(flight_dump);
   }
 
-  serve::ServerOptions options;
   options.checkpoint_dir = checkpoint_dir;
   options.trace_dir = trace_dir;
   // Per-slice flushes reach the disk, so a crash dump's ring tail can
@@ -240,12 +236,6 @@ int main(int argc, char** argv) {
   options.trace_fsync = !trace_dir.empty();
   options.flight_recorder = flight_capacity;
   options.telemetry = &telemetry;
-  options.measure.backend = measure_backend;
-  options.measure.workers = measure_workers;
-  options.measure.worker_bin = worker_bin;
-  options.measure.hedge_after_s = hedge_after_s;
-  options.measure.hang_after_s = hang_after_s;
-  options.measure.degrade_after = degrade_after;
 
   try {
     serve::ServerCore core(options);

@@ -27,12 +27,12 @@
 #include "ml/gbt.h"
 #include "ml/serialize.h"
 #include "tools/args.h"
-#include "tools/common.h"
 #include "tuner/checkpoint.h"
 #include "tuner/evaluation.h"
 #include "tuner/measured_pool.h"
 #include "tuner/pool_io.h"
 #include "tuner/result_io.h"
+#include "tuner/session_spec.h"
 
 namespace {
 
@@ -108,74 +108,65 @@ int main(int argc, char** argv) {
   using namespace ceal;
   tools::Args args(argc, argv, kUsage);
 
-  const auto wl_name = args.required("workflow");
-  const auto objective = tools::objective_by_name(args.required("objective"));
-  const auto budget = static_cast<std::size_t>(args.integer("budget", 0));
-  const auto algo = tools::algorithm_by_name(args.option("algorithm", "CEAL"));
-  const bool history = args.flag("history");
-  const auto replications =
-      static_cast<std::size_t>(args.integer("replications", 1));
-  const long threads = args.integer("threads", 0);
-  const auto pool_size =
-      static_cast<std::size_t>(args.integer("pool-size", 2000));
-  const auto comp_samples =
-      static_cast<std::size_t>(args.integer("component-samples", 500));
-  const auto pool_seed =
-      static_cast<std::uint64_t>(args.integer("pool-seed", 1));
-  const auto seed = static_cast<std::uint64_t>(args.integer("seed", 42));
+  // The session knobs; every default is the spec's.
+  tuner::SessionSpec spec;
+  spec.workflow = args.required("workflow");
+  spec.objective = args.required("objective");
+  spec.budget = args.integer("budget", spec.budget);
+  spec.algorithm = args.option("algorithm", spec.algorithm);
+  spec.history = args.flag("history");
+  const std::size_t replications = args.integer("replications", 1);
+  const std::size_t threads = args.integer("threads", 0);
+  spec.pool_size = args.integer("pool-size", spec.pool_size);
+  spec.component_samples =
+      args.integer("component-samples", spec.component_samples);
+  spec.pool_seed = args.integer("pool-seed", spec.pool_seed);
+  spec.seed = args.integer("seed", spec.seed);
   const auto load_pool = args.option("load-pool", "");
   const auto save_pool = args.option("save-pool", "");
   const auto save_model = args.option("save-model", "");
   const bool explain = args.flag("explain");
-  const double fault_rate = args.real("fault-rate", 0.0);
-  const double outlier_rate = args.real("outlier-rate", 0.0);
-  const double deadline = args.real("deadline", 0.0);
-  const auto max_attempts =
-      static_cast<std::size_t>(args.integer("max-attempts", 1));
+  spec.fault_rate = args.real("fault-rate", spec.fault_rate);
+  spec.outlier_rate = args.real("outlier-rate", spec.outlier_rate);
+  spec.deadline_s = args.real("deadline", spec.deadline_s);
+  spec.max_attempts = args.integer("max-attempts", spec.max_attempts);
   const auto checkpoint_dir = args.option("checkpoint", "");
   const bool resume = args.flag("resume");
   const auto save_result = args.option("save-result", "");
   const auto trace_path = args.option("trace", "");
-  const auto flight_capacity =
-      static_cast<std::size_t>(args.integer("flight-recorder", 0));
+  const std::size_t flight_capacity = args.integer("flight-recorder", 0);
   const auto flight_dump = args.option("flight-dump",
                                        "ceal_tune.flight.jsonl");
   const bool metrics_summary = args.flag("metrics-summary");
   const bool quiet = args.flag("quiet");
   const bool verbose = args.flag("verbose");
   const auto gbt_backend = args.option("gbt-backend", "exact");
-  const long gbt_bins = args.integer("gbt-bins", 256);
-  const auto pool_chunk =
-      static_cast<std::size_t>(args.integer("pool-chunk", 0));
+  const std::size_t gbt_bins = args.integer("gbt-bins", 256);
+  const std::size_t pool_chunk = args.integer("pool-chunk", 0);
   // Empty means "not given": the default path keeps problem.measure
   // null (the paper's inline collector); an explicit `inproc` installs
   // the InProcessBackend to exercise the backend seam.
   const auto measure_backend = args.option("measure-backend", "");
-  const auto measure_workers =
-      static_cast<std::size_t>(args.integer("workers", 4));
-  const auto worker_bin = args.option("worker-bin", "");
-  const double hedge_after_s = args.real("hedge-after-s", 0.25);
-  const double hang_after_s = args.real("hang-after-s", 10.0);
-  const auto degrade_after =
-      static_cast<std::size_t>(args.integer("degrade-after", 3));
+  measure::SubprocessOptions subprocess;
+  subprocess.workers = args.integer("workers", subprocess.workers);
+  subprocess.worker_bin = args.option("worker-bin", subprocess.worker_bin);
+  subprocess.hedge_after_s =
+      args.real("hedge-after-s", subprocess.hedge_after_s);
+  subprocess.hang_after_s = args.real("hang-after-s", subprocess.hang_after_s);
+  subprocess.degrade_after =
+      args.integer("degrade-after", subprocess.degrade_after);
   args.finish();
 
-  if (budget == 0) {
-    std::cerr << "--budget must be >= 1\n" << args.usage_text();
-    return 2;
-  }
-  if (gbt_bins < 2 || gbt_bins > static_cast<long>(ml::kMaxBins)) {
+  const measure::BackendKind backend_kind = args.or_exit([&] {
+    spec.validate();
+    return measure::backend_kind(measure_backend);
+  });
+  if (gbt_bins < 2 || gbt_bins > ml::kMaxBins) {
     std::cerr << "--gbt-bins must be in [2, " << ml::kMaxBins << "], got "
               << gbt_bins << "\n";
     return 2;
   }
-  if (threads < 0) {
-    std::cerr << "--threads must be >= 0, got " << threads << "\n";
-    return 2;
-  }
-  if (threads > 0) {
-    ceal::set_global_thread_pool_threads(static_cast<std::size_t>(threads));
-  }
+  if (threads > 0) ceal::set_global_thread_pool_threads(threads);
   if (resume && checkpoint_dir.empty()) {
     std::cerr << "--resume requires --checkpoint DIR\n";
     return 2;
@@ -185,39 +176,36 @@ int main(int argc, char** argv) {
                  "combined with --replications\n";
     return 2;
   }
+  if (backend_kind == measure::BackendKind::kSubprocess && replications > 1) {
+    std::cerr << "--measure-backend subprocess covers a single session; "
+                 "it cannot be combined with --replications\n";
+    return 2;
+  }
 
-  sim::Workload wl = tools::workload_by_name(wl_name);
+  const sim::Workload wl = tuner::workload_by_name(spec.workflow);
   const auto& space = wl.workflow.joint_space();
+  const auto algo = tuner::algorithm_by_name(spec.algorithm);
 
-  const tuner::MeasuredPool pool = [&] {
-    try {
-      return load_pool.empty()
-                 ? tuner::measure_pool(wl.workflow, pool_size, pool_seed)
-                 : tuner::load_pool_csv(space, load_pool);
-    } catch (const PreconditionError& e) {
-      std::cerr << "ceal_tune: " << e.what() << "\n";
-      std::exit(2);
-    }
-  }();
+  const tuner::MeasuredPool pool = args.or_exit([&] {
+    return load_pool.empty() ? tuner::measure_pool(wl.workflow, spec.pool_size,
+                                                   spec.pool_seed)
+                             : tuner::load_pool_csv(space, load_pool);
+  });
   if (!save_pool.empty()) {
     tuner::save_pool_csv(pool, space, save_pool);
     std::cout << "pool saved to " << save_pool << " (" << pool.size()
               << " configurations)\n";
   }
-  const auto comps =
-      tuner::measure_components(wl.workflow, comp_samples, pool_seed + 1);
+  const auto comps = tuner::measure_components(
+      wl.workflow, spec.component_samples, spec.component_seed());
 
-  tuner::TuningProblem problem{&wl, objective, &pool, &comps, history, {}};
-  problem.measurement.faults.fail_prob = fault_rate;
-  problem.measurement.faults.outlier_prob = outlier_rate;
-  problem.measurement.faults.deadline_s = deadline;
-  problem.measurement.max_attempts = std::max<std::size_t>(1, max_attempts);
-  problem.measurement.faults.validate();
+  tuner::TuningProblem problem = tuner::make_problem(spec, wl, pool, comps);
+  const tuner::Objective objective = problem.objective;
 
   // Performance knobs (all default to the pinned reproduction path: exact
   // trainer, cached pool featurization).
   problem.surrogate_gbt.tree.method = backend_by_name(gbt_backend);
-  problem.surrogate_gbt.tree.max_bins = static_cast<std::size_t>(gbt_bins);
+  problem.surrogate_gbt.tree.max_bins = gbt_bins;
   problem.pool_chunk_rows = pool_chunk;
 
   // Observability: any of --trace / --verbose / --metrics-summary attaches
@@ -249,7 +237,7 @@ int main(int argc, char** argv) {
     telemetry_store.emplace(sink);
     // Causal span ids derive from the session seed: two runs with the
     // same seed produce byte-identical traces once timing is stripped.
-    telemetry_store->seed_trace(seed);
+    telemetry_store->seed_trace(spec.seed);
     if (flight_capacity > 0) {
       flight_recorder.emplace(flight_capacity);
       telemetry_store->set_flight_recorder(&*flight_recorder);
@@ -269,47 +257,18 @@ int main(int argc, char** argv) {
   // plane"). Backends are dispatch strategies, never data sources, so
   // every choice here produces byte-identical sessions; subprocess adds
   // multi-process fan-out with hedging and graceful degradation.
-  std::unique_ptr<measure::MeasureBackend> backend_store;
-  if (measure_backend == "subprocess") {
-    if (replications > 1) {
-      std::cerr << "--measure-backend subprocess covers a single session; "
-                   "it cannot be combined with --replications\n";
-      return 2;
-    }
-    measure::SubprocessOptions mopts;
-    mopts.workers = std::max<std::size_t>(1, measure_workers);
-    mopts.worker_bin = worker_bin;
-    mopts.hedge_after_s = hedge_after_s;
-    mopts.hang_after_s = hang_after_s;
-    mopts.degrade_after = std::max<std::size_t>(1, degrade_after);
-    mopts.seed = seed;
-    mopts.worker_args = {"--workflow", wl_name};
-    if (load_pool.empty()) {
-      mopts.worker_args.insert(
-          mopts.worker_args.end(),
-          {"--pool-size", std::to_string(pool_size), "--pool-seed",
-           std::to_string(pool_seed)});
-    } else {
-      mopts.worker_args.insert(mopts.worker_args.end(),
-                               {"--pool-file", load_pool});
-    }
-    backend_store = std::make_unique<measure::SubprocessBackend>(
-        pool, std::move(mopts),
-        telemetry_store ? &*telemetry_store : nullptr);
-  } else if (measure_backend == "inproc") {
-    backend_store = std::make_unique<measure::InProcessBackend>(pool);
-  } else if (!measure_backend.empty()) {
-    std::cerr << "unknown --measure-backend: " << measure_backend
-              << " (expected inproc|subprocess)\n";
-    return 2;
-  }
+  const std::unique_ptr<measure::MeasureBackend> backend_store =
+      measure::make_backend(backend_kind, pool, std::move(subprocess), spec,
+                            load_pool,
+                            telemetry_store ? &*telemetry_store : nullptr);
   problem.measure = backend_store.get();
 
   if (replications > 1) {
     // Replications run on the global pool; trace output is byte-identical
     // for any worker count (per-replication child telemetry, merged in
     // replication order — see tuner::evaluate).
-    const auto s = tuner::evaluate(problem, *algo, budget, replications, seed);
+    const auto s =
+        tuner::evaluate(problem, *algo, spec.budget, replications, spec.seed);
     Table table({"metric", "value"});
     table.add_row({"algorithm", s.algorithm});
     table.add_row({"normalized performance", Table::num(s.mean_norm_perf)});
@@ -353,10 +312,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  Rng rng(seed);
+  Rng rng(spec.seed);
   tuner::TuneResult result;
   try {
-    result = algo->tune(problem, budget, rng,
+    result = algo->tune(problem, spec.budget, rng,
                         checkpoint ? &*checkpoint : nullptr);
   } catch (const tuner::CheckpointError& e) {
     std::cerr << "ceal_tune: " << e.what() << "\n";
@@ -379,8 +338,9 @@ int main(int argc, char** argv) {
 
   if (!quiet) {
     std::cout << algo->name() << " on " << wl.workflow.name() << " ("
-              << tuner::objective_name(objective) << ", budget " << budget
-              << (history ? ", with histories" : "") << ")\n";
+              << tuner::objective_name(objective) << ", budget "
+              << spec.budget << (spec.history ? ", with histories" : "")
+              << ")\n";
     std::cout << "  measured " << result.measured_indices.size()
               << " workflow configurations, " << result.runs_used
               << " budget units used\n";
@@ -390,7 +350,8 @@ int main(int argc, char** argv) {
         if (st == sim::RunStatus::kCensored) ++censored;
       }
       std::cout << "  faults: " << result.failed_runs << " failed, "
-                << censored << " censored attempts (fault-rate " << fault_rate
+                << censored << " censored attempts (fault-rate "
+                << spec.fault_rate
                 << ", max-attempts " << problem.measurement.max_attempts
                 << ")\n";
     }
@@ -430,15 +391,18 @@ int main(int argc, char** argv) {
   }
 
   if (!save_model.empty()) {
-    // Fit a log-time GBT on everything the session measured and persist
-    // it (predictions are exp() of the model output).
+    // Fit a log-time GBT on every value the session observed and persist
+    // it (predictions are exp() of the model output). Failed and
+    // censored attempts observed no value, so they are left out.
     ml::Dataset data(space.dimension());
-    for (const std::size_t i : result.measured_indices) {
+    for (std::size_t k = 0; k < result.measured_indices.size(); ++k) {
+      if (result.measured_statuses[k] != sim::RunStatus::kOk) continue;
+      const std::size_t i = result.measured_indices[k];
       data.add(space.features(pool.configs[i]),
                std::log(pool.measured(objective)[i]));
     }
     ml::GradientBoostedTrees model(problem.surrogate_gbt);
-    Rng model_rng(seed + 1);
+    Rng model_rng(spec.seed + 1);
     model.fit(data, model_rng);
     ml::save_gbt_file(model, save_model, space.dimension());
     std::cout << "surrogate (log-time GBT) saved to " << save_model << "\n";
@@ -447,9 +411,7 @@ int main(int argc, char** argv) {
   if (!save_result.empty()) {
     // Exact result artifact (tuner/result_io.h): two sessions produced
     // identical TuneResults iff these files are byte-identical.
-    tuner::save_result_csv(save_result, result, algo->name(),
-                           wl.workflow.name(),
-                           tuner::objective_name(objective), budget, seed);
+    tuner::save_result_csv(save_result, result, spec);
   }
   finish_telemetry();
   return 0;

@@ -31,10 +31,10 @@
 
 #include "measure/wire.h"
 #include "tools/args.h"
-#include "tools/common.h"
 #include "tuner/checkpoint.h"
 #include "tuner/measured_pool.h"
 #include "tuner/pool_io.h"
+#include "tuner/session_spec.h"
 
 namespace {
 
@@ -91,26 +91,19 @@ int main(int argc, char** argv) {
   using namespace ceal;
   tools::Args args(argc, argv, kUsage);
   const auto wl_name = args.required("workflow");
-  const auto pool_size =
-      static_cast<std::size_t>(args.integer("pool-size", 2000));
-  const auto pool_seed =
-      static_cast<std::uint64_t>(args.integer("pool-seed", 1));
+  const tuner::SessionSpec defaults;
+  const std::size_t pool_size = args.integer("pool-size", defaults.pool_size);
+  const auto pool_seed = args.integer("pool-seed", defaults.pool_seed);
   const auto pool_file = args.option("pool-file", "");
-  const auto index = static_cast<std::size_t>(args.integer("index", 0));
+  const std::size_t index = args.integer("index", 0);
   args.finish();
 
-  const sim::Workload wl = tools::workload_by_name(wl_name);
-  const tuner::MeasuredPool pool = [&] {
-    try {
-      return pool_file.empty()
-                 ? tuner::measure_pool(wl.workflow, pool_size, pool_seed)
-                 : tuner::load_pool_csv(wl.workflow.joint_space(),
-                                        pool_file);
-    } catch (const std::exception& e) {
-      std::cerr << "ceal_worker: " << e.what() << "\n";
-      std::exit(2);
-    }
-  }();
+  const tuner::MeasuredPool pool = args.or_exit([&] {
+    const sim::Workload wl = tuner::workload_by_name(wl_name);
+    return pool_file.empty()
+               ? tuner::measure_pool(wl.workflow, pool_size, pool_seed)
+               : tuner::load_pool_csv(wl.workflow.joint_space(), pool_file);
+  });
 
   const auto crash_after =
       injection_threshold("CEAL_WORKER_CRASH_AFTER", index);

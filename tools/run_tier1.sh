@@ -368,7 +368,7 @@ for san in address undefined; do
   cmake --build "$dir" -j "$jobs" --target unit_tests system_tests \
     serve_tests measure_tests ceal_worker ceal_tune quickstart component_models \
     miniapp_demo custom_workflow md_insitu bench_fig5_autotune_no_hist \
-    ceal_trace
+    ceal_trace ceal_serve ceal_pool ceal_explain
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L tier1
 done
 
