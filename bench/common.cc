@@ -3,6 +3,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -77,20 +78,38 @@ tuner::TuningProblem Env::problem(std::size_t i, tuner::Objective objective,
 }
 
 std::size_t Env::replications() {
-  if (const char* env = std::getenv("CEAL_REPS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<std::size_t>(v);
+  const char* env = std::getenv("CEAL_REPS");
+  if (env == nullptr) return 40;
+  const std::string_view text(env);
+  std::size_t reps = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), reps);
+  if (ec != std::errc() || end != text.data() + text.size() || reps < 1) {
+    throw PreconditionError("CEAL_REPS expects an integer >= 1, got '" +
+                            std::string(text) + "'");
   }
-  return 40;
+  return reps;
 }
 
-tuner::EvalSummary run_cell(const Env& env, const std::string& name,
-                            std::size_t w, tuner::Objective objective,
-                            std::size_t budget, bool history) {
-  const auto algo = tuner::algorithm_by_name(name, env.graph(w));
-  const auto prob = env.problem(w, objective, history);
-  return tuner::evaluate(prob, *algo, budget, Env::replications(),
+tuner::EvalSummary evaluate_cell(const Cell& cell) {
+  CEAL_EXPECT(!cell.ceal || cell.algorithm == "CEAL");
+  const Env& env = Env::instance();
+  const std::size_t w = env.index_of(cell.workflow);
+  auto problem = env.problem(w, cell.objective, cell.history);
+  problem.measurement.faults.fail_prob = cell.fault_rate;
+  problem.measurement.max_attempts = cell.max_attempts;
+  const std::unique_ptr<tuner::AutoTuner> algo =
+      cell.ceal ? std::make_unique<tuner::Ceal>(*cell.ceal)
+                : tuner::algorithm_by_name(cell.algorithm, env.graph(w));
+  return tuner::evaluate(problem, *algo, cell.budget, Env::replications(),
                          kEvalSeed);
+}
+
+const tuner::EvalSummary& CellMemo::operator()(const Cell& cell) {
+  for (const auto& [known, summary] : results_) {
+    if (known == cell) return summary;
+  }
+  return results_.emplace_back(cell, evaluate_(cell)).second;
 }
 
 std::string fmt(double v, int precision) {

@@ -1,18 +1,24 @@
-// Shared environment for the paper-reproduction bench binaries: the three
+// Shared environment for the paper reproduction (bench_paper): the three
 // workflows, their 2000-configuration measured pools (§7.1), the
 // 500-sample component measurement sets, and a pre-built GEIST pool graph
-// per workflow.
+// per workflow; plus the experiment cells the figures report, evaluated
+// once each.
 //
 // Replication count defaults to 40 and can be raised to the paper's 100
-// via the CEAL_REPS environment variable (all binaries honour it).
+// via the CEAL_REPS environment variable.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/workloads.h"
+#include "tuner/ceal.h"
 #include "tuner/evaluation.h"
 #include "tuner/geist.h"
 #include "tuner/measured_pool.h"
@@ -43,6 +49,7 @@ class Env {
                                bool history) const;
 
   /// Replications per experiment (CEAL_REPS env var, default 40).
+  /// Throws PreconditionError unless CEAL_REPS is an integer >= 1.
   static std::size_t replications();
 
  private:
@@ -57,15 +64,48 @@ class Env {
 /// "1.234" style normalised value or "inf".
 std::string fmt(double v, int precision = 3);
 
-/// Runs one experiment cell: the registered tuner `name` (GEIST shares
-/// the pre-built pool graph of workload `w`) on workload `w` under
-/// `objective` with `budget` training samples, averaged over
-/// replications().
-tuner::EvalSummary run_cell(const Env& env, const std::string& name,
-                            std::size_t w, tuner::Objective objective,
-                            std::size_t budget, bool history);
+/// One experiment cell: a registered tuner on one workflow, objective
+/// and budget, averaged over replications(). Two cells are the same
+/// experiment exactly when they compare equal.
+struct Cell {
+  std::string workflow;  ///< "LV" | "HS" | "GP"
+  tuner::Objective objective = tuner::Objective::kExecTime;
+  std::size_t budget = 0;
+  bool history = false;
+  std::string algorithm;  ///< a tuner::algorithm_names() entry
+  /// CEAL with these parameters instead of the registry's defaults,
+  /// which follow `history`.
+  std::optional<tuner::CealParams> ceal = std::nullopt;
+  double fault_rate = 0.0;
+  std::size_t max_attempts = 1;
 
-/// Writes `header` and the bench name banner to stdout.
+  bool operator==(const Cell&) const = default;
+};
+
+/// Runs `cell` through tuner::evaluate on Env::instance() (GEIST shares
+/// the workflow's pre-built pool graph).
+tuner::EvalSummary evaluate_cell(const Cell& cell);
+
+/// Results keyed by cell value: a cell is evaluated on its first use and
+/// read back after that, so a cell several figures report runs once.
+class CellMemo {
+ public:
+  using Evaluate = std::function<tuner::EvalSummary(const Cell&)>;
+  explicit CellMemo(Evaluate evaluate = evaluate_cell)
+      : evaluate_(std::move(evaluate)) {}
+
+  const tuner::EvalSummary& operator()(const Cell& cell);
+
+  /// Distinct cells evaluated so far.
+  std::size_t evaluations() const { return results_.size(); }
+
+ private:
+  Evaluate evaluate_;
+  std::deque<std::pair<Cell, tuner::EvalSummary>> results_;
+};
+
+/// Writes a figure's banner (title, paper reference, replications) to
+/// stdout.
 void banner(const std::string& title, const std::string& paper_ref);
 
 // --- Standardised BENCH_*.json output for the bench_micro_* targets. ---

@@ -28,7 +28,7 @@ struct CealParams {
   /// optimum across 30-80% (Fig. 13c); 50% is the middle of that range.
   double mR_fraction = 0.5;
 
-  // --- Ablation switches (all on by default; bench_ablation_ceal). ---
+  // --- Ablation switches (on by default; bench_paper ablation_ceal). ---
   /// Lines 16-24 of Alg. 1: promote M_H once its batch recall matches
   /// M_L's. Off = keep selecting samples with the low-fidelity model.
   bool enable_switch_detection = true;
@@ -52,6 +52,8 @@ struct CealParams {
     p.mR_fraction = 0.0;
     return p;
   }
+
+  bool operator==(const CealParams&) const = default;
 };
 
 class Ceal final : public AutoTuner {

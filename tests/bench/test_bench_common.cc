@@ -1,6 +1,7 @@
 // annotate_bench_json on google-benchmark output: the metadata header is
 // added, and non-finite counters (bare NaN/Infinity tokens, which are
-// not JSON) are dropped instead of aborting the bench binary.
+// not JSON) are dropped instead of aborting the bench binary. CellMemo:
+// each distinct experiment cell is evaluated once.
 #include "bench/common.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/error.h"
 #include "core/json.h"
@@ -100,6 +102,53 @@ TEST_F(AnnotateBenchJson, StillRejectsMalformedJson) {
   EXPECT_THROW(annotate_bench_json(path_.string()), ceal::PreconditionError);
   write(R"({"context": {}})");
   EXPECT_THROW(annotate_bench_json(path_.string()), ceal::PreconditionError);
+}
+
+// Every field of a cell is part of its identity: a cell that differs
+// from another in any one field is a separate experiment, and a cell
+// seen before is read back without evaluating it again.
+TEST(CellMemo, EvaluatesEachDistinctCellOnce) {
+  std::vector<Cell> evaluated;
+  CellMemo memo([&](const Cell& cell) {
+    evaluated.push_back(cell);
+    tuner::EvalSummary summary;
+    summary.budget = evaluated.size();
+    return summary;
+  });
+  const Cell base{"LV", tuner::Objective::kExecTime, 50, false, "CEAL"};
+  std::vector<Cell> variants(12, base);
+  variants[0].workflow = "HS";
+  variants[1].objective = tuner::Objective::kComputerTime;
+  variants[2].budget = 25;
+  variants[3].history = true;
+  variants[4].algorithm = "AL";
+  variants[5].ceal = tuner::CealParams::no_history();
+  variants[6].ceal = tuner::CealParams::with_history();
+  variants[7].ceal = tuner::CealParams::no_history();
+  variants[7].ceal->ensemble_final = false;
+  variants[8].ceal = tuner::CealParams::no_history();
+  variants[8].ceal->mR_fraction = 0.05;
+  variants[9].fault_rate = 0.1;
+  variants[10].max_attempts = 3;
+  variants[11].ceal = tuner::CealParams::no_history();
+  variants[11].ceal->iterations = 3;
+
+  EXPECT_EQ(memo(base).budget, 1u);
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_NE(variants[i], base) << "variant " << i;
+    EXPECT_EQ(memo(variants[i]).budget, i + 2) << "variant " << i;
+  }
+  ASSERT_EQ(evaluated.size(), variants.size() + 1);
+  EXPECT_EQ(memo.evaluations(), variants.size() + 1);
+
+  // Repeats, in any order, come from the memo.
+  EXPECT_EQ(memo(variants[4]).budget, 6u);
+  EXPECT_EQ(memo(base).budget, 1u);
+  Cell same = base;
+  same.algorithm = std::string("CE") + "AL";
+  EXPECT_EQ(memo(same).budget, 1u);
+  EXPECT_EQ(evaluated.size(), variants.size() + 1);
+  EXPECT_EQ(evaluated.front(), base);
 }
 
 }  // namespace

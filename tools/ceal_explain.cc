@@ -4,7 +4,7 @@
 //
 //   ceal_explain --workflow LV --config 288,18,2,288,18,2
 //   ceal_explain --workflow HS --expert exec
-#include <cstdlib>
+#include <charconv>
 #include <iostream>
 #include <sstream>
 
@@ -31,10 +31,20 @@ int main(int argc, char** argv) {
       args.or_exit([&] { return tuner::workload_by_name(wl_name); });
   config::Configuration c;
   if (!config_text.empty()) {
-    // "288,18,2,288,18,2"
-    std::istringstream is(config_text);
-    for (std::string v; std::getline(is, v, ',');)
-      c.push_back(static_cast<int>(std::strtol(v.c_str(), nullptr, 10)));
+    // "288,18,2,288,18,2": every token a whole int. The appended comma
+    // makes getline yield an empty last token for a trailing comma.
+    std::istringstream is(config_text + ",");
+    for (std::string v; std::getline(is, v, ',');) {
+      int value = 0;
+      const auto [end, ec] =
+          std::from_chars(v.data(), v.data() + v.size(), value);
+      if (ec != std::errc() || end != v.data() + v.size()) {
+        std::cerr << "--config expects comma-separated integers, got '"
+                  << config_text << "'\n";
+        return 2;
+      }
+      c.push_back(value);
+    }
   } else if (expert == "exec") {
     c = wl.expert_exec;
   } else if (expert == "comp") {

@@ -26,21 +26,35 @@ constexpr const char* kUsage =
 int main(int argc, char** argv) {
   using namespace ceal;
   tools::Args args(argc, argv, kUsage);
-  const auto wl_name = args.required("workflow");
-  const auto out = args.required("out");
   // The pool and component samples a session with these knobs measures.
+  // ceal_pool tunes nothing: the objective and budget only satisfy
+  // validate(), which checks the workflow and the counts before anything
+  // is measured.
   tuner::SessionSpec spec;
+  spec.workflow = args.required("workflow");
+  spec.objective = "exec";
+  spec.budget = 1;
+  const auto out = args.required("out");
   spec.pool_size = args.integer("size", spec.pool_size);
   spec.pool_seed = args.integer("seed", spec.pool_seed);
   const auto components_prefix = args.option("components", "");
   spec.component_samples =
       args.integer("component-samples", spec.component_samples);
   args.finish();
+  args.or_exit([&] { spec.validate(); });
 
-  const sim::Workload wl =
-      args.or_exit([&] { return tuner::workload_by_name(wl_name); });
+  // Measure everything before writing anything, so a failed run leaves
+  // no files behind.
+  const sim::Workload wl = tuner::workload_by_name(spec.workflow);
   const auto pool = args.or_exit([&] {
     return tuner::measure_pool(wl.workflow, spec.pool_size, spec.pool_seed);
+  });
+  const auto comps = args.or_exit([&] {
+    return components_prefix.empty()
+               ? std::vector<tuner::ComponentSamples>{}
+               : tuner::measure_components(wl.workflow,
+                                           spec.component_samples,
+                                           spec.component_seed());
   });
   tuner::save_pool_csv(pool, wl.workflow.joint_space(), out);
 
@@ -53,19 +67,12 @@ int main(int argc, char** argv) {
             << "  best comp: " << Table::num(pool.comp_ch[comp_best], 3)
             << " ch at " << config::to_string(pool.configs[comp_best])
             << "\n";
-
-  if (!components_prefix.empty()) {
-    const auto comps = args.or_exit([&] {
-      return tuner::measure_components(wl.workflow, spec.component_samples,
-                                       spec.component_seed());
-    });
-    for (std::size_t j = 0; j < comps.size(); ++j) {
-      const std::string path =
-          components_prefix + "_" + wl.workflow.app(j).name() + ".csv";
-      tuner::save_component_csv(comps[j], wl.workflow.app(j).space(), path);
-      std::cout << "  " << comps[j].size() << " solo samples of "
-                << wl.workflow.app(j).name() << " -> " << path << "\n";
-    }
+  for (std::size_t j = 0; j < comps.size(); ++j) {
+    const std::string path =
+        components_prefix + "_" + wl.workflow.app(j).name() + ".csv";
+    tuner::save_component_csv(comps[j], wl.workflow.app(j).space(), path);
+    std::cout << "  " << comps[j].size() << " solo samples of "
+              << wl.workflow.app(j).name() << " -> " << path << "\n";
   }
   return 0;
 }
