@@ -106,10 +106,17 @@ tuner::EvalSummary evaluate_cell(const Cell& cell) {
 }
 
 const tuner::EvalSummary& CellMemo::operator()(const Cell& cell) {
+  // Explicit CEAL parameters equal to the ones Ceal() picks for this
+  // history flag name the registry's experiment.
+  Cell key = cell;
+  const tuner::CealParams registry = key.history
+                                         ? tuner::CealParams::with_history()
+                                         : tuner::CealParams::no_history();
+  if (key.ceal == registry) key.ceal.reset();
   for (const auto& [known, summary] : results_) {
-    if (known == cell) return summary;
+    if (known == key) return summary;
   }
-  return results_.emplace_back(cell, evaluate_(cell)).second;
+  return results_.emplace_back(key, evaluate_(key)).second;
 }
 
 std::string fmt(double v, int precision) {

@@ -88,6 +88,9 @@ tuner::EvalSummary evaluate_cell(const Cell& cell);
 
 /// Results keyed by cell value: a cell is evaluated on its first use and
 /// read back after that, so a cell several figures report runs once.
+/// A cell whose `ceal` equals CealParams::with_history() (history) or
+/// no_history() (without) is keyed, and evaluated, without it: Ceal()
+/// runs those very parameters.
 class CellMemo {
  public:
   using Evaluate = std::function<tuner::EvalSummary(const Cell&)>;

@@ -23,6 +23,8 @@ struct GbtParams {
   /// Fraction of rows sampled per round (0 < subsample <= 1).
   double subsample = 1.0;
   TreeParams tree;
+
+  bool operator==(const GbtParams&) const = default;
 };
 
 class GradientBoostedTrees final : public Regressor {

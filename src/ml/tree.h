@@ -74,6 +74,8 @@ struct TreeParams {
   /// Maximum histogram bins per feature (kQuantized; kExact does not
   /// bin). 2 <= max_bins <= kMaxBins.
   std::size_t max_bins = kMaxBins;
+
+  bool operator==(const TreeParams&) const = default;
 };
 
 /// Quantile binning of one feature: `bin_max[b]` is the largest training

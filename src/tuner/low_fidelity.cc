@@ -1,54 +1,171 @@
 #include "tuner/low_fidelity.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <mutex>
+#include <optional>
 
 #include "core/error.h"
 #include "ml/dataset.h"
 
 namespace ceal::tuner {
 
+namespace {
+
+/// Everything a component set fit reads. Features are value casts of the
+/// configurations (ConfigSpace::features) and every component model
+/// log-transforms its targets, so equal inputs give equal models; the
+/// workflow and the objective add nothing once the targets are known.
+struct FitInput {
+  ml::GbtParams gbt;
+  std::vector<std::vector<config::Configuration>> configs;  ///< [j][k]
+  std::vector<std::vector<double>> targets;                 ///< [j][k]
+
+  /// Targets compare bit for bit, not by value.
+  bool operator==(const FitInput& other) const {
+    const auto same_bits = [](double a, double b) {
+      return std::bit_cast<std::uint64_t>(a) ==
+             std::bit_cast<std::uint64_t>(b);
+    };
+    return gbt == other.gbt && configs == other.configs &&
+           std::ranges::equal(targets, other.targets,
+                              [&](const auto& a, const auto& b) {
+                                return std::ranges::equal(a, b, same_bits);
+                              });
+  }
+};
+
+FitInput gather(const sim::InSituWorkflow& workflow, Objective objective,
+                const std::vector<ComponentSamples>& samples,
+                const std::vector<std::vector<std::size_t>>& sample_indices,
+                const ml::GbtParams& gbt) {
+  CEAL_EXPECT(samples.size() == workflow.component_count());
+  CEAL_EXPECT(sample_indices.size() == samples.size());
+  FitInput in{gbt, {}, {}};
+  in.configs.resize(samples.size());
+  in.targets.resize(samples.size());
+  for (std::size_t j = 0; j < samples.size(); ++j) {
+    CEAL_EXPECT_MSG(!sample_indices[j].empty(),
+                    "component model needs at least one sample");
+    const auto& values = samples[j].measured(objective);
+    in.configs[j].reserve(sample_indices[j].size());
+    in.targets[j].reserve(sample_indices[j].size());
+    for (const std::size_t idx : sample_indices[j]) {
+      CEAL_EXPECT(idx < samples[j].size());
+      in.configs[j].push_back(samples[j].configs[idx]);
+      in.targets[j].push_back(values[idx]);
+    }
+  }
+  return in;
+}
+
+std::vector<std::shared_ptr<const Surrogate>> fit_models(
+    const sim::InSituWorkflow& workflow, const FitInput& in, ceal::Rng& rng) {
+  std::vector<std::shared_ptr<const Surrogate>> models;
+  models.reserve(in.configs.size());
+  for (std::size_t j = 0; j < in.configs.size(); ++j) {
+    auto model = std::make_shared<Surrogate>(in.gbt);
+    model->fit(workflow.app(j).space(), in.configs[j], in.targets[j], rng);
+    models.push_back(std::move(model));
+  }
+  return models;
+}
+
+/// The fit_shared memo: the last kSharedComponentFits fit inputs and
+/// their models, most recently used first.
+class SharedFits {
+ public:
+  using Models = std::vector<std::shared_ptr<const Surrogate>>;
+
+  std::optional<Models> find(const FitInput& in) {
+    const std::lock_guard lock(mutex_);
+    const auto hit = std::ranges::find(entries_, in, &Entry::first);
+    if (hit == entries_.end()) return std::nullopt;
+    std::rotate(entries_.begin(), hit, hit + 1);
+    return entries_.front().second;
+  }
+
+  /// Keeps `models` for `in` unless another thread got there first, and
+  /// returns the kept models.
+  Models insert(FitInput in, Models models) {
+    const std::lock_guard lock(mutex_);
+    const auto hit = std::ranges::find(entries_, in, &Entry::first);
+    if (hit != entries_.end()) return hit->second;
+    entries_.emplace_front(std::move(in), models);
+    if (entries_.size() > kSharedComponentFits) entries_.pop_back();
+    return models;
+  }
+
+ private:
+  using Entry = std::pair<FitInput, Models>;
+  std::mutex mutex_;
+  std::deque<Entry> entries_;
+};
+
+SharedFits& shared_fits() {
+  static SharedFits fits;
+  return fits;
+}
+
+}  // namespace
+
 ComponentModelSet::ComponentModelSet(
     const sim::InSituWorkflow& workflow, Objective objective,
     const std::vector<ComponentSamples>& samples,
     const std::vector<std::vector<std::size_t>>& sample_indices,
     ceal::Rng& rng, const ml::GbtParams& gbt)
-    : workflow_(&workflow) {
-  CEAL_EXPECT(samples.size() == workflow.component_count());
-  CEAL_EXPECT(sample_indices.size() == samples.size());
+    : ComponentModelSet(
+          workflow,
+          fit_models(workflow,
+                     gather(workflow, objective, samples, sample_indices, gbt),
+                     rng)) {}
 
-  models_.reserve(samples.size());
-  for (std::size_t j = 0; j < samples.size(); ++j) {
-    CEAL_EXPECT_MSG(!sample_indices[j].empty(),
-                    "component model needs at least one sample");
-    const auto& space = workflow.app(j).space();
-    const auto& values = samples[j].measured(objective);
-    std::vector<config::Configuration> configs;
-    std::vector<double> targets;
-    configs.reserve(sample_indices[j].size());
-    targets.reserve(sample_indices[j].size());
-    for (const std::size_t idx : sample_indices[j]) {
-      CEAL_EXPECT(idx < samples[j].size());
-      configs.push_back(samples[j].configs[idx]);
-      targets.push_back(values[idx]);
-    }
-    Surrogate model(gbt);
-    model.fit(space, configs, targets, rng);
-    models_.push_back(std::move(model));
+ComponentModelSet::ComponentModelSet(const sim::InSituWorkflow& workflow,
+                                     Models models)
+    : workflow_(&workflow), models_(std::move(models)) {}
+
+std::shared_ptr<const ComponentModelSet> ComponentModelSet::fit_shared(
+    const sim::InSituWorkflow& workflow, Objective objective,
+    const std::vector<ComponentSamples>& samples,
+    const std::vector<std::vector<std::size_t>>& sample_indices,
+    ceal::Rng& rng, const ml::GbtParams& gbt) {
+  FitInput in = gather(workflow, objective, samples, sample_indices, gbt);
+  // Row or column subsampling draws from rng: such a fit is neither a
+  // pure function of its input nor free to skip.
+  if (gbt.subsample < 1.0 || gbt.tree.colsample < 1.0) {
+    return std::shared_ptr<const ComponentModelSet>(
+        new ComponentModelSet(workflow, fit_models(workflow, in, rng)));
   }
+  SharedFits& fits = shared_fits();
+  std::optional<Models> models = fits.find(in);
+  if (!models) {
+    // Fit outside the lock, so sessions on other histories do not wait.
+    Models fitted = fit_models(workflow, in, rng);
+    models = fits.insert(std::move(in), std::move(fitted));
+  }
+  return std::shared_ptr<const ComponentModelSet>(
+      new ComponentModelSet(workflow, std::move(*models)));
+}
+
+const Surrogate& ComponentModelSet::model(std::size_t j) const {
+  CEAL_EXPECT(j < models_.size());
+  return *models_[j];
 }
 
 double ComponentModelSet::predict(
     std::size_t j, const config::Configuration& component_config) const {
   CEAL_EXPECT(j < models_.size());
-  return models_[j].predict(workflow_->app(j).space(), component_config);
+  return models_[j]->predict(workflow_->app(j).space(), component_config);
 }
 
 std::vector<double> ComponentModelSet::predict_many(
     std::size_t j, const ml::FeatureMatrix& joint) const {
   CEAL_EXPECT(j < models_.size());
   CEAL_EXPECT(joint.n_features() == workflow_->joint_space().dimension());
-  return models_[j].predict_many(joint,
-                                 workflow_->space().slice_range(j).first);
+  return models_[j]->predict_many(joint,
+                                  workflow_->space().slice_range(j).first);
 }
 
 LowFidelityModel::LowFidelityModel(

@@ -25,7 +25,13 @@
 
 namespace ceal::tuner {
 
-/// One trained performance model per workflow component.
+/// Distinct history fits ComponentModelSet::fit_shared keeps (LRU).
+/// The benches see at most six: three workflows times two objectives.
+inline constexpr std::size_t kSharedComponentFits = 8;
+
+/// One trained performance model per workflow component. The models are
+/// immutable once fitted, so sets may share them: every set built by
+/// fit_shared from equal fit inputs holds the same Surrogate objects.
 class ComponentModelSet {
  public:
   /// Trains a model per component for `objective`, using the component
@@ -40,7 +46,25 @@ class ComponentModelSet {
       ceal::Rng& rng,
       const ml::GbtParams& gbt = ml::GradientBoostedTrees::surrogate_defaults());
 
+  /// The constructor's models, fitted at most once per process for one
+  /// fit input: each component's training configurations, its target
+  /// values bit for bit, and `gbt`. A later call with an equal input
+  /// (from any objects, on any thread) reuses the earlier call's models.
+  /// This is exact because such a fit draws no random numbers; when
+  /// `gbt` subsamples rows or columns it does, so the call fits afresh
+  /// and advances `rng` as the constructor would. A process-wide memo
+  /// holds the last kSharedComponentFits inputs; two threads that miss
+  /// on one input at once both fit, and the first to finish is kept.
+  static std::shared_ptr<const ComponentModelSet> fit_shared(
+      const sim::InSituWorkflow& workflow, Objective objective,
+      const std::vector<ComponentSamples>& samples,
+      const std::vector<std::vector<std::size_t>>& sample_indices,
+      ceal::Rng& rng, const ml::GbtParams& gbt);
+
   std::size_t component_count() const { return models_.size(); }
+
+  /// The fitted model of component j.
+  const Surrogate& model(std::size_t j) const;
 
   /// Predicted solo objective value of component j at its local
   /// configuration.
@@ -54,8 +78,11 @@ class ComponentModelSet {
                                    const ml::FeatureMatrix& joint) const;
 
  private:
+  using Models = std::vector<std::shared_ptr<const Surrogate>>;
+  ComponentModelSet(const sim::InSituWorkflow& workflow, Models models);
+
   const sim::InSituWorkflow* workflow_;
-  std::vector<Surrogate> models_;
+  Models models_;
 };
 
 /// The analytical coupling model over component predictions: the

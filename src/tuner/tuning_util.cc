@@ -170,13 +170,19 @@ std::shared_ptr<const ComponentModelSet> train_component_models(
     Collector& collector, std::size_t rounds, ceal::Rng& rng,
     double* fit_s) {
   const TuningProblem& problem = collector.problem();
-  const auto& indices = problem.components_are_history
+  const bool history = problem.components_are_history;
+  const auto& indices = history
                             ? collector.all_component_samples()
                             : collector.acquire_component_samples(rounds, rng);
   telemetry::ScopedSpan span(problem.telemetry, "components.fit");
-  auto components = std::make_shared<const ComponentModelSet>(
-      problem.workload->workflow, problem.objective,
-      *problem.component_samples, indices, rng, problem.surrogate_gbt);
+  const auto& workflow = problem.workload->workflow;
+  auto components =
+      history ? ComponentModelSet::fit_shared(
+                    workflow, problem.objective, *problem.component_samples,
+                    indices, rng, problem.surrogate_gbt)
+              : std::make_shared<const ComponentModelSet>(
+                    workflow, problem.objective, *problem.component_samples,
+                    indices, rng, problem.surrogate_gbt);
   const double s = span.stop();
   if (fit_s != nullptr) *fit_s = s;
   return components;

@@ -107,7 +107,11 @@ double fit_on_measured(Surrogate& surrogate, const Collector& collector,
 /// the problem has them, otherwise charges `rounds` solo rounds
 /// (Collector::acquire_component_samples). The models use the
 /// problem's surrogate_gbt and train inside the "components.fit" span,
-/// whose seconds land in `fit_s` when it is non-null.
+/// whose seconds land in `fit_s` when it is non-null. History models
+/// come from ComponentModelSet::fit_shared: a session whose history and
+/// surrogate_gbt equal an earlier session's in this process reuses that
+/// session's models, bit-identical and with `rng` untouched, so its span
+/// is short. Charged samples are drawn per session and always fitted.
 std::shared_ptr<const ComponentModelSet> train_component_models(
     Collector& collector, std::size_t rounds, ceal::Rng& rng,
     double* fit_s = nullptr);

@@ -105,8 +105,9 @@ TEST_F(AnnotateBenchJson, StillRejectsMalformedJson) {
 }
 
 // Every field of a cell is part of its identity: a cell that differs
-// from another in any one field is a separate experiment, and a cell
-// seen before is read back without evaluating it again.
+// from another in any one field is a separate experiment (save for
+// explicit registry defaults, below), and a cell seen before is read
+// back without evaluating it again.
 TEST(CellMemo, EvaluatesEachDistinctCellOnce) {
   std::vector<Cell> evaluated;
   CellMemo memo([&](const Cell& cell) {
@@ -122,6 +123,7 @@ TEST(CellMemo, EvaluatesEachDistinctCellOnce) {
   variants[2].budget = 25;
   variants[3].history = true;
   variants[4].algorithm = "AL";
+  variants[5].history = true;
   variants[5].ceal = tuner::CealParams::no_history();
   variants[6].ceal = tuner::CealParams::with_history();
   variants[7].ceal = tuner::CealParams::no_history();
@@ -149,6 +151,35 @@ TEST(CellMemo, EvaluatesEachDistinctCellOnce) {
   EXPECT_EQ(memo(same).budget, 1u);
   EXPECT_EQ(evaluated.size(), variants.size() + 1);
   EXPECT_EQ(evaluated.front(), base);
+}
+
+// Explicit CEAL parameters equal to the ones Ceal() picks for the cell's
+// history flag name the registry's experiment, which runs once, with no
+// parameters; the other flag's defaults are a different experiment.
+TEST(CellMemo, RegistryDefaultParamsAreTheDefaultCell) {
+  std::vector<Cell> evaluated;
+  CellMemo memo([&](const Cell& cell) {
+    evaluated.push_back(cell);
+    return tuner::EvalSummary{};
+  });
+  for (const bool history : {false, true}) {
+    const Cell registry{"LV", tuner::Objective::kExecTime, 50, history, "CEAL"};
+    Cell own = registry;
+    own.ceal = history ? tuner::CealParams::with_history()
+                       : tuner::CealParams::no_history();
+    Cell other = registry;
+    other.ceal = history ? tuner::CealParams::no_history()
+                         : tuner::CealParams::with_history();
+    memo(own);
+    memo(registry);
+    memo(other);
+  }
+  ASSERT_EQ(memo.evaluations(), 4u);
+  ASSERT_EQ(evaluated.size(), 4u);
+  EXPECT_FALSE(evaluated[0].ceal.has_value());
+  EXPECT_EQ(evaluated[1].ceal, tuner::CealParams::with_history());
+  EXPECT_FALSE(evaluated[2].ceal.has_value());
+  EXPECT_EQ(evaluated[3].ceal, tuner::CealParams::no_history());
 }
 
 }  // namespace

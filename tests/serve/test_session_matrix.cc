@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@ struct SessionSpec {
   std::string id;
   std::string algorithm;
   std::uint64_t seed;
+  bool history = false;
 };
 
 constexpr std::size_t kBudget = 12;
@@ -45,7 +47,9 @@ std::string create_line(const SessionSpec& spec) {
      << kBudget << ",\"algorithm\":\"" << spec.algorithm
      << "\",\"seed\":" << spec.seed << ",\"pool_size\":" << kPoolSize
      << ",\"pool_seed\":" << kPoolSeed
-     << ",\"component_samples\":" << kComponentSamples << "}";
+     << ",\"component_samples\":" << kComponentSamples;
+  if (spec.history) os << ",\"history\":true";
+  os << "}";
   return os.str();
 }
 
@@ -62,6 +66,7 @@ void write_solo_csv(const SessionSpec& spec, const std::string& path) {
   problem.objective = tuner::Objective::kExecTime;
   problem.pool = &pool;
   problem.component_samples = &comps;
+  problem.components_are_history = spec.history;
   ceal::Rng rng(spec.seed);
   const auto algo = tuner::algorithm_by_name(spec.algorithm);
   const tuner::TuneResult result = algo->tune(problem, kBudget, rng);
@@ -71,6 +76,7 @@ void write_solo_csv(const SessionSpec& spec, const std::string& path) {
   identity.algorithm = algo->name();
   identity.budget = kBudget;
   identity.seed = spec.seed;
+  identity.history = spec.history;
   tuner::save_result_csv(path, result, identity);
 }
 
@@ -97,8 +103,11 @@ std::vector<std::string> step_schedule(const std::vector<SessionSpec>& all) {
   return lines;
 }
 
-TEST(ServeSessionMatrixTest, InterleavedSessionsMatchSoloRuns) {
-  const auto all = specs();
+/// Steps `all` interleaved through one daemon and compares each
+/// session's result CSV with the solo CSV `solo_path(spec)` holds.
+void expect_served_match_solo(
+    const std::vector<SessionSpec>& all,
+    const std::function<std::string(const SessionSpec&)>& solo_path) {
   ServerCore core{ServerOptions{}};
   for (const auto& spec : all) {
     const json::Value response =
@@ -113,20 +122,43 @@ TEST(ServeSessionMatrixTest, InterleavedSessionsMatchSoloRuns) {
   for (const auto& spec : all) {
     const std::string served = ::testing::TempDir() + "ceal_matrix_" +
                                spec.id + "_served.csv";
-    const std::string solo =
-        ::testing::TempDir() + "ceal_matrix_" + spec.id + "_solo.csv";
     const json::Value response = json::Value::parse(core.handle_line(
         "{\"op\":\"session.query\",\"id\":\"" + spec.id +
         "\",\"save_result\":\"" + served + "\"}"));
     ASSERT_TRUE(response.at("ok").as_bool()) << response.dump();
     ASSERT_EQ(response.at("state").as_string(), "done")
         << spec.id << ": " << response.dump();
-    write_solo_csv(spec, solo);
+    const std::string solo = solo_path(spec);
     EXPECT_EQ(slurp(served), slurp(solo))
-        << spec.algorithm << " diverged from its solo run";
+        << spec.id << " diverged from its solo run";
     std::remove(served.c_str());
     std::remove(solo.c_str());
   }
+}
+
+std::string solo_csv_path(const SessionSpec& spec) {
+  return ::testing::TempDir() + "ceal_matrix_" + spec.id + "_solo.csv";
+}
+
+TEST(ServeSessionMatrixTest, InterleavedSessionsMatchSoloRuns) {
+  expect_served_match_solo(specs(), [](const SessionSpec& spec) {
+    const std::string path = solo_csv_path(spec);
+    write_solo_csv(spec, path);
+    return path;
+  });
+}
+
+// History sessions on one workflow, pool seed and component sample count
+// share one history, so the daemon fits its component models once and
+// every later session reuses them (ComponentModelSet::fit_shared). The
+// solo runs go first: the first of them fits the models afresh.
+TEST(ServeSessionMatrixTest, HistorySessionsSharingOneHistoryMatchSoloRuns) {
+  const std::vector<SessionSpec> all{{"h-ceal", "CEAL", 21, true},
+                                     {"h-alph", "ALpH", 22, true},
+                                     {"h-bo-ceal", "BO-CEAL", 23, true},
+                                     {"h-ceal-2", "CEAL", 24, true}};
+  for (const auto& spec : all) write_solo_csv(spec, solo_csv_path(spec));
+  expect_served_match_solo(all, solo_csv_path);
 }
 
 TEST(ServeSessionMatrixTest, ResponseStreamIsByteStableAcrossThreadCounts) {

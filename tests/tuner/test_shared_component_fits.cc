@@ -1,0 +1,232 @@
+// ComponentModelSet::fit_shared, the process-wide memo of history
+// component fits behind train_component_models: a session whose fit input
+// (component configurations, target bits, GbtParams) equals an earlier
+// one's reuses that session's models, bit-identical to a fresh fit; any
+// change to the input misses; a fit that draws random numbers bypasses
+// the memo; and the memo keeps the last kSharedComponentFits inputs.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <vector>
+
+#include "core/parallel.h"
+#include "sim/workloads.h"
+#include "tuner/ceal.h"
+#include "tuner/evaluation.h"
+#include "tuner/low_fidelity.h"
+#include "tuner/pool_features.h"
+#include "tuner/tuning_util.h"
+
+namespace ceal::tuner {
+namespace {
+
+constexpr std::size_t kPoolRows = 120;
+constexpr std::size_t kSamples = 40;
+
+/// A workload with its measured pool and component history, built from
+/// seeds alone, so two instances are equal but distinct objects.
+struct History {
+  explicit History(std::uint64_t seed = 5)
+      : wl(sim::make_lv()),
+        pool(measure_pool(wl.workflow, kPoolRows, seed)),
+        comps(measure_components(wl.workflow, kSamples, seed + 1)) {}
+
+  TuningProblem problem(
+      const ml::GbtParams& gbt =
+          ml::GradientBoostedTrees::surrogate_defaults()) const {
+    TuningProblem p{&wl, Objective::kExecTime, &pool, &comps, true, {}};
+    p.surrogate_gbt = gbt;
+    return p;
+  }
+
+  /// Every sample of every component, as the history branch trains.
+  std::vector<std::vector<std::size_t>> all_indices() const {
+    std::vector<std::vector<std::size_t>> out(comps.size());
+    for (std::size_t j = 0; j < comps.size(); ++j) {
+      for (std::size_t i = 0; i < comps[j].size(); ++i) out[j].push_back(i);
+    }
+    return out;
+  }
+
+  sim::Workload wl;
+  MeasuredPool pool;
+  std::vector<ComponentSamples> comps;
+};
+
+std::shared_ptr<const ComponentModelSet> train(const TuningProblem& problem,
+                                               ceal::Rng& rng) {
+  Collector collector(problem, 10);
+  return train_component_models(collector, 0, rng);
+}
+
+std::shared_ptr<const ComponentModelSet> train(const TuningProblem& problem) {
+  ceal::Rng rng(1);
+  return train(problem, rng);
+}
+
+/// Flips the last mantissa bit of `x`.
+double flip_last_bit(double x) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^ 1u);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SharedComponentFits, HitPredictsBitwiseEqualToFreshFit) {
+  const History h;
+  const TuningProblem problem = h.problem();
+  const auto first = train(problem);
+  ceal::Rng rng(7);
+  const auto before = rng.state();
+  const auto hit = train(problem, rng);
+  EXPECT_EQ(rng.state(), before) << "a hit draws no random numbers";
+
+  ceal::Rng fresh_rng(7);
+  const ComponentModelSet fresh(h.wl.workflow, problem.objective, h.comps,
+                                h.all_indices(), fresh_rng,
+                                problem.surrogate_gbt);
+  const ml::FeatureMatrix rows =
+      featurize_joint(h.wl.workflow.joint_space(), h.pool.configs);
+  ASSERT_EQ(hit->component_count(), fresh.component_count());
+  for (std::size_t j = 0; j < fresh.component_count(); ++j) {
+    EXPECT_EQ(&hit->model(j), &first->model(j)) << "component " << j;
+    EXPECT_TRUE(same_bits(hit->predict_many(j, rows),
+                          fresh.predict_many(j, rows)))
+        << "component " << j;
+  }
+}
+
+TEST(SharedComponentFits, AnyChangeToTheFitInputMisses) {
+  const History h;
+  const auto base = train(h.problem());
+  const auto shares_base = [&](const TuningProblem& problem) {
+    return &train(problem)->model(0) == &base->model(0);
+  };
+
+  const History equal;
+  EXPECT_TRUE(shares_base(equal.problem()));
+
+  History target = History();
+  target.comps[1].exec_s.back() = flip_last_bit(target.comps[1].exec_s.back());
+  EXPECT_FALSE(shares_base(target.problem())) << "one target's last bit";
+
+  History config = History();
+  auto& value = config.comps[1].configs.back().front();
+  for (const auto& other : config.comps[1].configs) {
+    if (other.front() != value) {
+      value = other.front();
+      break;
+    }
+  }
+  EXPECT_FALSE(shares_base(config.problem())) << "one config value";
+
+  ml::GbtParams rounds = ml::GradientBoostedTrees::surrogate_defaults();
+  rounds.n_rounds -= 1;
+  EXPECT_FALSE(shares_base(h.problem(rounds))) << "GbtParams::n_rounds";
+  ml::GbtParams lambda = ml::GradientBoostedTrees::surrogate_defaults();
+  lambda.tree.lambda = flip_last_bit(lambda.tree.lambda);
+  EXPECT_FALSE(shares_base(h.problem(lambda))) << "TreeParams::lambda";
+  ml::GbtParams method = ml::GradientBoostedTrees::surrogate_defaults();
+  method.tree.method = ml::TreeMethod::kQuantized;
+  EXPECT_FALSE(shares_base(h.problem(method))) << "TreeParams::method";
+}
+
+TEST(SharedComponentFits, SubsamplingBypassesTheMemo) {
+  const History h;
+  ml::GbtParams rows = ml::GradientBoostedTrees::surrogate_defaults();
+  rows.subsample = 0.7;
+  ml::GbtParams columns = ml::GradientBoostedTrees::surrogate_defaults();
+  columns.tree.colsample = 0.6;
+  for (const ml::GbtParams& gbt : {rows, columns}) {
+    const TuningProblem problem = h.problem(gbt);
+    ceal::Rng rng(9);
+    const auto first = train(problem, rng);
+    const auto again = train(problem, rng);
+    EXPECT_NE(&first->model(0), &again->model(0));
+
+    // The same stream the uncached path draws, set after set.
+    ceal::Rng uncached_rng(9);
+    for (int set = 0; set < 2; ++set) {
+      ComponentModelSet(h.wl.workflow, problem.objective, h.comps,
+                        h.all_indices(), uncached_rng, gbt);
+    }
+    EXPECT_EQ(rng.state(), uncached_rng.state());
+  }
+}
+
+TEST(SharedComponentFits, EqualProblemsOverDistinctObjectsShareModels) {
+  const History a;
+  const History b;
+  ASSERT_NE(&a.comps, &b.comps);
+  const auto from_a = train(a.problem());
+  const auto from_b = train(b.problem());
+  ASSERT_NE(from_a, from_b);
+  for (std::size_t j = 0; j < from_a->component_count(); ++j) {
+    EXPECT_EQ(&from_a->model(j), &from_b->model(j)) << "component " << j;
+  }
+}
+
+TEST(SharedComponentFits, LeastRecentlyUsedFitIsEvictedAfterCapacity) {
+  // Histories that differ from each other in one target bit pattern.
+  const auto variant = [](std::uint64_t k) {
+    History h(11);
+    double& y = h.comps[0].exec_s.front();
+    y = std::bit_cast<double>(std::bit_cast<std::uint64_t>(y) ^ (k << 1));
+    return h;
+  };
+  const History oldest = variant(0);
+  const auto held = train(oldest.problem());
+  const auto fill = [&](std::uint64_t from, std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const History other = variant(from + k);
+      train(other.problem());
+    }
+  };
+
+  fill(1, kSharedComponentFits - 1);
+  EXPECT_EQ(&train(oldest.problem())->model(0), &held->model(0))
+      << "still one of the last kSharedComponentFits fits";
+  // The hit made it the most recently used, so one more fit, which
+  // evicts the oldest insert, keeps it.
+  fill(50, 1);
+  EXPECT_EQ(&train(oldest.problem())->model(0), &held->model(0))
+      << "a hit renews the entry";
+  fill(100, kSharedComponentFits);
+  EXPECT_NE(&train(oldest.problem())->model(0), &held->model(0))
+      << "evicted by kSharedComponentFits newer fits";
+}
+
+void expect_same_summary(const EvalSummary& a, const EvalSummary& b) {
+  EXPECT_EQ(a.mean_norm_perf, b.mean_norm_perf);
+  EXPECT_EQ(a.median_norm_perf, b.median_norm_perf);
+  EXPECT_EQ(a.mean_recall, b.mean_recall);
+  EXPECT_EQ(a.mean_mdape_all, b.mean_mdape_all);
+  EXPECT_EQ(a.mean_mdape_top2, b.mean_mdape_top2);
+  EXPECT_EQ(a.mean_cost_exec_s, b.mean_cost_exec_s);
+  EXPECT_EQ(a.mean_cost_comp_ch, b.mean_cost_comp_ch);
+  EXPECT_EQ(a.mean_runs_used, b.mean_runs_used);
+  EXPECT_EQ(a.mean_improvement, b.mean_improvement);
+  EXPECT_EQ(a.least_uses, b.least_uses);
+  EXPECT_EQ(a.frac_beat_expert, b.frac_beat_expert);
+}
+
+// Four workers first, so concurrent replications race to fit the one
+// history; the serial run then reuses what they kept.
+TEST(SharedComponentFits, HistoryEvaluationIsThreadCountInvariant) {
+  const History h(21);
+  const Ceal ceal;
+  ceal::set_global_thread_pool_threads(4);
+  const EvalSummary pooled = evaluate(h.problem(), ceal, 20, 4, 3);
+  ceal::set_global_thread_pool_threads(1);
+  const EvalSummary serial = evaluate(h.problem(), ceal, 20, 4, 3);
+  ceal::set_global_thread_pool_threads(0);
+  expect_same_summary(pooled, serial);
+}
+
+}  // namespace
+}  // namespace ceal::tuner
