@@ -54,7 +54,19 @@ void BM_MeasurePool(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_MeasurePool)->Arg(200)->Arg(2000);
+BENCHMARK(BM_MeasurePool)->Arg(200)->Arg(2000)->Arg(200000);
+
+void BM_MeasureComponents(benchmark::State& state) {
+  const auto wl = sim::make_hs();
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tuner::measure_components(wl.workflow, n, 8));
+  }
+  const auto components =
+      static_cast<std::int64_t>(wl.workflow.component_count());
+  state.SetItemsProcessed(state.iterations() * state.range(0) * components);
+}
+BENCHMARK(BM_MeasureComponents)->Arg(500);
 
 void BM_LowFidelityScorePool(benchmark::State& state) {
   const auto wl = sim::make_lv();

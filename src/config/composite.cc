@@ -26,14 +26,17 @@ CompositeSpace::CompositeSpace(std::vector<Component> components,
       std::make_shared<const std::vector<Stored>>(std::move(stored));
 
   // The joint constraint checks each component slice against its own
-  // space, then the workflow-level predicate. It shares ownership of the
-  // component table so moving CompositeSpace cannot dangle it.
+  // constraint, then the workflow-level predicate. ConfigSpace calls it
+  // only on values already in the joint domains (decoded by at(), or
+  // checked by is_valid()), whose value lists copy the component lists,
+  // so the component domains need no second check. It shares ownership
+  // of the component table so moving CompositeSpace cannot dangle it.
   auto constraint = [comps = components_, wf = std::move(workflow_constraint)](
                         const Configuration& c) {
     for (const auto& comp : *comps) {
       Configuration part(c.begin() + static_cast<std::ptrdiff_t>(comp.begin),
                          c.begin() + static_cast<std::ptrdiff_t>(comp.end));
-      if (!comp.space.is_valid(part)) return false;
+      if (!comp.space.satisfies_constraint(part)) return false;
     }
     return !wf || wf(c);
   };

@@ -62,14 +62,14 @@ bool ConfigSpace::is_valid(const Configuration& c) const {
   if (c.size() != params_.size()) return false;
   for (std::size_t i = 0; i < params_.size(); ++i)
     if (!params_[i].contains(c[i])) return false;
-  return !constraint_ || constraint_(c);
+  return satisfies_constraint(c);
 }
 
 Configuration ConfigSpace::random_valid(ceal::Rng& rng,
                                         std::size_t max_attempts) const {
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     Configuration c = at(rng.uniform_u64(raw_size_));
-    if (!constraint_ || constraint_(c)) return c;
+    if (satisfies_constraint(c)) return c;
   }
   throw InvariantError(
       "random_valid: constraint rejected every draw; space nearly empty?");

@@ -53,6 +53,14 @@ class ConfigSpace {
   /// (if any) accepts the configuration.
   bool is_valid(const Configuration& c) const;
 
+  /// The constraint alone (true without one): is_valid() for a
+  /// configuration whose values are already known to lie in their
+  /// domains, e.g. one decoded by at() or checked by a space whose
+  /// parameters copy these.
+  bool satisfies_constraint(const Configuration& c) const {
+    return !constraint_ || constraint_(c);
+  }
+
   /// Uniformly random *valid* configuration via rejection sampling.
   /// Throws InvariantError after `max_attempts` consecutive rejections
   /// (which indicates a near-empty constraint).

@@ -85,7 +85,7 @@ int InSituWorkflow::total_nodes(const config::Configuration& joint) const {
   return total;
 }
 
-CostBreakdown InSituWorkflow::breakdown(
+CostBreakdown InSituWorkflow::explain(
     const config::Configuration& joint) const {
   CEAL_EXPECT_MSG(joint_space().is_valid(joint),
                   "invalid workflow configuration");
@@ -161,11 +161,11 @@ CostBreakdown InSituWorkflow::breakdown(
   return bd;
 }
 
-Measurement InSituWorkflow::coupled(const config::Configuration& joint,
-                                    double noise_factor) const {
-  const CostBreakdown bd = breakdown(joint);
+Measurement InSituWorkflow::measurement(const CostBreakdown& bd,
+                                        double factor) const {
+  CEAL_EXPECT(bd.components.size() == apps_.size());
   Measurement m;
-  m.exec_s = bd.exec_s * noise_factor;
+  m.exec_s = bd.exec_s * factor;
   m.nodes = bd.nodes;
   m.comp_ch = machine_.core_hours(m.nodes, m.exec_s);
   m.component_exec_s.resize(apps_.size());
@@ -175,23 +175,23 @@ Measurement InSituWorkflow::coupled(const config::Configuration& joint,
     m.component_exec_s[j] =
         (apps_[j].startup_s() +
          static_cast<double>(coupling_.pipeline_steps) * bd.step_s) *
-        noise_factor;
+        factor;
   }
   return m;
 }
 
 Measurement InSituWorkflow::expected(const config::Configuration& joint) const {
-  return coupled(joint, 1.0);
-}
-
-CostBreakdown InSituWorkflow::explain(
-    const config::Configuration& joint) const {
-  return breakdown(joint);
+  return measurement(explain(joint), 1.0);
 }
 
 Measurement InSituWorkflow::run(const config::Configuration& joint,
                                 ceal::Rng& rng) const {
-  return coupled(joint, rng.lognormal_factor(coupling_.noise_sigma));
+  const double f = noise_factor(rng);
+  return measurement(explain(joint), f);
+}
+
+double InSituWorkflow::noise_factor(ceal::Rng& rng) const {
+  return rng.lognormal_factor(coupling_.noise_sigma);
 }
 
 Measurement InSituWorkflow::expected_component(

@@ -104,8 +104,18 @@ class InSituWorkflow {
   /// and how contention inflates the pipeline.
   CostBreakdown explain(const config::Configuration& joint) const;
 
-  /// One coupled run with measurement noise.
+  /// One coupled run with measurement noise: the breakdown measured at
+  /// noise_factor(rng).
   Measurement run(const config::Configuration& joint, ceal::Rng& rng) const;
+
+  /// The multiplicative noise of one run (one lognormal draw from `rng`;
+  /// 1.0 would be the noise-free run).
+  double noise_factor(ceal::Rng& rng) const;
+
+  /// The run a breakdown (explain()) yields at a noise factor. run() and
+  /// expected() are this at noise_factor(rng) and at 1.0, so one
+  /// breakdown serves both the noisy run and the truth.
+  Measurement measurement(const CostBreakdown& bd, double factor) const;
 
   /// Noise-free solo performance of component `j` under its own
   /// configuration `c` (used for component-model training data).
@@ -117,10 +127,6 @@ class InSituWorkflow {
                             ceal::Rng& rng) const;
 
  private:
-  Measurement coupled(const config::Configuration& joint,
-                      double noise_factor) const;
-  CostBreakdown breakdown(const config::Configuration& joint) const;
-
   std::string name_;
   MachineSpec machine_;
   std::vector<ComponentApp> apps_;

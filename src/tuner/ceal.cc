@@ -123,7 +123,7 @@ class CealStepper final : public ActiveLearningLoop {
     const auto& all_indices = collector_.ok_indices();
     const auto& all_values = collector_.ok_values();
     const std::size_t batch_len = all_values.size() - ok_start;
-    detection_ran_ = switched_now_ = false;
+    detection_ran_ = switched_now_ = queued_by_high_ = false;
     topup_injected_ = 0;
     detect_s_ = fit_s_ = 0.0;
     // Every attempt this iteration failed: skip detection and the M_H
@@ -243,6 +243,7 @@ class CealStepper final : public ActiveLearningLoop {
                                        "surrogate.predict");
     ranking.scores = pool_scorer_.surrogate_scores(high_fidelity_);
     ranking.predict_s = predict_span.stop();
+    queued_by_high_ = true;
     return ranking;
   }
 
@@ -312,9 +313,17 @@ class CealStepper final : public ActiveLearningLoop {
     // 2000-entry pool — its single most optimistic extrapolation error
     // wins the argmin; the conjunction suppresses errors that are not
     // shared by both models.
-    telemetry::ScopedSpan final_span(problem_.telemetry, "surrogate.predict");
-    std::vector<double> scores = pool_scorer_.surrogate_scores(high_fidelity_);
-    final_span.stop();
+    //
+    // When the I-th batch leaves budget, the step before this one ranked
+    // the pool with this very M_H (nothing was refit since): reuse it.
+    std::vector<double> scores;
+    if (queued_by_high_) {
+      scores = queue_.ranking.scores;
+    } else {
+      telemetry::ScopedSpan final_span(problem_.telemetry,
+                                       "surrogate.predict");
+      scores = pool_scorer_.surrogate_scores(high_fidelity_);
+    }
     if (params_.ensemble_final) {
       for (std::size_t i = 0; i < scores.size(); ++i) {
         scores[i] = std::max(scores[i], calibrated_low[i]);
@@ -338,6 +347,7 @@ class CealStepper final : public ActiveLearningLoop {
   bool batch_failed_ = false;
   bool detection_ran_ = false;
   bool switched_now_ = false;
+  bool queued_by_high_ = false;  // queue_.ranking is M_H's, as fitted now
   std::size_t topup_injected_ = 0;
   double detect_s_ = 0.0;
   double fit_s_ = 0.0;

@@ -1,11 +1,12 @@
 #include "tuner/low_fidelity.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <future>
 #include <mutex>
-#include <optional>
 
 #include "core/error.h"
 #include "ml/dataset.h"
@@ -73,33 +74,59 @@ std::vector<std::shared_ptr<const Surrogate>> fit_models(
   return models;
 }
 
+/// Fits fit_shared has started in this process (the test seam).
+std::atomic<std::size_t> shared_fits_started{0};
+
 /// The fit_shared memo: the last kSharedComponentFits fit inputs and
-/// their models, most recently used first.
+/// their models, most recently used first. An input enters when its fit
+/// starts, so a caller that misses on an input another caller is still
+/// fitting waits for that fit instead of repeating it.
 class SharedFits {
  public:
   using Models = std::vector<std::shared_ptr<const Surrogate>>;
 
-  std::optional<Models> find(const FitInput& in) {
-    const std::lock_guard lock(mutex_);
-    const auto hit = std::ranges::find(entries_, in, &Entry::first);
-    if (hit == entries_.end()) return std::nullopt;
-    std::rotate(entries_.begin(), hit, hit + 1);
-    return entries_.front().second;
-  }
+  /// The models of an earlier fit of `in`, or of fit(in) run here, which
+  /// later callers with an equal input wait for. A fit that throws passes
+  /// its exception to every waiter and leaves no entry.
+  template <typename Fit>
+  Models get(FitInput in, const Fit& fit) {
+    std::promise<Models> fitted;
+    std::shared_future<Models> models;
+    const auto key = std::make_shared<const FitInput>(std::move(in));
+    {
+      const std::lock_guard lock(mutex_);
+      const auto hit = std::ranges::find_if(
+          entries_, [&](const Entry& e) { return *e.first == *key; });
+      if (hit != entries_.end()) {
+        std::rotate(entries_.begin(), hit, hit + 1);
+        models = entries_.front().second;
+      } else {
+        entries_.emplace_front(key, fitted.get_future().share());
+        if (entries_.size() > kSharedComponentFits) entries_.pop_back();
+      }
+    }
+    if (models.valid()) return models.get();
 
-  /// Keeps `models` for `in` unless another thread got there first, and
-  /// returns the kept models.
-  Models insert(FitInput in, Models models) {
-    const std::lock_guard lock(mutex_);
-    const auto hit = std::ranges::find(entries_, in, &Entry::first);
-    if (hit != entries_.end()) return hit->second;
-    entries_.emplace_front(std::move(in), models);
-    if (entries_.size() > kSharedComponentFits) entries_.pop_back();
-    return models;
+    // Fit outside the lock, so sessions on other histories do not wait.
+    ++shared_fits_started;
+    try {
+      Models result = fit(*key);
+      fitted.set_value(result);
+      return result;
+    } catch (...) {
+      {
+        const std::lock_guard lock(mutex_);
+        std::erase_if(entries_,
+                      [&](const Entry& e) { return e.first == key; });
+      }
+      fitted.set_exception(std::current_exception());
+      throw;
+    }
   }
 
  private:
-  using Entry = std::pair<FitInput, Models>;
+  using Entry =
+      std::pair<std::shared_ptr<const FitInput>, std::shared_future<Models>>;
   std::mutex mutex_;
   std::deque<Entry> entries_;
 };
@@ -138,15 +165,15 @@ std::shared_ptr<const ComponentModelSet> ComponentModelSet::fit_shared(
     return std::shared_ptr<const ComponentModelSet>(
         new ComponentModelSet(workflow, fit_models(workflow, in, rng)));
   }
-  SharedFits& fits = shared_fits();
-  std::optional<Models> models = fits.find(in);
-  if (!models) {
-    // Fit outside the lock, so sessions on other histories do not wait.
-    Models fitted = fit_models(workflow, in, rng);
-    models = fits.insert(std::move(in), std::move(fitted));
-  }
+  Models models = shared_fits().get(std::move(in), [&](const FitInput& key) {
+    return fit_models(workflow, key, rng);
+  });
   return std::shared_ptr<const ComponentModelSet>(
-      new ComponentModelSet(workflow, std::move(*models)));
+      new ComponentModelSet(workflow, std::move(models)));
+}
+
+std::size_t detail::shared_component_fits_started() {
+  return shared_fits_started.load();
 }
 
 const Surrogate& ComponentModelSet::model(std::size_t j) const {

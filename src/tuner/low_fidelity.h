@@ -53,8 +53,9 @@ class ComponentModelSet {
   /// This is exact because such a fit draws no random numbers; when
   /// `gbt` subsamples rows or columns it does, so the call fits afresh
   /// and advances `rng` as the constructor would. A process-wide memo
-  /// holds the last kSharedComponentFits inputs; two threads that miss
-  /// on one input at once both fit, and the first to finish is kept.
+  /// holds the last kSharedComponentFits inputs. Calls that miss on one
+  /// input at once make one fit: the first fits, the others wait for it
+  /// (and get its exception if it throws, leaving no entry behind).
   static std::shared_ptr<const ComponentModelSet> fit_shared(
       const sim::InSituWorkflow& workflow, Objective objective,
       const std::vector<ComponentSamples>& samples,
@@ -84,6 +85,12 @@ class ComponentModelSet {
   const sim::InSituWorkflow* workflow_;
   Models models_;
 };
+
+namespace detail {
+/// Test seam: the fits ComponentModelSet::fit_shared has started in this
+/// process (memo misses; fits that bypass the memo do not count).
+std::size_t shared_component_fits_started();
+}  // namespace detail
 
 /// The analytical coupling model over component predictions: the
 /// low-fidelity model M_L used to score (rank) configurations.

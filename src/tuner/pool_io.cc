@@ -5,6 +5,7 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/atomic_file.h"
@@ -64,14 +65,37 @@ void write_header(std::ostream& os, const config::ConfigSpace& space,
   os << '\n';
 }
 
+/// Appends `v` and `sep` to `row`.
+void append(std::string& row, int v, char sep) {
+  char buf[16];
+  row.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  row += sep;
+}
+
+/// Appends `v` as an ostream at precision 17 prints it (printf's
+/// "%.17g", which round-trips), and `sep`.
+void append(std::string& row, double v, char sep) {
+  char buf[32];
+  row.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 17)
+                      .ptr);
+  row += sep;
+}
+
 void write_row(std::ostream& os, const config::Configuration& c,
                double exec_s, double comp_ch, const double* true_exec,
                const double* true_comp) {
-  for (const int v : c) os << v << ',';
-  os.precision(17);
-  os << exec_s << ',' << comp_ch;
-  if (true_exec != nullptr) os << ',' << *true_exec << ',' << *true_comp;
-  os << '\n';
+  std::string row;
+  for (const int v : c) append(row, v, ',');
+  append(row, exec_s, ',');
+  if (true_exec != nullptr) {
+    append(row, comp_ch, ',');
+    append(row, *true_exec, ',');
+    append(row, *true_comp, '\n');
+  } else {
+    append(row, comp_ch, '\n');
+  }
+  os << row;
 }
 
 struct ParsedRow {

@@ -269,5 +269,39 @@ TEST_F(TraceTest, SimpleTunersEmitIterationEvents) {
             "tune.start");
 }
 
+// Algorithm 1 ranks the pool with M_H after each refit. When the I-th
+// batch leaves budget, the final pass scores the pool with that same
+// M_H, so it reuses the ranking instead of predicting once more: one
+// `surrogate.predict` per M_H ranking, plus one only for a session whose
+// budget ran out (M_H was refit after its last ranking).
+TEST(CealFinalPass, ReusesTheLastHighFidelityRanking) {
+  const sim::Workload wl = sim::make_hs();
+  const MeasuredPool pool = measure_pool(wl.workflow, 2000, 1);
+  const auto comps = measure_components(wl.workflow, 500, 2);
+  RecordingSink sink;
+  telemetry::Telemetry tel(&sink);
+  TuningProblem problem{&wl, Objective::kExecTime, &pool, &comps, false, {}};
+  problem.telemetry = &tel;
+  ceal::Rng rng(3);
+  Ceal().tune(problem, 100, rng);
+
+  std::size_t high_rankings = 0;
+  bool last_ranked_by_high = false;
+  for (const auto& line : sink.lines) {
+    const json::Value v = json::Value::parse(line);
+    if (v.at("event").as_string() != "ceal.iteration") continue;
+    // The step that emitted this event ranked the pool with M_H iff M =
+    // M_H, the batch had a success and budget was left to queue more.
+    last_ranked_by_high = v.at("model").as_string() == "high" &&
+                          v.at("batch_ok").as_int() > 0 &&
+                          v.at("budget_remaining").as_int() > 0;
+    high_rankings += last_ranked_by_high ? 1 : 0;
+  }
+  ASSERT_TRUE(last_ranked_by_high)
+      << "the session should stop after I batches with budget left";
+  EXPECT_EQ(tel.histogram_stats("timing.surrogate.predict_s").count,
+            high_rankings);
+}
+
 }  // namespace
 }  // namespace ceal::tuner

@@ -305,8 +305,9 @@ echo "== tier-1: micro benches + ceal_report regression gate =="
 # summarises and — when .ceal-bench/baseline exists from an earlier pass
 # — gates span totals, bench times, and the custom counters
 # (configs/sec, recall_at_64, peak RSS) against it. The pool-scale
-# sweep is capped at 16k configs here (CEAL_POOL_SCALE_MAX) so the
-# stage stays seconds, not minutes; a full 1M-row validation run is a
+# sweep is capped at 16k configs here (CEAL_POOL_SCALE_MAX) and the
+# simulator benches are narrowed to pool generation (MeasurePool,
+# RandomValid) so the stage stays seconds, not minutes; a full 1M-row validation run is a
 # manual `bench_pool_scale` invocation (docs/PERFORMANCE.md). Wall clocks on a
 # loaded single-core box are noisy, so the bench gate uses repetition
 # medians and generous tolerances; the deterministic counters in the
@@ -322,6 +323,10 @@ export CEAL_TELEMETRY_OVERHEAD_TOL="${CEAL_TELEMETRY_OVERHEAD_TOL:-0.15}"
   && ../../build/bench/bench_micro_telemetry --benchmark_min_time=0.05 \
        --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
        > bench_micro_telemetry.log \
+  && ../../build/bench/bench_micro_sim --benchmark_min_time=0.05 \
+       --benchmark_filter='MeasurePool|RandomValid' \
+       --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
+       > bench_micro_sim.log \
   && CEAL_POOL_SCALE_MAX="${CEAL_POOL_SCALE_MAX:-16384}" \
      ../../build/bench/bench_pool_scale --benchmark_min_time=0.05 \
        --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
