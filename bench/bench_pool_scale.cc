@@ -1,15 +1,12 @@
 // Pool-scale benchmark: candidate scoring + top-k selection as C_pool
 // grows from 2k to 2M configurations (google-benchmark).
 //
-// Each iteration scores the pool through tuner/pool_scorer.h and selects
-// the best 64 with the bounded heap (tuner/tuning_util.h). Two models
-// score it: a fitted surrogate (BM_PoolScore*) and the low-fidelity
-// combination model M_L over fitted component models
-// (BM_PoolLowFidelity*). The *Streaming cases featurize in fixed-size
-// blocks, so memory stays flat as the pool grows: no full-pool feature
-// matrix is ever materialised, only the 8-byte/row score vector. The
-// *Cached cases featurize the whole pool into one joint matrix per
-// iteration. Reported counters:
+// Each iteration featurizes the pool into one joint matrix through
+// tuner/pool_scorer.h, scores it, and selects the best 64 with the
+// bounded heap (tuner/tuning_util.h). Two models score it: a fitted
+// surrogate (BM_PoolScoreCached) and the low-fidelity combination model
+// M_L over fitted component models (BM_PoolLowFidelityCached). Reported
+// counters:
 //   items_per_second — configurations scored per second
 //   peak_rss_mb      — process high-water RSS (bench/common.h)
 //   recall_at_64     — % overlap of predicted vs true (noise-free) top-64
@@ -44,13 +41,8 @@ namespace {
 using namespace ceal;
 
 constexpr std::size_t kTopK = 64;
-constexpr std::size_t kChunkRows = 8192;
 constexpr std::size_t kTrainConfigs = 128;
 constexpr std::size_t kMaxPool = 2'097'152;
-// Cached mode materialises the full pool feature matrix, so its sweep
-// stops where that matrix stays cheap; past this point only the
-// streaming path is benchmarked (and usable).
-constexpr std::size_t kMaxCachedPool = 131'072;
 
 const sim::Workload& lv() {
   static const sim::Workload wl = sim::make_lv();
@@ -158,38 +150,20 @@ void run_scoring(benchmark::State& state, const ScorePool& score_pool) {
   state.counters["peak_rss_mb"] = bench::peak_rss_mb();
 }
 
-void run_surrogate(benchmark::State& state, std::size_t chunk_rows) {
+void BM_PoolScoreCached(benchmark::State& state) {
   const auto& model = surrogate();
   run_scoring(state, [&](std::span<const config::Configuration> configs) {
-    const tuner::PoolScorer scorer(lv().workflow.joint_space(), configs,
-                                   chunk_rows, nullptr);
+    const tuner::PoolScorer scorer(lv().workflow.joint_space(), configs);
     return scorer.surrogate_scores(model);
   });
 }
 
-void run_low_fidelity(benchmark::State& state, std::size_t chunk_rows) {
+void BM_PoolLowFidelityCached(benchmark::State& state) {
   const auto& model = low_fidelity();
   run_scoring(state, [&](std::span<const config::Configuration> configs) {
-    const tuner::PoolScorer scorer(lv().workflow, configs, chunk_rows,
-                                   nullptr);
+    const tuner::PoolScorer scorer(lv().workflow.joint_space(), configs);
     return scorer.low_fidelity_scores(model);
   });
-}
-
-void BM_PoolScoreStreaming(benchmark::State& state) {
-  run_surrogate(state, kChunkRows);
-}
-
-void BM_PoolScoreCached(benchmark::State& state) {
-  run_surrogate(state, /*chunk_rows=*/0);
-}
-
-void BM_PoolLowFidelityStreaming(benchmark::State& state) {
-  run_low_fidelity(state, kChunkRows);
-}
-
-void BM_PoolLowFidelityCached(benchmark::State& state) {
-  run_low_fidelity(state, /*chunk_rows=*/0);
 }
 
 std::size_t pool_scale_cap() {
@@ -200,7 +174,7 @@ std::size_t pool_scale_cap() {
   return kMaxPool;
 }
 
-void streaming_args(benchmark::internal::Benchmark* b) {
+void pool_args(benchmark::internal::Benchmark* b) {
   const std::size_t cap = pool_scale_cap();
   for (const std::size_t n : {2048ul, 16384ul, 131072ul, 1048576ul,
                               2097152ul}) {
@@ -209,18 +183,8 @@ void streaming_args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond);
 }
 
-void cached_args(benchmark::internal::Benchmark* b) {
-  const std::size_t cap = std::min(pool_scale_cap(), kMaxCachedPool);
-  for (const std::size_t n : {2048ul, 16384ul, 131072ul}) {
-    if (n <= cap) b->Arg(static_cast<std::int64_t>(n));
-  }
-  b->Unit(benchmark::kMillisecond);
-}
-
-BENCHMARK(BM_PoolScoreStreaming)->Apply(streaming_args);
-BENCHMARK(BM_PoolScoreCached)->Apply(cached_args);
-BENCHMARK(BM_PoolLowFidelityStreaming)->Apply(streaming_args);
-BENCHMARK(BM_PoolLowFidelityCached)->Apply(cached_args);
+BENCHMARK(BM_PoolScoreCached)->Apply(pool_args);
+BENCHMARK(BM_PoolLowFidelityCached)->Apply(pool_args);
 
 }  // namespace
 

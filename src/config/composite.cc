@@ -32,10 +32,9 @@ CompositeSpace::CompositeSpace(std::vector<Component> components,
   // so the component domains need no second check. It shares ownership
   // of the component table so moving CompositeSpace cannot dangle it.
   auto constraint = [comps = components_, wf = std::move(workflow_constraint)](
-                        const Configuration& c) {
+                        std::span<const int> c) {
     for (const auto& comp : *comps) {
-      Configuration part(c.begin() + static_cast<std::ptrdiff_t>(comp.begin),
-                         c.begin() + static_cast<std::ptrdiff_t>(comp.end));
+      const auto part = c.subspan(comp.begin, comp.end - comp.begin);
       if (!comp.space.satisfies_constraint(part)) return false;
     }
     return !wf || wf(c);

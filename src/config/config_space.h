@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,8 +23,10 @@ using Configuration = std::vector<int>;
 
 class ConfigSpace {
  public:
-  /// Returns true when a configuration is admissible.
-  using Constraint = std::function<bool(const Configuration&)>;
+  /// Returns true when a configuration is admissible. It reads the
+  /// values in place, so a composite space can check a slice of a joint
+  /// configuration without copying it.
+  using Constraint = std::function<bool(std::span<const int>)>;
 
   /// `params` must be non-empty. `constraint` may be empty (all valid).
   explicit ConfigSpace(std::vector<Parameter> params,
@@ -57,7 +60,7 @@ class ConfigSpace {
   /// configuration whose values are already known to lie in their
   /// domains, e.g. one decoded by at() or checked by a space whose
   /// parameters copy these.
-  bool satisfies_constraint(const Configuration& c) const {
+  bool satisfies_constraint(std::span<const int> c) const {
     return !constraint_ || constraint_(c);
   }
 

@@ -8,6 +8,7 @@
 #include "core/error.h"
 #include "core/parallel.h"
 #include "core/telemetry.h"
+#include "ml/split_gain.h"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -40,19 +41,6 @@ inline std::uint64_t nonzero_mask64(const std::uint32_t* cn) {
   return nz;
 #endif
 }
-
-double leaf_weight(double g_sum, double h_sum, double lambda) {
-  return -g_sum / (h_sum + lambda);
-}
-
-double score(double g_sum, double h_sum, double lambda) {
-  return g_sum * g_sum / (h_sum + lambda);
-}
-
-/// Same tie epsilon as the exact split finder (tree.cc):
-/// gains within it are ties and the incumbent (lower feature index,
-/// earlier bin) wins.
-constexpr double kGainEps = 1e-12;
 
 /// Minimum (rows in level) x (features searched) before a level's node
 /// units are worth fanning out to the thread pool.
@@ -349,7 +337,7 @@ QuantizedTreeBuilder::Split QuantizedTreeBuilder::best_split(
         q_best = q;
         const double gain = 0.5 * (q - parent_score) - prm.gamma;
         if (gain > thr) {
-          thr = gain + kGainEps;
+          thr = gain + split::kGainEps;
           best.found = true;
           best.slot = s;
           best.bin = b;
@@ -393,7 +381,7 @@ QuantizedTreeBuilder::Split QuantizedTreeBuilder::best_split(
     return best;
   }
 
-  const double parent_score = score(node.g_sum, node.h_sum, prm.lambda);
+  const double parent_score = split::score(node.g_sum, node.h_sum, prm.lambda);
   for (std::size_t s = 0; s < pool_.size(); ++s) {
     const std::size_t n_bins = qm_.bin_count(pool_[s]);
     if (n_bins < 2) continue;
@@ -425,11 +413,12 @@ QuantizedTreeBuilder::Split QuantizedTreeBuilder::best_split(
           continue;
         }
         const double g_right = node.g_sum - g_left;
-        const double gain = 0.5 * (score(g_left, h_left, prm.lambda) +
-                                   score(g_right, h_right, prm.lambda) -
-                                   parent_score) -
-                            prm.gamma;
-        if (gain > best.gain + kGainEps || (!best.found && gain > 0.0)) {
+        const double gain =
+            0.5 * (split::score(g_left, h_left, prm.lambda) +
+                   split::score(g_right, h_right, prm.lambda) -
+                   parent_score) -
+            prm.gamma;
+        if (gain > best.gain + split::kGainEps || (!best.found && gain > 0.0)) {
           best.found = true;
           best.slot = s;
           best.bin = b;
@@ -467,7 +456,7 @@ void QuantizedTreeBuilder::run(std::vector<double>* out_leaf_values) {
     RegressionTree::Node& leaf = nodes[static_cast<std::size_t>(ln.node)];
     leaf.left = -1;
     leaf.right = -1;
-    leaf.weight = leaf_weight(ln.g_sum, ln.h_sum, prm.lambda);
+    leaf.weight = split::leaf_weight(ln.g_sum, ln.h_sum, prm.lambda);
     if (out_leaf_values != nullptr) {
       for (std::size_t k = ln.lo; k < ln.hi; ++k) {
         (*out_leaf_values)[slots_[k]] = leaf.weight;

@@ -10,23 +10,11 @@
 #include "core/error.h"
 #include "core/telemetry.h"
 #include "ml/quantized.h"
+#include "ml/split_gain.h"
 
 namespace ceal::ml {
 
 namespace {
-
-double leaf_weight(double g_sum, double h_sum, double lambda) {
-  return -g_sum / (h_sum + lambda);
-}
-
-double score(double g_sum, double h_sum, double lambda) {
-  return g_sum * g_sum / (h_sum + lambda);
-}
-
-/// Gains within this epsilon of the incumbent are ties; the incumbent
-/// (earlier feature / smaller threshold) wins. ml/quantized.cc uses the
-/// same value so both trainers agree on tie handling.
-constexpr double kGainEps = 1e-12;
 
 /// One row of a node's exact split search: the row's value of the
 /// feature being scanned.
@@ -318,7 +306,7 @@ std::int32_t RegressionTree::build(const Dataset& data,
 
   const auto make_leaf = [&]() -> std::int32_t {
     Node leaf;
-    leaf.weight = leaf_weight(g_sum, h_sum, params_.lambda);
+    leaf.weight = split::leaf_weight(g_sum, h_sum, params_.lambda);
     nodes_.push_back(leaf);
     if (out_leaf_values != nullptr) {
       for (const std::size_t r : rows) (*out_leaf_values)[r] = leaf.weight;
@@ -376,7 +364,7 @@ RegressionTree::Split RegressionTree::best_split(
     double h_total, ceal::telemetry::Telemetry* telemetry,
     SortChainMemo* memo, const SortChainMemo::Origin& origin,
     std::size_t* memo_id) const {
-  const double parent_score = score(g_total, h_total, params_.lambda);
+  const double parent_score = split::score(g_total, h_total, params_.lambda);
   if (telemetry != nullptr) {
     telemetry->count("tree.split_search.nodes");
     telemetry->count("tree.split_search.features", feature_pool.size());
@@ -439,11 +427,12 @@ RegressionTree::Split RegressionTree::best_split(
         continue;
       }
       const double g_right = g_total - g_left;
-      const double gain = 0.5 * (score(g_left, h_left, params_.lambda) +
-                                 score(g_right, h_right, params_.lambda) -
-                                 parent_score) -
-                          params_.gamma;
-      if (gain > best.gain + kGainEps || (!best.found && gain > 0.0)) {
+      const double gain =
+          0.5 * (split::score(g_left, h_left, params_.lambda) +
+                 split::score(g_right, h_right, params_.lambda) -
+                 parent_score) -
+          params_.gamma;
+      if (gain > best.gain + split::kGainEps || (!best.found && gain > 0.0)) {
         best.found = true;
         best.feature = j;
         best.threshold = 0.5 * (v + v_next);

@@ -60,7 +60,6 @@ ServeSession::ServeSession(std::string id, CreateParams params,
     checkpoint_ = std::make_unique<tuner::CheckpointSession>(
         journal_path, resume ? tuner::CheckpointSession::Mode::kResume
                              : tuner::CheckpointSession::Mode::kStart);
-    if (telemetry_ != nullptr) checkpoint_->set_telemetry(telemetry_.get());
   }
   algorithm_ = tuner::algorithm_by_name(params_.algorithm);
   problem_ = tuner::make_problem(params_, workload_, pool_, comps_);

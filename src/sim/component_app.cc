@@ -24,29 +24,29 @@ ComponentApp::ComponentApp(std::string name, config::ConfigSpace space,
                   "configurable app needs a process-count role");
 }
 
-int ComponentApp::role_value(int idx, const config::Configuration& c,
+int ComponentApp::role_value(int idx, std::span<const int> c,
                              int fallback) const {
   if (idx < 0) return fallback;
   CEAL_EXPECT(static_cast<std::size_t>(idx) < c.size());
   return c[static_cast<std::size_t>(idx)];
 }
 
-int ComponentApp::procs(const config::Configuration& c) const {
+int ComponentApp::procs(std::span<const int> c) const {
   if (roles_.procs_x >= 0 && roles_.procs_y >= 0) {
     return role_value(roles_.procs_x, c, 1) * role_value(roles_.procs_y, c, 1);
   }
   return role_value(roles_.procs, c, 1);
 }
 
-int ComponentApp::ppn(const config::Configuration& c) const {
+int ComponentApp::ppn(std::span<const int> c) const {
   return role_value(roles_.ppn, c, 1);
 }
 
-int ComponentApp::tpp(const config::Configuration& c) const {
+int ComponentApp::tpp(std::span<const int> c) const {
   return role_value(roles_.tpp, c, 1);
 }
 
-int ComponentApp::nodes(const config::Configuration& c) const {
+int ComponentApp::nodes(std::span<const int> c) const {
   const int p = procs(c);
   const int per_node = std::min(ppn(c), p);
   return (p + per_node - 1) / per_node;
@@ -121,7 +121,7 @@ double ComponentApp::solo_comp_ch(const config::Configuration& c,
 
 config::ConfigSpace::Constraint ComponentApp::node_limit_constraint(
     ParamRoles roles, int max_nodes) {
-  return [roles, max_nodes](const config::Configuration& c) {
+  return [roles, max_nodes](std::span<const int> c) {
     int p = 1;
     if (roles.procs_x >= 0 && roles.procs_y >= 0) {
       p = c[static_cast<std::size_t>(roles.procs_x)] *

@@ -13,6 +13,7 @@
 // paper's bootstrapping method is designed around (§3).
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "config/config_space.h"
@@ -60,11 +61,11 @@ class ComponentApp {
   const IoProfile& io() const { return io_; }
 
   /// Total MPI processes of configuration `c`.
-  int procs(const config::Configuration& c) const;
-  int ppn(const config::Configuration& c) const;
-  int tpp(const config::Configuration& c) const;
+  int procs(std::span<const int> c) const;
+  int ppn(std::span<const int> c) const;
+  int tpp(std::span<const int> c) const;
   /// Nodes occupied: ceil(procs / ppn).
-  int nodes(const config::Configuration& c) const;
+  int nodes(std::span<const int> c) const;
   /// Decomposition skew max(px,py)/min(px,py); 1 when not decomposed.
   double aspect(const config::Configuration& c) const;
 
@@ -97,7 +98,7 @@ class ComponentApp {
       ParamRoles roles, int max_nodes);
 
  private:
-  int role_value(int idx, const config::Configuration& c, int fallback) const;
+  int role_value(int idx, std::span<const int> c, int fallback) const;
 
   std::string name_;
   config::ConfigSpace space_;

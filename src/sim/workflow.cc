@@ -31,13 +31,11 @@ config::CompositeSpace build_space(const std::vector<ComponentApp>& apps,
   auto apps_copy = std::make_shared<const std::vector<ComponentApp>>(apps);
   auto constraint = [apps_copy, offsets,
                      max_nodes = machine.allocation_nodes](
-                        const config::Configuration& joint) {
+                        std::span<const int> joint) {
     int total = 0;
     for (std::size_t j = 0; j < apps_copy->size(); ++j) {
-      const config::Configuration part(
-          joint.begin() + static_cast<std::ptrdiff_t>(offsets[j]),
-          joint.begin() + static_cast<std::ptrdiff_t>(offsets[j + 1]));
-      total += (*apps_copy)[j].nodes(part);
+      total += (*apps_copy)[j].nodes(
+          joint.subspan(offsets[j], offsets[j + 1] - offsets[j]));
       if (total > max_nodes) return false;
     }
     return true;

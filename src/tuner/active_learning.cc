@@ -6,7 +6,6 @@
 
 #include "core/error.h"
 #include "core/telemetry.h"
-#include "tuner/pool_scorer.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
 
@@ -18,6 +17,8 @@ ActiveLearningLoop::ActiveLearningLoop(
     std::size_t iterations, double init_fraction)
     : TunerStepper(problem, budget_runs, rng),
       collector_(problem_, budget_runs, rng_),
+      pool_(problem_.workload->workflow.joint_space(),
+            problem_.pool->configs),
       iteration_event_(iteration_event),
       iterations_(iterations),
       init_fraction_(init_fraction) {
@@ -99,25 +100,20 @@ class ActiveLearningStepper final : public ActiveLearningLoop {
       : ActiveLearningLoop(algorithm, problem, budget_runs, rng,
                            "al.iteration", params.iterations,
                            params.init_fraction),
-        // The pool is rescored every iteration: featurized once here in
-        // the default cached mode, streamed in blocks when
-        // pool_chunk_rows opts in.
-        pool_scorer_(problem_.workload->workflow, problem_.pool->configs,
-                     problem_.pool_chunk_rows, problem_.telemetry),
         surrogate_(problem_.surrogate_gbt) {}
 
  private:
   PoolRanking rank() override {
     PoolRanking ranking;
-    ranking.fit_s = fit_on_measured(surrogate_, collector_, *rng_);
+    ranking.fit_s =
+        fit_on_measured(surrogate_, collector_, *rng_, pool_.features());
     telemetry::ScopedSpan predict_span(problem_.telemetry,
                                        "surrogate.predict");
-    ranking.scores = pool_scorer_.surrogate_scores(surrogate_);
+    ranking.scores = pool_.surrogate_scores(surrogate_);
     ranking.predict_s = predict_span.stop();
     return ranking;
   }
 
-  const PoolScorer pool_scorer_;
   Surrogate surrogate_;
 };
 

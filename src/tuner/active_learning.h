@@ -19,6 +19,7 @@
 
 #include "tuner/autotuner.h"
 #include "tuner/collector.h"
+#include "tuner/pool_scorer.h"
 #include "tuner/stepper.h"
 
 namespace ceal::tuner {
@@ -66,7 +67,8 @@ struct QueuedBatch {
 /// configurations by rank(), or m_B random ones while has_model() is
 /// false) and emits the iteration event. The step that spends the
 /// budget, or finds the queue empty or max_batches_ batches measured,
-/// runs the final pass.
+/// runs the final pass. Every ranker scores the pool through pool_,
+/// which featurizes it once per session.
 class ActiveLearningLoop : public TunerStepper {
  public:
   TunerProgress progress() const override;
@@ -115,6 +117,7 @@ class ActiveLearningLoop : public TunerStepper {
                               std::size_t req_start, std::size_t ok_start);
 
   Collector collector_;
+  const PoolScorer pool_;
   std::size_t batch_size_ = 1;  // m_B
   std::size_t max_batches_ = std::numeric_limits<std::size_t>::max();
   std::size_t batches_ = 0;  // batches measured so far

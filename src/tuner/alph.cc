@@ -8,7 +8,6 @@
 #include "core/telemetry.h"
 #include "tuner/active_learning.h"
 #include "tuner/low_fidelity.h"
-#include "tuner/pool_features.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
 
@@ -53,8 +52,7 @@ class AlphStepper final : public ActiveLearningLoop {
     // Pre-compute the augmented feature rows for the whole pool once:
     // the joint features, then one column per component model's
     // prediction, each a batch over its columns of the joint matrix.
-    const ml::FeatureMatrix joint =
-        featurize_joint(workflow.joint_space(), problem_.pool->configs);
+    const ml::FeatureMatrix& joint = pool_.features();
     const std::size_t dim = joint.n_features();
     pool_features_.emplace(dim + workflow.component_count(), joint.size());
     for (std::size_t i = 0; i < joint.size(); ++i) {
@@ -70,8 +68,7 @@ class AlphStepper final : public ActiveLearningLoop {
 
   PoolRanking rank() override {
     PoolRanking ranking;
-    ranking.fit_s =
-        fit_on_measured(model_, collector_, *rng_, &*pool_features_);
+    ranking.fit_s = fit_on_measured(model_, collector_, *rng_, *pool_features_);
     telemetry::ScopedSpan span(problem_.telemetry, "surrogate.predict");
     ranking.scores = model_.predict_many(*pool_features_);
     ranking.predict_s = span.stop();

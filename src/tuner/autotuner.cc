@@ -37,14 +37,6 @@ void TunerStepper::finish(TuneResult result) {
 }
 
 TuneResult AutoTuner::tune(const TuningProblem& problem,
-                           std::size_t budget_runs, ceal::Rng& rng) const {
-  auto stepper = make_stepper(problem, budget_runs, rng);
-  while (stepper->step()) {
-  }
-  return stepper->take_result();
-}
-
-TuneResult AutoTuner::tune(const TuningProblem& problem,
                            std::size_t budget_runs, ceal::Rng& rng,
                            CheckpointSession* checkpoint) const {
   auto stepper = make_stepper(problem, budget_runs, rng, checkpoint);

@@ -60,20 +60,18 @@ class AutoTuner {
   /// Runs one complete auto-tuning session within `budget_runs` workflow-
   /// run equivalents. Deterministic given `rng`'s state. Implemented by
   /// driving make_stepper()'s session to completion.
+  ///
+  /// A non-null `checkpoint` journals the session so a killed process
+  /// can resume it (tuner/checkpoint.h). When `checkpoint` was opened in
+  /// resume mode the journaled prefix of the session is replayed
+  /// (measurements are served from the journal, free of machine time)
+  /// and the session continues live from the crash point; the returned
+  /// TuneResult is bitwise identical to an uninterrupted run. Throws
+  /// CheckpointError when the journal does not match (problem,
+  /// budget_runs, rng).
   TuneResult tune(const TuningProblem& problem, std::size_t budget_runs,
-                  ceal::Rng& rng) const;
-
-  /// Crash-safe overload: journals the session into `checkpoint` so a
-  /// killed process can resume it (tuner/checkpoint.h). With a null
-  /// checkpoint this is exactly the plain overload — existing callers
-  /// are untouched. When `checkpoint` was opened in resume mode the
-  /// journaled prefix of the session is replayed (measurements are
-  /// served from the journal, free of machine time) and the session
-  /// continues live from the crash point; the returned TuneResult is
-  /// bitwise identical to an uninterrupted run. Throws CheckpointError
-  /// when the journal does not match (problem, budget_runs, rng).
-  TuneResult tune(const TuningProblem& problem, std::size_t budget_runs,
-                  ceal::Rng& rng, CheckpointSession* checkpoint) const;
+                  ceal::Rng& rng,
+                  CheckpointSession* checkpoint = nullptr) const;
 
   /// Checkpointable stepper: writes/validates the session header now
   /// and attaches `checkpoint` to the stepper's problem, so the session

@@ -8,7 +8,6 @@
 #include "core/telemetry.h"
 #include "tuner/active_learning.h"
 #include "tuner/low_fidelity.h"
-#include "tuner/pool_features.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
 
@@ -46,9 +45,6 @@ class BayesOptStepper final : public ActiveLearningLoop {
                            params.init_fraction),
         params_(params),
         m_r_(m_r),
-        pool_features_(featurize_joint(
-            problem_.workload->workflow.joint_space(),
-            problem_.pool->configs)),
         members_(params_.ensemble_size, Surrogate(member_params(problem_))) {
     for (Surrogate& member : members_) member.set_telemetry(problem_.telemetry);
   }
@@ -62,7 +58,7 @@ class BayesOptStepper final : public ActiveLearningLoop {
     const LowFidelityModel low_fidelity(
         problem_.workload->workflow, problem_.objective,
         train_component_models(collector_, m_r_, *rng_));
-    return top_unmeasured(low_fidelity.score_many(pool_features_), collector_,
+    return top_unmeasured(pool_.low_fidelity_scores(low_fidelity), collector_,
                           std::min(count, collector_.remaining()));
   }
 
@@ -91,7 +87,7 @@ class BayesOptStepper final : public ActiveLearningLoop {
         rows[i] = indices[pick];
         targets[i] = values[pick];
       }
-      member.fit(pool_features_, rows, targets, *rng_);
+      member.fit(pool_.features(), rows, targets, *rng_);
     }
     return span.stop();
   }
@@ -105,9 +101,9 @@ class BayesOptStepper final : public ActiveLearningLoop {
     std::vector<std::vector<double>> member;
     member.reserve(members_.size());
     for (const Surrogate& model : members_) {
-      member.push_back(model.predict_many(pool_features_));
+      member.push_back(pool_.surrogate_scores(model));
     }
-    ranking.scores.resize(pool_features_.size());
+    ranking.scores.resize(pool_.size());
     std::vector<double> preds(members_.size());
     for (std::size_t i = 0; i < ranking.scores.size(); ++i) {
       for (std::size_t k = 0; k < members_.size(); ++k) {
@@ -121,7 +117,6 @@ class BayesOptStepper final : public ActiveLearningLoop {
 
   BayesOptParams params_;
   std::size_t m_r_;  // charged component rounds of BO-CEAL
-  const ml::FeatureMatrix pool_features_;
   std::vector<Surrogate> members_;
 };
 

@@ -13,7 +13,6 @@
 #include "tuner/active_learning.h"
 #include "tuner/checkpoint.h"
 #include "tuner/low_fidelity.h"
-#include "tuner/pool_scorer.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
 
@@ -42,13 +41,6 @@ class CealStepper final : public ActiveLearningLoop {
                            "ceal.iteration"),
         params_(params),
         m_r_(m_r),
-        // Every model evaluation below scores the same fixed pool. The
-        // scorer featurizes it into one joint matrix exactly once in the
-        // default cached mode, or streams fixed-size blocks per scoring
-        // pass when the problem opts into bounded memory
-        // (pool_chunk_rows > 0).
-        pool_scorer_(problem_.workload->workflow, problem_.pool->configs,
-                     problem_.pool_chunk_rows, problem_.telemetry),
         high_fidelity_(problem_.surrogate_gbt) {  // M_H (line 12)
     max_batches_ = params_.iterations;  // line 13: I iterations
   }
@@ -73,7 +65,7 @@ class CealStepper final : public ActiveLearningLoop {
         problem_.workload->workflow, problem_.objective,
         train_component_models(collector_, m_r_, *rng_, &components_fit_s));
     telemetry::ScopedSpan low_score_span(tel, "low_fidelity.score");
-    low_scores_ = pool_scorer_.low_fidelity_scores(low_fidelity);
+    low_scores_ = pool_.low_fidelity_scores(low_fidelity);
     const double low_score_s = low_score_span.stop();
 
     // ---- Phase 2 set-up: high-fidelity model via dynamic ensemble
@@ -148,7 +140,7 @@ class CealStepper final : public ActiveLearningLoop {
       for (std::size_t b = 0; b < batch_len; ++b) {
         const std::size_t idx = all_indices[ok_start + b];
         batch_high[b] =
-            high_fidelity_.predict_features(pool_scorer_.joint_row(idx));
+            high_fidelity_.predict_features(pool_.features().row(idx));
         batch_low[b] = low_scores_[idx];
         batch_meas[b] = all_values[ok_start + b];
       }
@@ -164,7 +156,7 @@ class CealStepper final : public ActiveLearningLoop {
       std::vector<double> meas_high(all_indices.size());
       for (std::size_t s = 0; s < all_indices.size(); ++s) {
         meas_high[s] = high_fidelity_.predict_features(
-            pool_scorer_.joint_row(all_indices[s]));
+            pool_.features().row(all_indices[s]));
       }
       const std::size_t top_n = std::min<std::size_t>(3, meas_high.size());
       const std::size_t half =
@@ -230,7 +222,8 @@ class CealStepper final : public ActiveLearningLoop {
     }
 
     // Line 25: train/refine M_H on all measured data.
-    fit_s_ = fit_on_measured(high_fidelity_, collector_, *rng_);
+    fit_s_ =
+        fit_on_measured(high_fidelity_, collector_, *rng_, pool_.features());
     return randoms;
   }
 
@@ -241,7 +234,7 @@ class CealStepper final : public ActiveLearningLoop {
     PoolRanking ranking;
     telemetry::ScopedSpan predict_span(problem_.telemetry,
                                        "surrogate.predict");
-    ranking.scores = pool_scorer_.surrogate_scores(high_fidelity_);
+    ranking.scores = pool_.surrogate_scores(high_fidelity_);
     ranking.predict_s = predict_span.stop();
     queued_by_high_ = true;
     return ranking;
@@ -322,7 +315,7 @@ class CealStepper final : public ActiveLearningLoop {
     } else {
       telemetry::ScopedSpan final_span(problem_.telemetry,
                                        "surrogate.predict");
-      scores = pool_scorer_.surrogate_scores(high_fidelity_);
+      scores = pool_.surrogate_scores(high_fidelity_);
     }
     if (params_.ensemble_final) {
       for (std::size_t i = 0; i < scores.size(); ++i) {
@@ -334,7 +327,6 @@ class CealStepper final : public ActiveLearningLoop {
 
   CealParams params_;
   std::size_t m_r_;
-  const PoolScorer pool_scorer_;
   Surrogate high_fidelity_;
   std::vector<double> low_scores_;
   bool using_high_fidelity_ = false;  // M = M_L (line 11)

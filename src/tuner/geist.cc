@@ -9,7 +9,6 @@
 #include "core/stats.h"
 #include "core/telemetry.h"
 #include "tuner/active_learning.h"
-#include "tuner/pool_scorer.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
 
@@ -160,13 +159,10 @@ class GeistStepper final : public ActiveLearningLoop {
   // the same model family all algorithms use (§7.3).
   std::vector<double> final_scores() override {
     Surrogate surrogate(problem_.surrogate_gbt);
-    fit_on_measured(surrogate, collector_, *rng_);
+    fit_on_measured(surrogate, collector_, *rng_, pool_.features());
     telemetry::ScopedSpan predict_span(problem_.telemetry,
                                        "surrogate.predict");
-    const PoolScorer pool_scorer(problem_.workload->workflow,
-                                 problem_.pool->configs,
-                                 problem_.pool_chunk_rows, problem_.telemetry);
-    return pool_scorer.surrogate_scores(surrogate);
+    return pool_.surrogate_scores(surrogate);
   }
 
   GeistParams params_;

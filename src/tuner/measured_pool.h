@@ -155,11 +155,6 @@ struct TuningProblem {
   /// pools opt into the quantized trainer here (`ceal_tune
   /// --gbt-backend quantized`).
   ml::GbtParams surrogate_gbt = ml::GradientBoostedTrees::surrogate_defaults();
-  /// When > 0, pool scoring streams featurization in blocks of this
-  /// many rows (tuner/pool_scorer.h) instead of caching the whole
-  /// pool's feature matrix — bounded memory for million-entry pools,
-  /// bitwise-identical scores. 0 (the default) keeps the cached path.
-  std::size_t pool_chunk_rows = 0;
 };
 
 }  // namespace ceal::tuner

@@ -1,7 +1,6 @@
 #include "tuner/random_search.h"
 
 #include <memory>
-#include <optional>
 
 #include "core/telemetry.h"
 #include "tuner/collector.h"
@@ -65,14 +64,13 @@ class RandomSearchStepper final : public TunerStepper {
       phase_ = Phase::kFinal;
     }
 
+    const PoolScorer pool(problem_.workload->workflow.joint_space(),
+                          problem_.pool->configs);
     Surrogate surrogate(problem_.surrogate_gbt);
-    fit_on_measured(surrogate, collector_, *rng_);
+    fit_on_measured(surrogate, collector_, *rng_, pool.features());
     telemetry::ScopedSpan predict_span(problem_.telemetry,
                                        "surrogate.predict");
-    const PoolScorer pool_scorer(problem_.workload->workflow,
-                                 problem_.pool->configs,
-                                 problem_.pool_chunk_rows, problem_.telemetry);
-    auto scores = pool_scorer.surrogate_scores(surrogate);
+    auto scores = pool.surrogate_scores(surrogate);
     predict_span.stop();
     finish(finalize_result(collector_, std::move(scores)));
   }

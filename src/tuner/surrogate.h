@@ -36,6 +36,9 @@ class Surrogate {
 
   bool is_fitted() const { return model_.is_fitted(); }
 
+  /// The boosted trees over log (or raw) targets.
+  const ml::GradientBoostedTrees& model() const { return model_; }
+
   double predict(const config::ConfigSpace& space,
                  const config::Configuration& c) const;
 

@@ -134,7 +134,7 @@ std::size_t measure_batch(Collector& collector,
 }
 
 double fit_on_measured(Surrogate& surrogate, const Collector& collector,
-                       ceal::Rng& rng, const ml::FeatureMatrix* pool_rows) {
+                       ceal::Rng& rng, const ml::FeatureMatrix& pool_rows) {
   const auto& indices = collector.ok_indices();
   const auto& values = collector.ok_values();
   CEAL_EXPECT_MSG(!indices.empty(), "no usable training samples collected");
@@ -142,27 +142,14 @@ double fit_on_measured(Surrogate& surrogate, const Collector& collector,
     CEAL_EXPECT_MSG(std::isfinite(v),
                     "non-finite measurement in the training set");
   }
-  const TuningProblem& problem = collector.problem();
-  std::vector<config::Configuration> configs;
-  if (pool_rows == nullptr) {
-    configs.reserve(indices.size());
-    for (const std::size_t idx : indices) {
-      configs.push_back(problem.pool->configs[idx]);
-    }
-  }
-  telemetry::Telemetry* tel = problem.telemetry;
+  telemetry::Telemetry* tel = collector.problem().telemetry;
   if (tel != nullptr) tel->count("surrogate.fits");
   // Push the registry down into the GBT so the fit below (and every
   // later predict through this surrogate) records per-round spans and
   // split-search counters.
   surrogate.set_telemetry(tel);
   telemetry::ScopedSpan span(tel, "surrogate.fit");
-  if (pool_rows != nullptr) {
-    surrogate.fit(*pool_rows, indices, values, rng);
-  } else {
-    surrogate.fit(problem.workload->workflow.joint_space(), configs, values,
-                  rng);
-  }
+  surrogate.fit(pool_rows, indices, values, rng);
   return span.stop();
 }
 

@@ -93,14 +93,13 @@ std::size_t measure_batch(Collector& collector,
 /// Fits `surrogate` on every *successful* measurement the collector
 /// holds. Failed and censored entries never reach the training set, and
 /// a hard guard rejects non-finite targets before they can reach
-/// GradientBoostedTrees::fit. With `pool_rows` (one feature row per pool
-/// index) the surrogate trains on those rows; otherwise it featurizes
-/// the measured configurations in the workflow's joint space. Returns
-/// the fit's wall-clock seconds when the problem carries telemetry
-/// (recorded as the "surrogate.fit" span), 0 otherwise.
+/// GradientBoostedTrees::fit. The surrogate trains on the measured
+/// indices' rows of `pool_rows` (one feature row per pool index, e.g.
+/// PoolScorer::features()). Returns the fit's wall-clock seconds when
+/// the problem carries telemetry (recorded as the "surrogate.fit" span),
+/// 0 otherwise.
 double fit_on_measured(Surrogate& surrogate, const Collector& collector,
-                       ceal::Rng& rng,
-                       const ml::FeatureMatrix* pool_rows = nullptr);
+                       ceal::Rng& rng, const ml::FeatureMatrix& pool_rows);
 
 /// The per-component models of a tuner that bootstraps from component
 /// runs (CEAL, ALpH, BO-CEAL). Trains on every historical sample when

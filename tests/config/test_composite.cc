@@ -12,7 +12,7 @@ CompositeSpace two_component_space(
     CompositeSpace::JointConstraint joint = {}) {
   ConfigSpace sim({Parameter::range("procs", 1, 4),
                    Parameter::range("ppn", 1, 2)},
-                  [](const Configuration& c) { return c[0] >= c[1]; });
+                  [](std::span<const int> c) { return c[0] >= c[1]; });
   ConfigSpace ana({Parameter::range("procs", 1, 3)});
   std::vector<CompositeSpace::Component> comps;
   comps.push_back({"sim", std::move(sim)});
@@ -61,14 +61,14 @@ TEST(CompositeSpace, JointValidityEnforcesComponentConstraints) {
 
 TEST(CompositeSpace, JointValidityEnforcesWorkflowConstraint) {
   const auto cs = two_component_space(
-      [](const Configuration& joint) { return joint[0] + joint[2] <= 5; });
+      [](std::span<const int> joint) { return joint[0] + joint[2] <= 5; });
   EXPECT_TRUE(cs.joint().is_valid({4, 1, 1}));
   EXPECT_FALSE(cs.joint().is_valid({4, 1, 2}));
 }
 
 TEST(CompositeSpace, RandomValidSatisfiesEverything) {
   const auto cs = two_component_space(
-      [](const Configuration& joint) { return joint[0] + joint[2] <= 5; });
+      [](std::span<const int> joint) { return joint[0] + joint[2] <= 5; });
   ceal::Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     const auto c = cs.joint().random_valid(rng);

@@ -56,7 +56,7 @@ TEST(ConfigSpace, ValueOfByName) {
 
 TEST(ConfigSpace, ValidityChecksDomainsAndConstraint) {
   const auto s = small_space(
-      [](const Configuration& c) { return c[0] + c[2] <= 4; });
+      [](std::span<const int> c) { return c[0] + c[2] <= 4; });
   EXPECT_TRUE(s.is_valid({1, 10, 3}));
   EXPECT_FALSE(s.is_valid({1, 10, 4}));   // constraint violated
   EXPECT_FALSE(s.is_valid({1, 15, 0}));   // 15 not in b's domain
@@ -65,7 +65,7 @@ TEST(ConfigSpace, ValidityChecksDomainsAndConstraint) {
 
 TEST(ConfigSpace, RandomValidRespectsConstraint) {
   const auto s = small_space(
-      [](const Configuration& c) { return c[0] == 2; });
+      [](std::span<const int> c) { return c[0] == 2; });
   ceal::Rng rng(5);
   for (int i = 0; i < 100; ++i) {
     const auto c = s.random_valid(rng);
@@ -75,7 +75,7 @@ TEST(ConfigSpace, RandomValidRespectsConstraint) {
 }
 
 TEST(ConfigSpace, RandomValidThrowsOnEmptyConstraint) {
-  const auto s = small_space([](const Configuration&) { return false; });
+  const auto s = small_space([](std::span<const int>) { return false; });
   ceal::Rng rng(5);
   EXPECT_THROW(s.random_valid(rng, 100), ceal::InvariantError);
 }
@@ -88,7 +88,7 @@ TEST(ConfigSpace, SampleValidReturnsRequestedCount) {
 
 TEST(ConfigSpace, CountValidExactMatchesManualCount) {
   const auto s = small_space(
-      [](const Configuration& c) { return c[2] % 2 == 0; });
+      [](std::span<const int> c) { return c[2] % 2 == 0; });
   // c in {0,2,4} of 5 values -> 3/5 of the grid.
   EXPECT_EQ(s.count_valid_exact(), 3u * 2u * 3u);
 }
@@ -99,13 +99,13 @@ TEST(ConfigSpace, CountValidExactWithoutConstraintIsRawSize) {
 }
 
 TEST(ConfigSpace, CountValidExactRefusesHugeSpaces) {
-  const auto s = small_space([](const Configuration&) { return true; });
+  const auto s = small_space([](std::span<const int>) { return true; });
   EXPECT_THROW(s.count_valid_exact(/*limit=*/10), ceal::PreconditionError);
 }
 
 TEST(ConfigSpace, EstimateValidFractionApproximatesTruth) {
   const auto s = small_space(
-      [](const Configuration& c) { return c[2] % 2 == 0; });
+      [](std::span<const int> c) { return c[2] % 2 == 0; });
   ceal::Rng rng(7);
   EXPECT_NEAR(s.estimate_valid_fraction(rng, 20000), 0.6, 0.02);
 }
@@ -134,7 +134,7 @@ TEST(ConfigSpace, NeighborsRespectDomainEdges) {
 
 TEST(ConfigSpace, NeighborsFilterInvalid) {
   const auto s = small_space(
-      [](const Configuration& c) { return c[0] != 2; });
+      [](std::span<const int> c) { return c[0] != 2; });
   const auto nbrs = s.neighbors({1, 10, 2});
   for (const auto& n : nbrs) EXPECT_NE(n[0], 2);
 }

@@ -25,7 +25,7 @@ SpaceCase make_case(int which) {
     case 2:
       return {"constrained",
               {Parameter::range("p", 1, 50), Parameter::range("q", 1, 10)},
-              [](const Configuration& c) { return c[0] % c[1] == 0; }};
+              [](std::span<const int> c) { return c[0] % c[1] == 0; }};
     case 3:
       return {"strided",
               {Parameter::range("x", 0, 100, 25),
@@ -36,7 +36,7 @@ SpaceCase make_case(int which) {
               {Parameter::range("a", 1, 4), Parameter::range("b", 1, 4),
                Parameter::range("c", 1, 4), Parameter::range("d", 1, 4),
                Parameter::range("e", 1, 4)},
-              [](const Configuration& c) {
+              [](std::span<const int> c) {
                 int total = 0;
                 for (const int v : c) total += v;
                 return total <= 12;

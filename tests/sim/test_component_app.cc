@@ -54,8 +54,8 @@ TEST(ComponentApp, RoleExtraction) {
 
 TEST(ComponentApp, NodesRoundUp) {
   const auto app = simple_app();
-  EXPECT_EQ(app.nodes({33, 8, 1}), 5);
-  EXPECT_EQ(app.nodes({1, 8, 1}), 1);  // ppn capped at procs
+  EXPECT_EQ(app.nodes(Configuration{33, 8, 1}), 5);
+  EXPECT_EQ(app.nodes(Configuration{1, 8, 1}), 1);  // ppn capped at procs
 }
 
 TEST(ComponentApp, GridDecompositionRoles) {
@@ -147,9 +147,10 @@ TEST(ComponentApp, NodeLimitConstraintFiltersConfigs) {
   roles.procs = 0;
   roles.ppn = 1;
   const auto constraint = ComponentApp::node_limit_constraint(roles, 4);
-  EXPECT_TRUE(constraint({16, 4}));   // 4 nodes
-  EXPECT_FALSE(constraint({17, 4}));  // 5 nodes
-  EXPECT_TRUE(constraint({2, 35}));   // 1 node (ppn capped at procs)
+  EXPECT_TRUE(constraint(Configuration{16, 4}));   // 4 nodes
+  EXPECT_FALSE(constraint(Configuration{17, 4}));  // 5 nodes
+  // 1 node (ppn capped at procs)
+  EXPECT_TRUE(constraint(Configuration{2, 35}));
 }
 
 TEST(ComponentApp, NodeLimitConstraintHandlesGridRoles) {
@@ -158,8 +159,9 @@ TEST(ComponentApp, NodeLimitConstraintHandlesGridRoles) {
   roles.procs_y = 1;
   roles.ppn = 2;
   const auto constraint = ComponentApp::node_limit_constraint(roles, 2);
-  EXPECT_TRUE(constraint({4, 4, 8}));   // 16 procs / 8 ppn = 2 nodes
-  EXPECT_FALSE(constraint({4, 8, 8}));  // 32 procs / 8 ppn = 4 nodes
+  // 16 procs / 8 ppn = 2 nodes, 32 procs / 8 ppn = 4 nodes.
+  EXPECT_TRUE(constraint(Configuration{4, 4, 8}));
+  EXPECT_FALSE(constraint(Configuration{4, 8, 8}));
 }
 
 TEST(ComponentApp, UnconfigurableAppIsAllowedWithoutProcsRole) {
@@ -171,7 +173,7 @@ TEST(ComponentApp, UnconfigurableAppIsAllowedWithoutProcsRole) {
   scaling.work_core_s = 0.0;
   const ComponentApp app("plot", std::move(space), roles, scaling, {}, 1.0);
   EXPECT_FALSE(app.configurable());
-  EXPECT_EQ(app.nodes({1}), 1);
+  EXPECT_EQ(app.nodes(Configuration{1}), 1);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 // comment in src/tuner/ceal.cc that justifies it.
 //
 // The grid: workflow x objective x budget (down to 3) x history x fault
-// rate x pool_chunk_rows x seed, 312 cells over 300-row pools, each
+// rate x seed, 312 cells over 300-row pools, each
 // compared at 1 and at 4 workers. The six shards (one per workflow and
 // objective) take about 7 s together on a 4-core host.
 #include <gtest/gtest.h>
@@ -360,15 +360,13 @@ struct Cell {
   bool history;
   double fail_prob;
   std::size_t max_attempts;
-  std::size_t pool_chunk_rows;
   std::uint64_t seed;
   CealParams params;
 
   std::string describe() const {
     return "budget " + std::to_string(budget) + (history ? " history" : "") +
            " faults " + std::to_string(fail_prob) + "x" +
-           std::to_string(max_attempts) + " chunk " +
-           std::to_string(pool_chunk_rows) + " seed " + std::to_string(seed) +
+           std::to_string(max_attempts) + " seed " + std::to_string(seed) +
            (params.enable_switch_detection ? "" : " no-switch") +
            (params.enable_random_topup ? "" : " no-topup") +
            (params.ensemble_final ? "" : " no-ensemble");
@@ -376,9 +374,9 @@ struct Cell {
 };
 
 /// 52 cells per shard: budget {3, 7, 20, 50} x history x fault setting
-/// {none, 0.3 with 2 attempts, 0.7 with 1 attempt} x two seeds (the
-/// second streaming the pool in 64-row chunks), plus four faulted cells
-/// at budget 20, three of them with one CEAL ablation switch off.
+/// {none, 0.3 with 2 attempts, 0.7 with 1 attempt} x two seeds, plus
+/// four faulted cells at budget 20, three of them with one CEAL ablation
+/// switch off.
 std::vector<Cell> grid(std::uint64_t shard_seed) {
   struct Faults {
     double fail_prob;
@@ -391,7 +389,7 @@ std::vector<Cell> grid(std::uint64_t shard_seed) {
         for (std::uint64_t s = 0; s < 2; ++s) {
           const std::uint64_t seed = shard_seed + 7 * cells.size() + s;
           cells.push_back({budget, history, f.fail_prob, f.max_attempts,
-                           s == 0 ? 0u : 64u, seed,
+                           seed,
                            history ? CealParams::with_history()
                                    : CealParams::no_history()});
         }
@@ -399,8 +397,8 @@ std::vector<Cell> grid(std::uint64_t shard_seed) {
     }
   }
   for (std::size_t a = 0; a < 4; ++a) {
-    Cell cell{20, a % 2 == 1, 0.3, 2, a < 2 ? 0u : 64u,
-              shard_seed + 1000 + a, CealParams::no_history()};
+    Cell cell{20, a % 2 == 1, 0.3, 2, shard_seed + 1000 + a,
+              CealParams::no_history()};
     if (cell.history) cell.params = CealParams::with_history();
     if (a == 0) cell.params.enable_switch_detection = false;
     if (a == 1) cell.params.enable_random_topup = false;
@@ -475,7 +473,6 @@ TEST_P(CealOracle, ProductionMatchesAlgorithm1BitwiseAtOneAndFourWorkers) {
                           cell.history, {}};
     problem.measurement.faults.fail_prob = cell.fail_prob;
     problem.measurement.max_attempts = cell.max_attempts;
-    problem.pool_chunk_rows = cell.pool_chunk_rows;
     expected.push_back(algorithm1(problem, cell.params, cell.budget,
                                   cell.seed));
   }
@@ -487,7 +484,6 @@ TEST_P(CealOracle, ProductionMatchesAlgorithm1BitwiseAtOneAndFourWorkers) {
                             cell.history, {}};
       problem.measurement.faults.fail_prob = cell.fail_prob;
       problem.measurement.max_attempts = cell.max_attempts;
-      problem.pool_chunk_rows = cell.pool_chunk_rows;
       ASSERT_NO_FATAL_FAILURE(expect_same(
           expected[c],
           production(problem, cell.params, cell.budget, cell.seed),

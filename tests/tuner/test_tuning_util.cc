@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "sim/workloads.h"
 #include "tuner/low_fidelity.h"
@@ -69,20 +72,58 @@ TEST_F(TuningUtilTest, FitOnMeasuredTrainsOnCollectedData) {
   ceal::Rng rng(2);
   for (std::size_t i = 0; i < 10; ++i) col.measure(i);
   Surrogate model;
-  fit_on_measured(model, col, rng);
+  fit_on_measured(model, col, rng,
+                  featurize_joint(wl_.workflow.joint_space(), pool_.configs));
   EXPECT_TRUE(model.is_fitted());
 }
 
+// fit_on_measured trains on pool rows only. It must grow the very trees
+// that fitting the successful configurations themselves grows, with both
+// trainers, when failed attempts leave gaps in ok_indices().
 TEST_F(TuningUtilTest, FitOnMeasuredPoolRowsMatchesFeaturizedConfigs) {
-  Collector col(problem_, 10);
-  for (std::size_t i = 0; i < 10; ++i) col.measure(i * 3);
-  const ml::FeatureMatrix rows =
-      featurize_joint(wl_.workflow.joint_space(), pool_.configs);
-  Surrogate from_configs, from_rows;
-  ceal::Rng r1(3), r2(3);
-  fit_on_measured(from_configs, col, r1);
-  fit_on_measured(from_rows, col, r2, &rows);
-  EXPECT_EQ(from_rows.predict_many(rows), from_configs.predict_many(rows));
+  TuningProblem faulty = problem_;
+  faulty.measurement.faults.fail_prob = 0.4;
+  ceal::Rng fault_rng(6);
+  Collector col(faulty, 30, &fault_rng);
+  for (std::size_t i = 0; i < 30; ++i) col.try_measure(i);
+  const auto& ok = col.ok_indices();
+  ASSERT_GT(col.failed_count(), 0u);
+  ASSERT_GE(ok.size(), 10u);
+
+  const auto& space = wl_.workflow.joint_space();
+  const ml::FeatureMatrix rows = featurize_joint(space, pool_.configs);
+  std::vector<config::Configuration> ok_configs;
+  for (const std::size_t i : ok) ok_configs.push_back(pool_.configs[i]);
+
+  for (const ml::TreeMethod method :
+       {ml::TreeMethod::kExact, ml::TreeMethod::kQuantized}) {
+    ml::GbtParams params = ml::GradientBoostedTrees::surrogate_defaults();
+    params.tree.method = method;
+    Surrogate from_rows(params), from_configs(params);
+    ceal::Rng r1(3), r2(3);
+    fit_on_measured(from_rows, col, r1, rows);
+    from_configs.fit(space, ok_configs, col.ok_values(), r2);
+
+    const auto& want = from_configs.model().trees();
+    const auto& got = from_rows.model().trees();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t t = 0; t < want.size(); ++t) {
+      const auto want_nodes = want[t].export_nodes();
+      const auto got_nodes = got[t].export_nodes();
+      ASSERT_EQ(got_nodes.size(), want_nodes.size()) << "tree " << t;
+      for (std::size_t n = 0; n < want_nodes.size(); ++n) {
+        const ml::TreeNodeData& a = got_nodes[n];
+        const ml::TreeNodeData& b = want_nodes[n];
+        ASSERT_EQ(a.feature, b.feature) << "tree " << t << " node " << n;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.threshold),
+                  std::bit_cast<std::uint64_t>(b.threshold));
+        ASSERT_EQ(a.left, b.left);
+        ASSERT_EQ(a.right, b.right);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.weight),
+                  std::bit_cast<std::uint64_t>(b.weight));
+      }
+    }
+  }
 }
 
 TEST_F(TuningUtilTest, ComponentModelsChargeRoundsUnlessHistorical) {

@@ -90,9 +90,7 @@ constexpr const char* kUsage =
     "  [--gbt-backend exact|quantized]  surrogate trainer\n"
     "                           (default exact, the pinned-results path)\n"
     "  [--gbt-bins N]           quantized bins per feature, 2..256\n"
-    "                           (default 256)\n"
-    "  [--pool-chunk N]         stream pool scoring in N-row blocks\n"
-    "                           (bounded memory; default 0 = cache)";
+    "                           (default 256)";
 
 ceal::ml::TreeMethod backend_by_name(const std::string& name) {
   if (name == "exact") return ceal::ml::TreeMethod::kExact;
@@ -142,7 +140,6 @@ int main(int argc, char** argv) {
   const bool verbose = args.flag("verbose");
   const auto gbt_backend = args.option("gbt-backend", "exact");
   const std::size_t gbt_bins = args.integer("gbt-bins", 256);
-  const std::size_t pool_chunk = args.integer("pool-chunk", 0);
   // Empty means "not given": the default path keeps problem.measure
   // null (the paper's inline collector); an explicit `inproc` installs
   // the InProcessBackend to exercise the backend seam.
@@ -202,11 +199,10 @@ int main(int argc, char** argv) {
   tuner::TuningProblem problem = tuner::make_problem(spec, wl, pool, comps);
   const tuner::Objective objective = problem.objective;
 
-  // Performance knobs (all default to the pinned reproduction path: exact
-  // trainer, cached pool featurization).
+  // Performance knobs (both default to the pinned reproduction path: the
+  // exact trainer).
   problem.surrogate_gbt.tree.method = backend_by_name(gbt_backend);
   problem.surrogate_gbt.tree.max_bins = gbt_bins;
-  problem.pool_chunk_rows = pool_chunk;
 
   // Observability: any of --trace / --verbose / --metrics-summary attaches
   // a Telemetry to the session. Tracing never writes to stdout, so seeded
