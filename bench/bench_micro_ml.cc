@@ -35,6 +35,14 @@ ml::Dataset synth(std::size_t n, std::size_t d, Rng& rng) {
   return data;
 }
 
+/// The feature rows of `data` as a target-less matrix, the batch
+/// predictor's input.
+ml::FeatureMatrix rows_of(const ml::Dataset& data) {
+  ml::FeatureMatrix rows(data.n_features(), data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) rows.set_row(i, data.row(i));
+  return rows;
+}
+
 void BM_GbtFit(benchmark::State& state) {
   Rng rng(1);
   const auto data = synth(static_cast<std::size_t>(state.range(0)), 7, rng);
@@ -66,12 +74,12 @@ void BM_GbtPredictPool(benchmark::State& state) {
   // The per-iteration cost of scoring a 2000-entry sample pool.
   Rng rng(4);
   const auto train = synth(50, 7, rng);
-  const auto pool = synth(2000, 7, rng);
+  const auto pool = rows_of(synth(2000, 7, rng));
   ml::GradientBoostedTrees model(
       ml::GradientBoostedTrees::surrogate_defaults());
   model.fit(train, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict_all(pool));
+    benchmark::DoNotOptimize(model.predict_matrix(pool));
   }
   state.SetItemsProcessed(state.iterations() * 2000);
 }
@@ -136,7 +144,7 @@ void BM_GbtFit512(benchmark::State& state) {
 BENCHMARK(BM_GbtFit512)->Arg(0)->Arg(1)->Arg(2);
 
 // Scoring a 2000-configuration pool: one predict() call per row (the
-// pre-cache tuner loop) vs the batched predict_all path. Both run
+// pre-cache tuner loop) vs the batched predict_matrix path. Both run
 // through the compiled forest.
 void BM_GbtPredictPoolSerial(benchmark::State& state) {
   Rng rng(10);
@@ -158,11 +166,11 @@ BENCHMARK(BM_GbtPredictPoolSerial);
 void BM_GbtPredictPoolBatch(benchmark::State& state) {
   Rng rng(10);
   const auto train = synth(512, 7, rng);
-  const auto pool = synth(2000, 7, rng);
+  const auto pool = rows_of(synth(2000, 7, rng));
   ml::GradientBoostedTrees model(deep_fit_params(ml::TreeMethod::kExact));
   model.fit(train, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict_all(pool));
+    benchmark::DoNotOptimize(model.predict_matrix(pool));
   }
   state.SetItemsProcessed(state.iterations() * 2000);
 }
@@ -175,13 +183,13 @@ BENCHMARK(BM_GbtPredictPoolBatch);
 void BM_GbtPredictPool500(benchmark::State& state) {
   Rng rng(11);
   const auto train = synth_discrete(500, 7, rng);
-  const auto pool =
-      synth_discrete(static_cast<std::size_t>(state.range(0)), 7, rng);
+  const auto pool = rows_of(
+      synth_discrete(static_cast<std::size_t>(state.range(0)), 7, rng));
   ml::GradientBoostedTrees model(
       ml::GradientBoostedTrees::surrogate_defaults());
   model.fit(train, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict_all(pool));
+    benchmark::DoNotOptimize(model.predict_matrix(pool));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
   state.counters["nodes"] =

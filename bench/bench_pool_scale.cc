@@ -3,11 +3,13 @@
 //
 // Each iteration featurizes the pool into one joint matrix through
 // tuner/pool_scorer.h, scores it, and selects the best 64 with the
-// bounded heap (tuner/tuning_util.h). Two models score it: a fitted
+// bounded heap (core/stats.h). Two models score it: a fitted
 // surrogate (BM_PoolScoreCached) and the low-fidelity combination model
 // M_L over fitted component models (BM_PoolLowFidelityCached). Reported
 // counters:
-//   items_per_second — configurations scored per second
+//   items_per_second — configurations scored per second of wall time
+//                      (UseRealTime: scoring runs on the whole worker
+//                      pool, not on the benchmark thread alone)
 //   peak_rss_mb      — process high-water RSS (bench/common.h)
 //   recall_at_64     — % overlap of predicted vs true (noise-free) top-64
 //
@@ -183,8 +185,8 @@ void pool_args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond);
 }
 
-BENCHMARK(BM_PoolScoreCached)->Apply(pool_args);
-BENCHMARK(BM_PoolLowFidelityCached)->Apply(pool_args);
+BENCHMARK(BM_PoolScoreCached)->Apply(pool_args)->UseRealTime();
+BENCHMARK(BM_PoolLowFidelityCached)->Apply(pool_args)->UseRealTime();
 
 }  // namespace
 

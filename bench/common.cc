@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string_view>
 
@@ -26,15 +27,11 @@ Env::Env() {
   workloads_ = sim::make_all_workloads();
   pools_.reserve(workloads_.size());
   components_.reserve(workloads_.size());
-  graphs_.reserve(workloads_.size());
   for (const auto& wl : workloads_) {
     pools_.push_back(
         tuner::measure_pool(wl.workflow, kPoolSize, kPoolSeed));
     components_.push_back(tuner::measure_components(
         wl.workflow, kComponentSamples, kComponentSeed));
-    graphs_.push_back(std::make_shared<const tuner::PoolGraph>(
-        wl.workflow.joint_space(), pools_.back().configs,
-        /*k_neighbors=*/10));
   }
 }
 
@@ -57,11 +54,6 @@ const std::vector<tuner::ComponentSamples>& Env::components(
     std::size_t i) const {
   CEAL_EXPECT(i < components_.size());
   return components_[i];
-}
-
-std::shared_ptr<const tuner::PoolGraph> Env::graph(std::size_t i) const {
-  CEAL_EXPECT(i < graphs_.size());
-  return graphs_[i];
 }
 
 std::size_t Env::index_of(const std::string& name) const {
@@ -94,13 +86,13 @@ std::size_t Env::replications() {
 tuner::EvalSummary evaluate_cell(const Cell& cell) {
   CEAL_EXPECT(!cell.ceal || cell.algorithm == "CEAL");
   const Env& env = Env::instance();
-  const std::size_t w = env.index_of(cell.workflow);
-  auto problem = env.problem(w, cell.objective, cell.history);
+  auto problem =
+      env.problem(env.index_of(cell.workflow), cell.objective, cell.history);
   problem.measurement.faults.fail_prob = cell.fault_rate;
   problem.measurement.max_attempts = cell.max_attempts;
   const std::unique_ptr<tuner::AutoTuner> algo =
       cell.ceal ? std::make_unique<tuner::Ceal>(*cell.ceal)
-                : tuner::algorithm_by_name(cell.algorithm, env.graph(w));
+                : tuner::algorithm_by_name(cell.algorithm);
   return tuner::evaluate(problem, *algo, cell.budget, Env::replications(),
                          kEvalSeed);
 }

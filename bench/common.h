@@ -1,8 +1,8 @@
 // Shared environment for the paper reproduction (bench_paper): the three
-// workflows, their 2000-configuration measured pools (§7.1), the
-// 500-sample component measurement sets, and a pre-built GEIST pool graph
-// per workflow; plus the experiment cells the figures report, evaluated
-// once each.
+// workflows, their 2000-configuration measured pools (§7.1) and the
+// 500-sample component measurement sets; plus the experiment cells the
+// figures report, evaluated once each. GEIST's pool graph is not held
+// here: every GEIST session on a pool shares PoolGraph::shared's.
 //
 // Replication count defaults to 40 and can be raised to the paper's 100
 // via the CEAL_REPS environment variable.
@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -20,7 +19,6 @@
 #include "sim/workloads.h"
 #include "tuner/ceal.h"
 #include "tuner/evaluation.h"
-#include "tuner/geist.h"
 #include "tuner/measured_pool.h"
 
 namespace ceal::bench {
@@ -40,7 +38,6 @@ class Env {
   const sim::Workload& workload(std::size_t i) const;
   const tuner::MeasuredPool& pool(std::size_t i) const;
   const std::vector<tuner::ComponentSamples>& components(std::size_t i) const;
-  std::shared_ptr<const tuner::PoolGraph> graph(std::size_t i) const;
 
   /// Index by paper name: "LV", "HS", "GP".
   std::size_t index_of(const std::string& name) const;
@@ -58,7 +55,6 @@ class Env {
   std::vector<sim::Workload> workloads_;
   std::vector<tuner::MeasuredPool> pools_;
   std::vector<std::vector<tuner::ComponentSamples>> components_;
-  std::vector<std::shared_ptr<const tuner::PoolGraph>> graphs_;
 };
 
 /// "1.234" style normalised value or "inf".
@@ -82,8 +78,7 @@ struct Cell {
   bool operator==(const Cell&) const = default;
 };
 
-/// Runs `cell` through tuner::evaluate on Env::instance() (GEIST shares
-/// the workflow's pre-built pool graph).
+/// Runs `cell` through tuner::evaluate on Env::instance().
 tuner::EvalSummary evaluate_cell(const Cell& cell);
 
 /// Results keyed by cell value: a cell is evaluated on its first use and

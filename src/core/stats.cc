@@ -111,6 +111,43 @@ std::vector<std::size_t> argsort(std::span<const double> xs) {
   return idx;
 }
 
+TopKSelector::TopKSelector(std::size_t k) : k_(k) { heap_.reserve(k); }
+
+void TopKSelector::push(double score, std::size_t index) {
+  if (k_ == 0) return;
+  if (heap_.size() < k_) {
+    heap_.emplace_back(score, index);
+    std::push_heap(heap_.begin(), heap_.end());
+    return;
+  }
+  // (score, index) lexicographic: strictly better than the worst keeper
+  // replaces it; an exact tie keeps the incumbent, matching the stable
+  // argsort's preference for the index seen first.
+  if (std::pair(score, index) < heap_.front()) {
+    std::pop_heap(heap_.begin(), heap_.end());
+    heap_.back() = {score, index};
+    std::push_heap(heap_.begin(), heap_.end());
+  }
+}
+
+std::vector<std::size_t> TopKSelector::take() {
+  std::sort(heap_.begin(), heap_.end());
+  std::vector<std::size_t> out;
+  out.reserve(heap_.size());
+  for (const auto& [score, index] : heap_) out.push_back(index);
+  heap_.clear();
+  return out;
+}
+
+std::vector<std::size_t> smallest_k(std::span<const double> scores,
+                                    std::size_t k) {
+  TopKSelector selector(k);
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    selector.push(scores[i], i);
+  }
+  return selector.take();
+}
+
 std::vector<std::size_t> ranks(std::span<const double> xs) {
   const auto order = argsort(xs);
   std::vector<std::size_t> rank(xs.size());

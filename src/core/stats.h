@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace ceal {
@@ -49,6 +50,39 @@ double rmse(std::span<const double> actual, std::span<const double> predicted);
 
 /// Indices that would sort `xs` ascending (stable).
 std::vector<std::size_t> argsort(std::span<const double> xs);
+
+/// Bounded top-k selection over streamed (score, index) pairs: keeps the
+/// k smallest scores seen so far in a max-heap of k entries, so ranking
+/// N candidates costs O(N log k) time and O(k) memory instead of a full
+/// argsort permutation. Ties break towards the lower index, which makes
+/// take() exactly the first k entries of argsort (stable ascending)
+/// restricted to the pushed indices.
+class TopKSelector {
+ public:
+  explicit TopKSelector(std::size_t k);
+
+  /// Considers one candidate. Indices may arrive in any order but each
+  /// at most once; feeding them ascending reproduces argsort exactly.
+  void push(double score, std::size_t index);
+
+  std::size_t size() const { return heap_.size(); }
+
+  /// The kept indices, sorted ascending by (score, index). Leaves the
+  /// selector empty and reusable.
+  std::vector<std::size_t> take();
+
+ private:
+  std::size_t k_;
+  /// Max-heap on (score, index): front() is the current worst keeper.
+  std::vector<std::pair<double, std::size_t>> heap_;
+};
+
+/// Indices of the `k` smallest scores (all of them when k exceeds the
+/// count), ties towards the lower index: the first k entries of
+/// argsort(scores) without the O(n log n) sort or the n-entry
+/// permutation.
+std::vector<std::size_t> smallest_k(std::span<const double> scores,
+                                    std::size_t k);
 
 /// Ranks (0-based, ties broken by index) of each element when sorted
 /// ascending: rank[i] = position of xs[i] in the sorted order.

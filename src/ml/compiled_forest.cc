@@ -121,10 +121,11 @@ double CompiledForest::predict(std::span<const double> features) const {
   return out;
 }
 
-std::vector<double> CompiledForest::predict_batch(
-    std::span<const double> x, std::size_t width,
-    std::size_t first_column) const {
-  const std::size_t n = x.size() / width;
+std::vector<double> CompiledForest::predict_matrix(
+    const FeatureMatrix& matrix, std::size_t first_column) const {
+  const std::span<const double> x = matrix.values();
+  const std::size_t width = matrix.n_features();
+  const std::size_t n = matrix.size();
   CEAL_EXPECT_MSG(n == 0 || first_column + min_width_ <= width,
                   "row narrower than the forest's largest split feature");
   std::vector<double> out(n, base_score_);
@@ -153,13 +154,5 @@ std::vector<double> CompiledForest::predict_batch(
   return out;
 }
 
-std::vector<double> CompiledForest::predict_matrix(
-    const FeatureMatrix& rows, std::size_t first_column) const {
-  return predict_batch(rows.values(), rows.n_features(), first_column);
-}
-
-std::vector<double> CompiledForest::predict_dataset(const Dataset& data) const {
-  return predict_batch(data.values(), data.n_features(), 0);
-}
 
 }  // namespace ceal::ml

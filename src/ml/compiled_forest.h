@@ -20,7 +20,7 @@
 // Lanes. One descent is a chain of dependent loads, so every prediction
 // runs many independent descents side by side and lets the core overlap
 // them. The same step kernel serves two lane layouts:
-//   - batches (predict_matrix, predict_dataset) take 64-row blocks; each
+//   - batches (predict_matrix) take 64-row blocks; each
 //     tree is walked level-major over the block's rows, one lane per row;
 //   - a single row (predict) walks 16 consecutive trees at a time, one
 //     lane per tree, for the group's largest depth.
@@ -69,10 +69,6 @@ class CompiledForest {
   std::vector<double> predict_matrix(const FeatureMatrix& rows,
                                      std::size_t first_column = 0) const;
 
-  /// Batch prediction over a dataset's feature rows (targets ignored);
-  /// same width rule as predict_matrix.
-  std::vector<double> predict_dataset(const Dataset& data) const;
-
   std::size_t tree_count() const { return trees_.size(); }
   std::size_t node_count() const { return nodes_.size(); }
 
@@ -99,12 +95,6 @@ class CompiledForest {
   /// every lane reads the same row).
   void descend(std::uint32_t* at, std::size_t lanes, std::uint32_t steps,
                const double* x, std::size_t stride) const;
-
-  /// Predictions for the rows of a row-major buffer of `width` values
-  /// per row, reading feature f at column first_column + f.
-  std::vector<double> predict_batch(std::span<const double> x,
-                                    std::size_t width,
-                                    std::size_t first_column) const;
 
   double base_score_ = 0.0;
   /// Largest split feature + 1 (0 when every tree is a single leaf).

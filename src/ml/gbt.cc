@@ -147,17 +147,6 @@ double GradientBoostedTrees::predict(std::span<const double> features) const {
   return compiled_->predict(features);
 }
 
-std::vector<double> GradientBoostedTrees::predict_all(
-    const Dataset& data) const {
-  CEAL_EXPECT_MSG(fitted_, "predict_all() before fit()");
-  telemetry::ScopedSpan span(telemetry_, "gbt.predict");
-  if (telemetry_ != nullptr) {
-    telemetry_->count("gbt.predict.batches");
-    telemetry_->count("gbt.predict.rows", data.size());
-  }
-  return compiled_->predict_dataset(data);
-}
-
 std::vector<double> GradientBoostedTrees::predict_matrix(
     const FeatureMatrix& rows, std::size_t first_column) const {
   CEAL_EXPECT_MSG(fitted_, "predict_matrix() before fit()");

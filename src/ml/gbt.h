@@ -39,16 +39,12 @@ class GradientBoostedTrees final : public Regressor {
   double predict(std::span<const double> features) const override;
   bool is_fitted() const override { return fitted_; }
 
-  /// Batch prediction through the compiled forest, parallel over rows on
-  /// the global thread pool. Each row descends the trees in ensemble
-  /// order, so the result is bitwise identical to row-by-row predict()
-  /// for any worker count.
-  std::vector<double> predict_all(const Dataset& data) const override;
-
-  /// Same as predict_all for a cached (target-less) feature matrix —
-  /// the pool-scoring hot path of the tuners. Features are read from the
-  /// column window starting at first_column
-  /// (CompiledForest::predict_matrix).
+  /// Batch prediction through the compiled forest over a feature
+  /// matrix, parallel over rows on the global thread pool — the
+  /// pool-scoring hot path of the tuners. Each row descends the trees in
+  /// ensemble order, so the result is bitwise identical to row-by-row
+  /// predict() for any worker count. Features are read from the column
+  /// window starting at first_column (CompiledForest::predict_matrix).
   std::vector<double> predict_matrix(const FeatureMatrix& rows,
                                      std::size_t first_column = 0) const;
 

@@ -1,19 +1,12 @@
 #include "ml/metrics.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "core/error.h"
 #include "core/stats.h"
 
 namespace ceal::ml {
-
-std::vector<std::size_t> top_indices(std::span<const double> values,
-                                     std::size_t n) {
-  CEAL_EXPECT(n <= values.size());
-  auto order = ceal::argsort(values);
-  order.resize(n);
-  return order;
-}
 
 double recall_score_percent(std::size_t n, std::span<const double> scores,
                             std::span<const double> measured) {
@@ -21,8 +14,8 @@ double recall_score_percent(std::size_t n, std::span<const double> scores,
   CEAL_EXPECT(scores.size() == measured.size());
   CEAL_EXPECT(n <= scores.size());
 
-  auto by_model = top_indices(scores, n);
-  auto by_truth = top_indices(measured, n);
+  auto by_model = ceal::smallest_k(scores, n);
+  auto by_truth = ceal::smallest_k(measured, n);
   std::sort(by_model.begin(), by_model.end());
   std::sort(by_truth.begin(), by_truth.end());
 

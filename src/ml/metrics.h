@@ -8,14 +8,8 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace ceal::ml {
-
-/// Indices of the `n` smallest entries of `values` (lower is better),
-/// ties broken by index. Requires n <= values.size().
-std::vector<std::size_t> top_indices(std::span<const double> values,
-                                     std::size_t n);
 
 /// Recall score in percent for the top `n` (Eqn. 3). `scores` are the
 /// model's predicted values and `measured` the observed performance for

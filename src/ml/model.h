@@ -1,9 +1,7 @@
 // Common interface for the regression models used as surrogates.
 #pragma once
 
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "core/rng.h"
 #include "ml/dataset.h"
@@ -23,15 +21,6 @@ class Regressor {
 
   /// True once fit() has completed.
   virtual bool is_fitted() const = 0;
-
-  /// Predictions for every row of `data`. Implementations may fan rows
-  /// out across threads but must return exactly what row-by-row
-  /// predict() calls would.
-  virtual std::vector<double> predict_all(const Dataset& data) const {
-    std::vector<double> out(data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) out[i] = predict(data.row(i));
-    return out;
-  }
 };
 
 }  // namespace ceal::ml

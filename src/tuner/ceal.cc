@@ -161,8 +161,8 @@ class CealStepper final : public ActiveLearningLoop {
       const std::size_t top_n = std::min<std::size_t>(3, meas_high.size());
       const std::size_t half =
           std::max<std::size_t>(top_n, all_indices.size() / 2);
-      auto fav = ml::top_indices(meas_high, top_n);
-      auto good = ml::top_indices(all_values, half);
+      auto fav = smallest_k(meas_high, top_n);
+      auto good = smallest_k(all_values, half);
       std::sort(fav.begin(), fav.end());
       std::sort(good.begin(), good.end());
       std::vector<std::size_t> common;

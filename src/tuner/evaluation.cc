@@ -53,7 +53,7 @@ EvalSummary evaluate(const TuningProblem& problem, const AutoTuner& algorithm,
   const std::size_t top2_count = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::llround(0.02 * static_cast<double>(measured.size()))));
-  const auto top2 = ml::top_indices(measured, top2_count);
+  const auto top2 = smallest_k(measured, top2_count);
 
   // Replications with telemetry attached: each replication runs against
   // its own child Telemetry (backed by a BufferTraceSink when the parent

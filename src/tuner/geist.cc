@@ -6,9 +6,11 @@
 
 #include "core/error.h"
 #include "core/parallel.h"
+#include "core/shared_memo.h"
 #include "core/stats.h"
 #include "core/telemetry.h"
 #include "tuner/active_learning.h"
+#include "tuner/pool_features.h"
 #include "tuner/surrogate.h"
 #include "tuner/tuning_util.h"
 
@@ -24,24 +26,23 @@ PoolGraph::PoolGraph(const config::ConfigSpace& space,
   const std::size_t k = std::min(k_neighbors, n - 1);
 
   // Min-max normalise features over the pool.
-  std::vector<double> feat(n * d);
+  ml::FeatureMatrix feat = featurize_joint(space, configs);
   std::vector<double> lo(d, std::numeric_limits<double>::infinity());
   std::vector<double> hi(d, -std::numeric_limits<double>::infinity());
   for (std::size_t i = 0; i < n; ++i) {
-    const auto f = space.features(configs[i]);
     for (std::size_t j = 0; j < d; ++j) {
-      feat[i * d + j] = f[j];
-      lo[j] = std::min(lo[j], f[j]);
-      hi[j] = std::max(hi[j], f[j]);
+      lo[j] = std::min(lo[j], feat.row(i)[j]);
+      hi[j] = std::max(hi[j], feat.row(i)[j]);
     }
   }
-  for (std::size_t j = 0; j < d; ++j) {
-    const double span = hi[j] - lo[j];
-    const double scale = span > 0.0 ? 1.0 / span : 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      feat[i * d + j] = (feat[i * d + j] - lo[j]) * scale;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto f = feat.mutable_row(i);
+    for (std::size_t j = 0; j < d; ++j) {
+      const double span = hi[j] - lo[j];
+      f[j] = (f[j] - lo[j]) * (span > 0.0 ? 1.0 / span : 0.0);
     }
   }
+  const auto x = feat.values();
 
   // A row's neighbour list depends on that row alone, so blocks of rows
   // run on the shared pool with the same lists for any worker count.
@@ -55,7 +56,7 @@ PoolGraph::PoolGraph(const config::ConfigSpace& space,
       for (std::size_t m = 0; m < n; ++m) {
         double acc = 0.0;
         for (std::size_t j = 0; j < d; ++j) {
-          const double delta = feat[i * d + j] - feat[m * d + j];
+          const double delta = x[i * d + j] - x[m * d + j];
           acc += delta * delta;
         }
         dist[m] = {acc, m};
@@ -70,6 +71,34 @@ PoolGraph::PoolGraph(const config::ConfigSpace& space,
       }
     }
   });
+}
+
+namespace {
+
+/// Everything a pool graph build reads besides the space's dimension.
+struct GraphKey {
+  std::size_t k_neighbors;
+  std::vector<config::Configuration> configs;
+
+  bool operator==(const GraphKey&) const = default;
+};
+
+SharedMemo<GraphKey, PoolGraph, kSharedPoolGraphs> shared_graphs;
+
+}  // namespace
+
+std::shared_ptr<const PoolGraph> PoolGraph::shared(
+    const config::ConfigSpace& space,
+    const std::vector<config::Configuration>& configs,
+    std::size_t k_neighbors) {
+  const auto build = [&](const GraphKey& key) {
+    return PoolGraph(space, key.configs, key.k_neighbors);
+  };
+  return shared_graphs.get(GraphKey{k_neighbors, configs}, build);
+}
+
+std::size_t detail::shared_pool_graphs_built() {
+  return shared_graphs.builds_started();
 }
 
 const std::vector<std::size_t>& PoolGraph::neighbors(std::size_t i) const {
@@ -97,12 +126,11 @@ class GeistStepper final : public ActiveLearningLoop {
                            "geist.iteration", params.iterations,
                            params.init_fraction),
         params_(params),
-        graph_(params_.graph) {
-    if (!graph_) {
-      graph_ = std::make_shared<PoolGraph>(
-          problem_.workload->workflow.joint_space(), problem_.pool->configs,
-          params_.k_neighbors);
-    }
+        graph_(params_.graph ? params_.graph
+                             : PoolGraph::shared(
+                                   problem_.workload->workflow.joint_space(),
+                                   problem_.pool->configs,
+                                   params_.k_neighbors)) {
     CEAL_EXPECT_MSG(graph_->size() == problem_.pool->size(),
                     "pool graph does not match the pool");
   }

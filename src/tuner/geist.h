@@ -14,14 +14,28 @@
 
 namespace ceal::tuner {
 
-/// k-NN adjacency over pool configurations (min-max-normalised L2).
-/// Building it is O(N^2 d); the evaluation harness shares one instance
-/// across replications via TuningProblem-independent construction.
+/// Distinct pool graphs PoolGraph::shared keeps (LRU). The benches see
+/// at most three: one pool per workflow.
+inline constexpr std::size_t kSharedPoolGraphs = 4;
+
+/// k-NN adjacency over pool configurations (min-max-normalised L2 over
+/// the joint features, featurize_joint). Building it is O(N^2 d).
 class PoolGraph {
  public:
   PoolGraph(const config::ConfigSpace& space,
             const std::vector<config::Configuration>& configs,
             std::size_t k_neighbors);
+
+  /// The constructor's graph, built at most once per process for one
+  /// key: `k_neighbors` and the configurations. Features are value casts
+  /// of the configurations, so `space` is not part of the key. A
+  /// process-wide SharedMemo (core/shared_memo.h) holds the last
+  /// kSharedPoolGraphs keys, so sessions on one pool share one graph
+  /// and concurrent misses make one build.
+  static std::shared_ptr<const PoolGraph> shared(
+      const config::ConfigSpace& space,
+      const std::vector<config::Configuration>& configs,
+      std::size_t k_neighbors);
 
   std::size_t size() const { return neighbors_.size(); }
   const std::vector<std::size_t>& neighbors(std::size_t i) const;
@@ -29,6 +43,12 @@ class PoolGraph {
  private:
   std::vector<std::vector<std::size_t>> neighbors_;
 };
+
+namespace detail {
+/// Test seam: the graphs PoolGraph::shared has started building in this
+/// process (memo misses).
+std::size_t shared_pool_graphs_built();
+}  // namespace detail
 
 struct GeistParams {
   std::size_t iterations = 8;
@@ -40,8 +60,10 @@ struct GeistParams {
   /// A measured configuration counts as "top" when its value falls in
   /// this quantile of the measurements seen so far (paper: top 5%).
   double top_quantile = 0.05;
-  /// Optional pre-built graph shared across tune() calls; when null each
-  /// call builds its own.
+  /// A pre-built graph of this pool and k_neighbors; when null the
+  /// session takes PoolGraph::shared's. Besides tests, only the
+  /// end-to-end benchmark sets it, to build its graphs outside the timed
+  /// sessions.
   std::shared_ptr<const PoolGraph> graph;
 };
 

@@ -1,14 +1,11 @@
 #include "tuner/low_fidelity.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <deque>
-#include <future>
-#include <mutex>
 
 #include "core/error.h"
+#include "core/shared_memo.h"
 #include "ml/dataset.h"
 
 namespace ceal::tuner {
@@ -62,9 +59,11 @@ FitInput gather(const sim::InSituWorkflow& workflow, Objective objective,
   return in;
 }
 
-std::vector<std::shared_ptr<const Surrogate>> fit_models(
-    const sim::InSituWorkflow& workflow, const FitInput& in, ceal::Rng& rng) {
-  std::vector<std::shared_ptr<const Surrogate>> models;
+using Models = std::vector<std::shared_ptr<const Surrogate>>;
+
+Models fit_models(const sim::InSituWorkflow& workflow, const FitInput& in,
+                  ceal::Rng& rng) {
+  Models models;
   models.reserve(in.configs.size());
   for (std::size_t j = 0; j < in.configs.size(); ++j) {
     auto model = std::make_shared<Surrogate>(in.gbt);
@@ -74,67 +73,8 @@ std::vector<std::shared_ptr<const Surrogate>> fit_models(
   return models;
 }
 
-/// Fits fit_shared has started in this process (the test seam).
-std::atomic<std::size_t> shared_fits_started{0};
-
-/// The fit_shared memo: the last kSharedComponentFits fit inputs and
-/// their models, most recently used first. An input enters when its fit
-/// starts, so a caller that misses on an input another caller is still
-/// fitting waits for that fit instead of repeating it.
-class SharedFits {
- public:
-  using Models = std::vector<std::shared_ptr<const Surrogate>>;
-
-  /// The models of an earlier fit of `in`, or of fit(in) run here, which
-  /// later callers with an equal input wait for. A fit that throws passes
-  /// its exception to every waiter and leaves no entry.
-  template <typename Fit>
-  Models get(FitInput in, const Fit& fit) {
-    std::promise<Models> fitted;
-    std::shared_future<Models> models;
-    const auto key = std::make_shared<const FitInput>(std::move(in));
-    {
-      const std::lock_guard lock(mutex_);
-      const auto hit = std::ranges::find_if(
-          entries_, [&](const Entry& e) { return *e.first == *key; });
-      if (hit != entries_.end()) {
-        std::rotate(entries_.begin(), hit, hit + 1);
-        models = entries_.front().second;
-      } else {
-        entries_.emplace_front(key, fitted.get_future().share());
-        if (entries_.size() > kSharedComponentFits) entries_.pop_back();
-      }
-    }
-    if (models.valid()) return models.get();
-
-    // Fit outside the lock, so sessions on other histories do not wait.
-    ++shared_fits_started;
-    try {
-      Models result = fit(*key);
-      fitted.set_value(result);
-      return result;
-    } catch (...) {
-      {
-        const std::lock_guard lock(mutex_);
-        std::erase_if(entries_,
-                      [&](const Entry& e) { return e.first == key; });
-      }
-      fitted.set_exception(std::current_exception());
-      throw;
-    }
-  }
-
- private:
-  using Entry =
-      std::pair<std::shared_ptr<const FitInput>, std::shared_future<Models>>;
-  std::mutex mutex_;
-  std::deque<Entry> entries_;
-};
-
-SharedFits& shared_fits() {
-  static SharedFits fits;
-  return fits;
-}
+/// The fit_shared memo, keyed on the exact fit input.
+SharedMemo<FitInput, Models, kSharedComponentFits> shared_fits;
 
 }  // namespace
 
@@ -165,15 +105,11 @@ std::shared_ptr<const ComponentModelSet> ComponentModelSet::fit_shared(
     return std::shared_ptr<const ComponentModelSet>(
         new ComponentModelSet(workflow, fit_models(workflow, in, rng)));
   }
-  Models models = shared_fits().get(std::move(in), [&](const FitInput& key) {
-    return fit_models(workflow, key, rng);
-  });
+  const auto models = shared_fits.get(
+      std::move(in),
+      [&](const FitInput& key) { return fit_models(workflow, key, rng); });
   return std::shared_ptr<const ComponentModelSet>(
-      new ComponentModelSet(workflow, std::move(models)));
-}
-
-std::size_t detail::shared_component_fits_started() {
-  return shared_fits_started.load();
+      new ComponentModelSet(workflow, *models));
 }
 
 const Surrogate& ComponentModelSet::model(std::size_t j) const {

@@ -52,10 +52,9 @@ class ComponentModelSet {
   /// (from any objects, on any thread) reuses the earlier call's models.
   /// This is exact because such a fit draws no random numbers; when
   /// `gbt` subsamples rows or columns it does, so the call fits afresh
-  /// and advances `rng` as the constructor would. A process-wide memo
-  /// holds the last kSharedComponentFits inputs. Calls that miss on one
-  /// input at once make one fit: the first fits, the others wait for it
-  /// (and get its exception if it throws, leaving no entry behind).
+  /// and advances `rng` as the constructor would. A process-wide
+  /// SharedMemo (core/shared_memo.h) holds the last kSharedComponentFits
+  /// inputs, so calls that miss on one input at once make one fit.
   static std::shared_ptr<const ComponentModelSet> fit_shared(
       const sim::InSituWorkflow& workflow, Objective objective,
       const std::vector<ComponentSamples>& samples,
@@ -85,12 +84,6 @@ class ComponentModelSet {
   const sim::InSituWorkflow* workflow_;
   Models models_;
 };
-
-namespace detail {
-/// Test seam: the fits ComponentModelSet::fit_shared has started in this
-/// process (memo misses; fits that bypass the memo do not count).
-std::size_t shared_component_fits_started();
-}  // namespace detail
 
 /// The analytical coupling model over component predictions: the
 /// low-fidelity model M_L used to score (rank) configurations.

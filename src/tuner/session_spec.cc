@@ -14,20 +14,12 @@ namespace ceal::tuner {
 
 namespace {
 
-using Graph = std::shared_ptr<const PoolGraph>;
-
 template <typename T>
-std::unique_ptr<AutoTuner> make(Graph) {
+std::unique_ptr<AutoTuner> make() {
   return std::make_unique<T>();
 }
 
-std::unique_ptr<AutoTuner> make_geist(Graph graph) {
-  GeistParams params;
-  params.graph = std::move(graph);
-  return std::make_unique<Geist>(params);
-}
-
-std::unique_ptr<AutoTuner> make_bo_ceal(Graph) {
+std::unique_ptr<AutoTuner> make_bo_ceal() {
   BayesOptParams params;
   params.bootstrap_with_low_fidelity = true;
   return std::make_unique<BayesOpt>(params);
@@ -36,9 +28,9 @@ std::unique_ptr<AutoTuner> make_bo_ceal(Graph) {
 // The name -> tuner registry: adding a tuner is one entry here.
 const struct {
   const char* name;
-  std::unique_ptr<AutoTuner> (*make)(Graph);
+  std::unique_ptr<AutoTuner> (*make)();
 } kAlgorithms[] = {{"CEAL", make<Ceal>},       {"AL", make<ActiveLearning>},
-                   {"RS", make<RandomSearch>}, {"GEIST", make_geist},
+                   {"RS", make<RandomSearch>}, {"GEIST", make<Geist>},
                    {"ALpH", make<Alph>},       {"BO", make<BayesOpt>},
                    {"BO-CEAL", make_bo_ceal}};
 
@@ -102,9 +94,8 @@ const std::vector<std::string>& algorithm_names() {
   return names;
 }
 
-std::unique_ptr<AutoTuner> algorithm_by_name(const std::string& name,
-                                             Graph graph) {
-  return lookup(kAlgorithms, name, "algorithm").make(std::move(graph));
+std::unique_ptr<AutoTuner> algorithm_by_name(const std::string& name) {
+  return lookup(kAlgorithms, name, "algorithm").make();
 }
 
 sim::Workload workload_by_name(const std::string& name) {

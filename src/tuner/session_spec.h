@@ -18,8 +18,6 @@
 
 namespace ceal::tuner {
 
-class PoolGraph;
-
 /// A rejected knob or name; what() is one line "<field>: why", where
 /// <field> is the knob's request/manifest key.
 class SpecError : public PreconditionError {
@@ -76,10 +74,8 @@ void for_each_knob(Spec& spec, F&& f) {
 const std::vector<std::string>& algorithm_names();
 
 /// The registry's lookups (LV|HS|GP, exec|comp); each throws SpecError
-/// for an unregistered name. GEIST shares `graph` when one is given (a
-/// bench reuses one pool graph across replications).
-std::unique_ptr<AutoTuner> algorithm_by_name(
-    const std::string& name, std::shared_ptr<const PoolGraph> graph = nullptr);
+/// for an unregistered name.
+std::unique_ptr<AutoTuner> algorithm_by_name(const std::string& name);
 sim::Workload workload_by_name(const std::string& name);
 Objective objective_by_name(const std::string& name);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/error.h"
-#include "core/stats.h"
 #include "core/telemetry.h"
 #include "tuner/checkpoint.h"
 #include "tuner/low_fidelity.h"
@@ -25,43 +24,6 @@ std::size_t charged_component_rounds(const TuningProblem& problem,
                   tuner + " without history needs a budget of at least 3 runs");
   return std::clamp<std::size_t>(rounded_fraction(fraction, budget_runs), 1,
                                  budget_runs - 2);
-}
-
-TopKSelector::TopKSelector(std::size_t k) : k_(k) { heap_.reserve(k); }
-
-void TopKSelector::push(double score, std::size_t index) {
-  if (k_ == 0) return;
-  if (heap_.size() < k_) {
-    heap_.emplace_back(score, index);
-    std::push_heap(heap_.begin(), heap_.end());
-    return;
-  }
-  // (score, index) lexicographic: strictly better than the worst keeper
-  // replaces it; an exact tie keeps the incumbent, matching the stable
-  // argsort's preference for the index seen first.
-  if (std::pair(score, index) < heap_.front()) {
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.back() = {score, index};
-    std::push_heap(heap_.begin(), heap_.end());
-  }
-}
-
-std::vector<std::size_t> TopKSelector::take() {
-  std::sort(heap_.begin(), heap_.end());
-  std::vector<std::size_t> out;
-  out.reserve(heap_.size());
-  for (const auto& [score, index] : heap_) out.push_back(index);
-  heap_.clear();
-  return out;
-}
-
-std::vector<std::size_t> smallest_k(std::span<const double> scores,
-                                    std::size_t k) {
-  TopKSelector selector(k);
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    selector.push(scores[i], i);
-  }
-  return selector.take();
 }
 
 std::vector<std::size_t> top_unmeasured(std::span<const double> scores,

@@ -10,6 +10,7 @@
 
 #include "core/json.h"
 #include "core/rng.h"
+#include "core/stats.h"
 #include "tuner/autotuner.h"
 #include "tuner/collector.h"
 #include "tuner/stepper.h"
@@ -30,38 +31,8 @@ std::size_t charged_component_rounds(const TuningProblem& problem,
                                      double fraction,
                                      const std::string& tuner);
 
-/// Bounded top-k selection over streamed (score, index) pairs: keeps the
-/// k smallest scores seen so far in a max-heap of k entries, so ranking
-/// a pool of N candidates costs O(N log k) time and O(k) memory instead
-/// of materialising a full argsort permutation. Ties break towards the
-/// lower index, which makes take() exactly the first k entries of
-/// ceal::argsort (stable ascending) restricted to the pushed indices —
-/// the tuners' selection is bitwise unchanged by the bounded path.
-class TopKSelector {
- public:
-  explicit TopKSelector(std::size_t k);
-
-  /// Considers one candidate. Indices may arrive in any order but each
-  /// at most once; feeding them ascending reproduces argsort exactly.
-  void push(double score, std::size_t index);
-
-  std::size_t size() const { return heap_.size(); }
-
-  /// The kept indices, sorted ascending by (score, index). Leaves the
-  /// selector empty and reusable.
-  std::vector<std::size_t> take();
-
- private:
-  std::size_t k_;
-  /// Max-heap on (score, index): front() is the current worst keeper.
-  std::vector<std::pair<double, std::size_t>> heap_;
-};
-
-/// Indices of the `k` smallest scores, ties towards the lower index —
-/// equal to the first k entries of ceal::argsort(scores) without the
-/// O(n log n) sort or the n-entry permutation.
-std::vector<std::size_t> smallest_k(std::span<const double> scores,
-                                    std::size_t k);
+/// The bounded top-k (core/stats.h), here for its callers in tuner code.
+using ceal::smallest_k;
 
 /// The `count` unmeasured pool indices with the smallest scores
 /// (lower = better). `scores` must cover the whole pool. Returns fewer

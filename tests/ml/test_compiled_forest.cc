@@ -1,5 +1,5 @@
 // CompiledForest is the only GBT predictor: fit() and from_parts() build
-// one, and predict / predict_all / predict_matrix run through it. Every
+// one, and predict / predict_matrix run through it. Every
 // test holds it to an explicit reference — base_score plus
 // learning_rate * tree.predict(x), summed over the trees in ensemble
 // order — bitwise: after fit() (with and without row subsampling), after
@@ -25,6 +25,7 @@
 #include "core/telemetry.h"
 #include "ml/gbt.h"
 #include "ml/serialize.h"
+#include "tests/ml/feature_rows.h"
 
 namespace ceal::ml {
 namespace {
@@ -40,12 +41,6 @@ Dataset grid_like(std::size_t n, ceal::Rng& rng) {
           100.0 / a + 5.0 * b + c * c + rng.normal(0.0, 0.3));
   }
   return d;
-}
-
-FeatureMatrix matrix_of(const Dataset& d) {
-  FeatureMatrix m(d.n_features(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m.set_row(i, d.row(i));
-  return m;
 }
 
 /// `d`'s rows at columns [before, before + d.n_features()) of a wider
@@ -74,19 +69,16 @@ double reference(const GradientBoostedTrees& model,
   return out;
 }
 
-/// Single-row, dataset-batch, and matrix-batch predictions of `model`
-/// all equal the reference on every row of `pool`.
+/// Single-row and batch predictions of `model` both equal the
+/// reference on every row of `pool`.
 void expect_matches_reference(const GradientBoostedTrees& model,
                               const Dataset& pool) {
   ASSERT_NE(model.compiled(), nullptr);
-  const auto all = model.predict_all(pool);
-  const auto matrix = model.predict_matrix(matrix_of(pool));
-  ASSERT_EQ(all.size(), pool.size());
+  const auto matrix = model.predict_matrix(rows_of(pool));
   ASSERT_EQ(matrix.size(), pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     const double ref = reference(model, pool.row(i));
     ASSERT_EQ(model.predict(pool.row(i)), ref) << "row " << i;
-    ASSERT_EQ(all[i], ref) << "row " << i;
     ASSERT_EQ(matrix[i], ref) << "row " << i;
   }
 }
@@ -104,12 +96,10 @@ TEST(CompiledForest, BitwiseEqualToTreeWalk) {
   const CompiledForest forest = CompiledForest::compile(model);
   EXPECT_EQ(forest.tree_count(), model.tree_count());
   EXPECT_GT(forest.node_count(), forest.tree_count());
-  const auto flat = forest.predict_dataset(pool);
-  const auto batched = forest.predict_matrix(matrix_of(pool));
+  const auto batched = forest.predict_matrix(rows_of(pool));
   for (std::size_t i = 0; i < pool.size(); ++i) {
     const double ref = reference(model, pool.row(i));
     ASSERT_EQ(forest.predict(pool.row(i)), ref) << "row " << i;
-    ASSERT_EQ(flat[i], ref) << "row " << i;
     ASSERT_EQ(batched[i], ref) << "row " << i;
   }
 }
@@ -142,7 +132,7 @@ TEST(CompiledForest, FitPathCompilesAndRoutesPredictions) {
   model.fit(train, fit_rng);
   telemetry::Telemetry tel;
   model.set_telemetry(&tel);
-  (void)model.predict_matrix(matrix_of(pool));
+  (void)model.predict_matrix(rows_of(pool));
   EXPECT_EQ(tel.counter("gbt.predict.rows"), pool.size());
   EXPECT_EQ(tel.counter("gbt.predict.batches"), 1u);
   EXPECT_EQ(tel.counter("compiled.predict.rows"), 0u);
@@ -313,19 +303,16 @@ TEST(CompiledForest, MixedDepthForestMatchesReferenceOnEveryBatchSize) {
                                         << " rows");
       Dataset rows(kMixedWidth);
       for (std::size_t i = 0; i < n; ++i) rows.add(all_rows.row(i), 0.0);
-      const auto by_dataset = forest.predict_dataset(rows);
-      const auto by_matrix = forest.predict_matrix(matrix_of(rows));
+      const auto by_matrix = forest.predict_matrix(rows_of(rows));
       // The same rows as a column window of a wider matrix.
       const auto by_window =
           forest.predict_matrix(windowed_matrix_of(rows, 3, 2), 3);
-      ASSERT_EQ(by_dataset.size(), n);
       ASSERT_EQ(by_matrix.size(), n);
       ASSERT_EQ(by_window.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
         const double ref = reference(model, rows.row(i));
         // Bitwise, NaN-safe: every reference here is finite.
         ASSERT_EQ(forest.predict(rows.row(i)), ref) << "row " << i;
-        ASSERT_EQ(by_dataset[i], ref) << "row " << i;
         ASSERT_EQ(by_matrix[i], ref) << "row " << i;
         ASSERT_EQ(by_window[i], ref) << "row " << i;
       }
@@ -354,7 +341,7 @@ TEST(CompiledForest, ChainDepthAndSpecialValuesRouteLikeTheTree) {
       {150.0, -150.0}};
   Dataset data(2);
   for (const auto& r : rows) data.add(r, 0.0);
-  const auto batch = model.compiled()->predict_dataset(data);
+  const auto batch = model.compiled()->predict_matrix(rows_of(data));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const double ref = reference(model, rows[i]);
     ASSERT_EQ(model.predict(rows[i]), ref) << "row " << i;
@@ -404,9 +391,7 @@ TEST(CompiledForest, RowsNarrowerThanLargestSplitFeatureAreRejected) {
 
   Dataset narrow_data(2);
   narrow_data.add(narrow, 0.0);
-  EXPECT_THROW(forest.predict_dataset(narrow_data), ceal::PreconditionError);
-  EXPECT_THROW(model.predict_all(narrow_data), ceal::PreconditionError);
-  const FeatureMatrix narrow_matrix = matrix_of(narrow_data);
+  const FeatureMatrix narrow_matrix = rows_of(narrow_data);
   EXPECT_THROW(forest.predict_matrix(narrow_matrix), ceal::PreconditionError);
   EXPECT_THROW(model.predict_matrix(narrow_matrix), ceal::PreconditionError);
 
@@ -416,12 +401,11 @@ TEST(CompiledForest, RowsNarrowerThanLargestSplitFeatureAreRejected) {
   wide_data.add(wide, 0.0);
   const FeatureMatrix shifted = windowed_matrix_of(wide_data, 1, 0);
   EXPECT_EQ(forest.predict_matrix(shifted, 1)[0], reference(model, wide));
-  const FeatureMatrix wide_matrix = matrix_of(wide_data);
+  const FeatureMatrix wide_matrix = rows_of(wide_data);
   EXPECT_THROW(forest.predict_matrix(wide_matrix, 1), ceal::PreconditionError);
   EXPECT_THROW(model.predict_matrix(wide_matrix, 1), ceal::PreconditionError);
 
   // A batch without rows has nothing to check.
-  EXPECT_TRUE(forest.predict_dataset(Dataset(2)).empty());
   EXPECT_TRUE(forest.predict_matrix(FeatureMatrix(2, 0)).empty());
 }
 

@@ -10,6 +10,7 @@
 #include "core/rng.h"
 #include "core/stats.h"
 #include "core/telemetry.h"
+#include "tests/ml/feature_rows.h"
 
 namespace ceal::ml {
 namespace {
@@ -25,7 +26,7 @@ Dataset quadratic_data(std::size_t n, ceal::Rng& rng) {
 }
 
 double test_rmse(const GradientBoostedTrees& model, const Dataset& test) {
-  const auto pred = model.predict_all(test);
+  const auto pred = model.predict_matrix(rows_of(test));
   return ceal::rmse(test.targets(), pred);
 }
 
@@ -232,7 +233,7 @@ void expect_exact_golden(
   GradientBoostedTrees model(params);
   ceal::Rng fit_rng(5);
   model.fit(train, fit_rng);
-  const auto pred = model.predict_all(pool);
+  const auto pred = model.predict_matrix(rows_of(pool));
   ASSERT_EQ(pred.size(), 200u);
   std::size_t nodes = 0;
   for (const auto& tree : model.trees()) nodes += tree.node_count();

@@ -5,13 +5,16 @@
 #include <vector>
 
 #include "core/error.h"
+#include "core/stats.h"
 
 namespace ceal::ml {
 namespace {
 
+// The recall's top-n is ceal::smallest_k; these pin the two properties
+// the recall relies on.
 TEST(Metrics, TopIndicesPicksSmallest) {
   const std::vector<double> v{5.0, 1.0, 3.0, 2.0};
-  const auto top = top_indices(v, 2);
+  const auto top = smallest_k(v, 2);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0], 1u);
   EXPECT_EQ(top[1], 3u);
@@ -19,7 +22,7 @@ TEST(Metrics, TopIndicesPicksSmallest) {
 
 TEST(Metrics, TopIndicesTieBreaksByIndex) {
   const std::vector<double> v{1.0, 1.0, 1.0};
-  const auto top = top_indices(v, 2);
+  const auto top = smallest_k(v, 2);
   EXPECT_EQ(top[0], 0u);
   EXPECT_EQ(top[1], 1u);
 }

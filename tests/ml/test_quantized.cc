@@ -22,6 +22,7 @@
 #include "core/stats.h"
 #include "core/telemetry.h"
 #include "ml/gbt.h"
+#include "tests/ml/feature_rows.h"
 #include "ml/metrics.h"
 #include "ml/tree.h"
 
@@ -114,8 +115,8 @@ TEST(TreeHist, MatchesExactRecallAndMdapeOnFixture) {
   exact.fit(train, r1);
   quant.fit(train, r2);
 
-  const auto exact_pred = exact.predict_all(pool);
-  const auto quant_pred = quant.predict_all(pool);
+  const auto exact_pred = exact.predict_matrix(rows_of(pool));
+  const auto quant_pred = quant.predict_matrix(rows_of(pool));
   const auto truth = pool.targets();
 
   // Acceptance contract: the two trainers rank the pool almost
@@ -169,7 +170,7 @@ TEST(TreeHist, QuantileBinningHandlesManyDistinctValues) {
   GradientBoostedTrees model(p);
   ceal::Rng fit_rng(1);
   model.fit(d, fit_rng);
-  const auto pred = model.predict_all(d);
+  const auto pred = model.predict_matrix(rows_of(d));
   EXPECT_LT(ceal::rmse(d.targets(), pred), 1.0);
 }
 
@@ -241,7 +242,7 @@ TEST(TreeQuantized, MatchesHistWithinBinningTolerance) {
   GradientBoostedTrees quant(method_params(TreeMethod::kQuantized));
   ceal::Rng fit_rng(7);
   quant.fit(train, fit_rng);
-  const auto quant_pred = quant.predict_all(pool);
+  const auto quant_pred = quant.predict_matrix(rows_of(pool));
 
   for (const HistPrediction& ref : kHistPredictions) {
     const double scale = std::max(1.0, std::abs(ref.value));
@@ -266,7 +267,7 @@ TEST(TreeQuantized, SubsampleAndColsamplePathsStayConsistent) {
   GradientBoostedTrees model(p);
   ceal::Rng fit_rng(3);
   model.fit(train, fit_rng);
-  const auto batched = model.predict_all(train);
+  const auto batched = model.predict_matrix(rows_of(train));
   for (std::size_t i = 0; i < train.size(); ++i) {
     ASSERT_EQ(batched[i], model.predict(train.row(i)));
     ASSERT_TRUE(std::isfinite(batched[i]));
@@ -377,7 +378,7 @@ void expect_thread_count_determinism(TreeMethod method) {
       GradientBoostedTrees model(params);
       ceal::Rng fit_rng(99);
       model.fit(train, fit_rng);
-      std::vector<double> batched = model.predict_all(pool);
+      std::vector<double> batched = model.predict_matrix(rows_of(pool));
       for (std::size_t i = 0; i < pool.size(); ++i) {
         ASSERT_EQ(batched[i], model.predict(pool.row(i)));
       }

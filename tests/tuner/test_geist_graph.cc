@@ -1,15 +1,23 @@
-// Focused tests of GEIST's parameter graph and selection behaviour.
+// Focused tests of GEIST's parameter graph and selection behaviour, and
+// of the process-wide graph memo (PoolGraph::shared) its sessions use.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "config/config_space.h"
 #include "core/error.h"
 #include "core/parallel.h"
 #include "core/rng.h"
+#include "sim/workloads.h"
+#include "tuner/evaluation.h"
 #include "tuner/geist.h"
+#include "tuner/measured_pool.h"
 
 namespace ceal::tuner {
 namespace {
@@ -134,6 +142,79 @@ TEST(PoolGraph, NeighborsMatchSerialReferenceAtAnyThreadCount) {
     EXPECT_EQ(pooled.neighbors(i), expect) << "config " << i;
     EXPECT_EQ(serial.neighbors(i), expect) << "config " << i;
   }
+}
+
+// ---- SharedPoolGraph: a GEIST session without an injected graph takes
+// PoolGraph::shared's, keyed exactly on k_neighbors and the pool.
+
+TEST(SharedPoolGraph, KeyIsKNeighborsAndThePoolConfigurations) {
+  const ConfigSpace space({Parameter::range("a", 0, 9),
+                           Parameter::range("b", 1, 64, 3),
+                           Parameter::range("c", 2, 6)});
+  Rng rng(23);
+  const std::vector<Configuration> configs = space.sample_valid(rng, 120);
+  const auto base = PoolGraph::shared(space, configs, 4);
+  const std::vector<Configuration> copy = configs;
+  EXPECT_EQ(PoolGraph::shared(space, copy, 4), base)
+      << "an equal pool in another object";
+
+  const auto other_k = PoolGraph::shared(space, configs, 5);
+  EXPECT_NE(other_k, base) << "another k_neighbors";
+  EXPECT_EQ(other_k->neighbors(0).size(), 5u);
+
+  std::vector<Configuration> reordered = configs;
+  std::swap(reordered.front(), reordered.back());
+  EXPECT_NE(PoolGraph::shared(space, reordered, 4), base)
+      << "the same configurations in another order";
+  EXPECT_EQ(PoolGraph::shared(space, configs, 4), base) << "still held";
+}
+
+/// The two summaries' numbers are equal bit for bit.
+void expect_same_bits(const EvalSummary& a, const EvalSummary& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(bits(a.mean_norm_perf), bits(b.mean_norm_perf));
+  EXPECT_EQ(bits(a.median_norm_perf), bits(b.median_norm_perf));
+  for (std::size_t n = 0; n < a.mean_recall.size(); ++n) {
+    EXPECT_EQ(bits(a.mean_recall[n]), bits(b.mean_recall[n])) << "top " << n;
+  }
+  EXPECT_EQ(bits(a.mean_mdape_all), bits(b.mean_mdape_all));
+  EXPECT_EQ(bits(a.mean_mdape_top2), bits(b.mean_mdape_top2));
+  EXPECT_EQ(bits(a.mean_cost_exec_s), bits(b.mean_cost_exec_s));
+  EXPECT_EQ(bits(a.mean_cost_comp_ch), bits(b.mean_cost_comp_ch));
+  EXPECT_EQ(bits(a.mean_runs_used), bits(b.mean_runs_used));
+  EXPECT_EQ(bits(a.mean_improvement), bits(b.mean_improvement));
+  EXPECT_EQ(bits(a.least_uses), bits(b.least_uses));
+  EXPECT_EQ(bits(a.frac_beat_expert), bits(b.frac_beat_expert));
+}
+
+TEST(SharedPoolGraph, EvaluationBuildsOneGraphAndMatchesAnInjectedOne) {
+  constexpr std::size_t kReplications = 8;
+  constexpr std::size_t kBudget = 20;
+  const sim::Workload wl = sim::make_lv();
+  for (const std::size_t workers : {std::size_t{4}, std::size_t{1}}) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    // A pool of its own per worker count, so its first session misses.
+    const MeasuredPool pool = measure_pool(wl.workflow, 400, 700 + workers);
+    const std::vector<ComponentSamples> comps =
+        measure_components(wl.workflow, 20, 9);
+    const TuningProblem problem{&wl, Objective::kExecTime, &pool, &comps,
+                                false, {}};
+    set_global_thread_pool_threads(workers);
+    const std::size_t before = detail::shared_pool_graphs_built();
+    const EvalSummary shared =
+        evaluate(problem, Geist(), kBudget, kReplications, 3);
+    EXPECT_EQ(detail::shared_pool_graphs_built() - before, 1u);
+
+    GeistParams injected;
+    injected.graph = std::make_shared<const PoolGraph>(
+        wl.workflow.joint_space(), pool.configs, injected.k_neighbors);
+    const EvalSummary own =
+        evaluate(problem, Geist(injected), kBudget, kReplications, 3);
+    EXPECT_EQ(detail::shared_pool_graphs_built() - before, 1u)
+        << "an injected graph bypasses the memo";
+    expect_same_bits(shared, own);
+  }
+  set_global_thread_pool_threads(0);
 }
 
 TEST(GeistParams, Validation) {

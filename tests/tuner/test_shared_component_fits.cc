@@ -2,22 +2,18 @@
 // component fits behind train_component_models: a session whose fit input
 // (component configurations, target bits, GbtParams) equals an earlier
 // one's reuses that session's models, bit-identical to a fresh fit; any
-// change to the input misses; a fit that draws random numbers bypasses
-// the memo; the memo keeps the last kSharedComponentFits inputs; and
-// sessions that miss on one input at once make one fit between them.
+// change to the input misses; and a fit that draws random numbers
+// bypasses the memo. The memo's own contract (LRU bound, one build for
+// concurrent misses, a throwing build) is tested once, on SharedMemo
+// (tests/core/test_shared_memo.cc).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <latch>
-#include <limits>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "core/error.h"
 #include "core/parallel.h"
 #include "sim/workloads.h"
 #include "tuner/ceal.h"
@@ -31,18 +27,14 @@ namespace {
 
 constexpr std::size_t kPoolRows = 120;
 constexpr std::size_t kSamples = 40;
-/// Samples per component of the concurrency tests: a fit then takes long
-/// enough that every thread released with the first one misses while it
-/// runs.
-constexpr std::size_t kSlowFitSamples = 400;
 
 /// A workload with its measured pool and component history, built from
 /// seeds alone, so two instances are equal but distinct objects.
 struct History {
-  explicit History(std::uint64_t seed = 5, std::size_t samples = kSamples)
+  explicit History(std::uint64_t seed = 5)
       : wl(sim::make_lv()),
         pool(measure_pool(wl.workflow, kPoolRows, seed)),
-        comps(measure_components(wl.workflow, samples, seed + 1)) {}
+        comps(measure_components(wl.workflow, kSamples, seed + 1)) {}
 
   TuningProblem problem(
       const ml::GbtParams& gbt =
@@ -179,88 +171,6 @@ TEST(SharedComponentFits, EqualProblemsOverDistinctObjectsShareModels) {
   for (std::size_t j = 0; j < from_a->component_count(); ++j) {
     EXPECT_EQ(&from_a->model(j), &from_b->model(j)) << "component " << j;
   }
-}
-
-TEST(SharedComponentFits, LeastRecentlyUsedFitIsEvictedAfterCapacity) {
-  // Histories that differ from each other in one target bit pattern.
-  const auto variant = [](std::uint64_t k) {
-    History h(11);
-    double& y = h.comps[0].exec_s.front();
-    y = std::bit_cast<double>(std::bit_cast<std::uint64_t>(y) ^ (k << 1));
-    return h;
-  };
-  const History oldest = variant(0);
-  const auto held = train(oldest.problem());
-  const auto fill = [&](std::uint64_t from, std::size_t count) {
-    for (std::size_t k = 0; k < count; ++k) {
-      const History other = variant(from + k);
-      train(other.problem());
-    }
-  };
-
-  fill(1, kSharedComponentFits - 1);
-  EXPECT_EQ(&train(oldest.problem())->model(0), &held->model(0))
-      << "still one of the last kSharedComponentFits fits";
-  // The hit made it the most recently used, so one more fit, which
-  // evicts the oldest insert, keeps it.
-  fill(50, 1);
-  EXPECT_EQ(&train(oldest.problem())->model(0), &held->model(0))
-      << "a hit renews the entry";
-  fill(100, kSharedComponentFits);
-  EXPECT_NE(&train(oldest.problem())->model(0), &held->model(0))
-      << "evicted by kSharedComponentFits newer fits";
-}
-
-/// Runs train(problem) on `threads` threads released together; returns
-/// how many of them threw.
-std::size_t train_at_once(const TuningProblem& problem, std::size_t threads,
-                          std::vector<std::shared_ptr<const ComponentModelSet>>&
-                              sets) {
-  sets.assign(threads, nullptr);
-  std::vector<int> threw(threads, 0);
-  std::latch go(static_cast<std::ptrdiff_t>(threads));
-  std::vector<std::thread> pool;
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      go.arrive_and_wait();
-      try {
-        sets[t] = train(problem);
-      } catch (const PreconditionError&) {
-        threw[t] = 1;
-      }
-    });
-  }
-  for (auto& thread : pool) thread.join();
-  return static_cast<std::size_t>(std::count(threw.begin(), threw.end(), 1));
-}
-
-TEST(SharedComponentFits, ConcurrentMissesOnOneHistoryMakeOneFit) {
-  constexpr std::size_t kThreads = 4;
-  const History h(31, kSlowFitSamples);
-  const std::size_t before = detail::shared_component_fits_started();
-  std::vector<std::shared_ptr<const ComponentModelSet>> sets;
-  EXPECT_EQ(train_at_once(h.problem(), kThreads, sets), 0u);
-  EXPECT_EQ(detail::shared_component_fits_started() - before, 1u);
-  for (const auto& set : sets) {
-    ASSERT_NE(set, nullptr);
-    EXPECT_EQ(&set->model(0), &sets.front()->model(0));
-  }
-}
-
-TEST(SharedComponentFits, AFitThatThrowsReleasesItsWaitersAndLeavesNoEntry) {
-  constexpr std::size_t kThreads = 4;
-  // The last component's NaN target fails its fit after the others
-  // fitted, so the waiters are already waiting when it throws.
-  History h(33, kSlowFitSamples);
-  h.comps.back().exec_s.front() = std::numeric_limits<double>::quiet_NaN();
-  const std::size_t before = detail::shared_component_fits_started();
-  std::vector<std::shared_ptr<const ComponentModelSet>> sets;
-  EXPECT_EQ(train_at_once(h.problem(), kThreads, sets), kThreads)
-      << "every waiter gets the fit's exception";
-  EXPECT_EQ(detail::shared_component_fits_started() - before, 1u);
-  EXPECT_THROW(train(h.problem()), PreconditionError);
-  EXPECT_EQ(detail::shared_component_fits_started() - before, 2u)
-      << "the failed input left no entry, so the next call fits again";
 }
 
 void expect_same_summary(const EvalSummary& a, const EvalSummary& b) {
