@@ -1,6 +1,9 @@
 // Process-wide worker pool for the compute-bound hot paths: evaluation
-// replications (tuner::evaluate), batch model prediction, pool
-// featurization, quantized binning and GEIST's neighbour graph.
+// replications (tuner::evaluate), the evaluation pass of pool generation
+// (tuner::measure_pool), batch model prediction, pool featurization,
+// quantized binning and GEIST's neighbour graph. Tree growth is not among
+// them: a tree grows on its calling thread, since a pool barrier per
+// level cost more than it spread at the surrogates' sizes.
 //
 // A single shared pool avoids one-pool-per-model-fit thread churn; the
 // consumers are written so their numeric results are bitwise identical

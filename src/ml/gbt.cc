@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "core/error.h"
 #include "core/stats.h"
@@ -12,6 +13,34 @@
 #include "ml/quantized.h"
 
 namespace ceal::ml {
+
+namespace {
+
+/// Reports one fit to `tel`: what the booster did and what its trees
+/// tallied. A zero total creates no counter, so a summary lists only
+/// what some fit did.
+void report_fit(telemetry::Telemetry& tel, std::size_t rounds,
+                const TreeFitTally& t) {
+  const std::pair<const char*, std::uint64_t> totals[] = {
+      {"gbt.fits", 1},
+      {"gbt.rounds", rounds},
+      {"tree.fits", t.fits},
+      {"tree.nodes", t.nodes},
+      {"tree.leaves", t.leaves},
+      {"tree.split_search.nodes", t.searched_nodes},
+      {"tree.split_search.features", t.searched_features},
+      {"tree.sort_memo.hits", t.memo_hits},
+      {"tree.sort_memo.misses", t.memo_misses},
+      {"tree.sort_memo.clears", t.memo_clears},
+      {"tree.quantized_cache.hit", t.quantized_hits},
+      {"tree.quantized_cache.miss", t.quantized_misses},
+  };
+  for (const auto& [name, total] : totals) {
+    if (total != 0) tel.count(name, total);
+  }
+}
+
+}  // namespace
 
 GradientBoostedTrees::GradientBoostedTrees(GbtParams params)
     : params_(params) {
@@ -68,28 +97,26 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
   std::vector<double> leaf_values(n);
 
   // Feature binning depends only on the data, so the quantized trainer
-  // bins once here and every round reuses the cache.
-  std::optional<QuantizedMatrix> quantized_cache;
-  // Tree-builder scratch (histogram buffers, reciprocal table) also
-  // survives across rounds; each round's builder reuses it in place.
+  // bins once here and every round reuses the matrix, as it does the
+  // tree builder's scratch (histogram buffers, reciprocal table). The
+  // exact trainer instead replays recurring sort chains (every round's
+  // root when all rows train) from a bounded per-fit memo.
+  std::optional<QuantizedMatrix> quantized;
   std::optional<QuantizedWorkspace> quantized_ws;
-  // The exact trainer instead replays recurring sort chains (every
-  // round's root when all rows train) from a bounded per-fit memo.
   std::optional<SortChainMemo> sort_memo;
+  TreeFitState fit_state;
   if (params_.tree.method == TreeMethod::kQuantized) {
     telemetry::ScopedSpan span(telemetry_, "gbt.quantize");
-    quantized_cache.emplace(data, params_.tree.max_bins);
-    quantized_ws.emplace();
+    fit_state.quantized = &quantized.emplace(data, params_.tree.max_bins);
+    fit_state.quantized_ws = &quantized_ws.emplace();
   } else {
-    sort_memo.emplace();
+    fit_state.sort_memo = &sort_memo.emplace();
   }
 
-  if (telemetry_ != nullptr) telemetry_->count("gbt.fits");
   trees_.reserve(params_.n_rounds);
   for (std::size_t round = 0; round < params_.n_rounds; ++round) {
     telemetry::ScopedSpan round_span(telemetry_, "gbt.round",
                                      telemetry::ScopedSpan::kNoEvents);
-    if (telemetry_ != nullptr) telemetry_->count("gbt.rounds");
     for (std::size_t i = 0; i < n; ++i) grad[i] = pred[i] - data.target(i);
 
     std::vector<std::size_t> rows;
@@ -104,10 +131,8 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
     if (rows_per_round != n) {
       std::fill(leaf_values.begin(), leaf_values.end(), kUntrained);
     }
-    tree.fit_gradients(data, rows, grad, hess, rng, &leaf_values, telemetry_,
-                       quantized_cache ? &*quantized_cache : nullptr,
-                       quantized_ws ? &*quantized_ws : nullptr,
-                       sort_memo ? &*sort_memo : nullptr);
+    tree.fit_gradients(data, rows, grad, hess, rng, &leaf_values,
+                       &fit_state);
     for (std::size_t i = 0; i < n; ++i) {
       const double value = std::isnan(leaf_values[i])
                                ? tree.predict(data.row(i))
@@ -115,6 +140,9 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
       pred[i] += params_.learning_rate * value;
     }
     trees_.push_back(std::move(tree));
+  }
+  if (telemetry_ != nullptr) {
+    report_fit(*telemetry_, params_.n_rounds, fit_state.tally);
   }
   fitted_ = true;
   compiled_ =

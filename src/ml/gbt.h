@@ -50,8 +50,9 @@ class GradientBoostedTrees final : public Regressor {
 
   /// Attaches (or detaches, with nullptr) a concurrency-safe telemetry
   /// registry; not owned, must outlive the model's fits/predictions.
-  /// fit() records "gbt.fits"/"gbt.rounds" counters and the "gbt.round"
-  /// span (per-round wall clock); batch prediction records
+  /// fit() records the "gbt.round" span (per-round wall clock) and, once
+  /// per fit, the "gbt.fits"/"gbt.rounds" counters and its trees'
+  /// "tree.*" totals (TreeFitTally); batch prediction records
   /// "gbt.predict.batches"/"gbt.predict.rows" and the "gbt.predict"
   /// span. Counter values are deterministic functions of the inputs;
   /// only span seconds carry wall-clock nondeterminism.

@@ -7,7 +7,6 @@
 
 #include "core/error.h"
 #include "core/parallel.h"
-#include "core/telemetry.h"
 #include "ml/split_gain.h"
 
 #if defined(__SSE2__)
@@ -42,9 +41,9 @@ inline std::uint64_t nonzero_mask64(const std::uint32_t* cn) {
 #endif
 }
 
-/// Minimum (rows in level) x (features searched) before a level's node
-/// units are worth fanning out to the thread pool.
-constexpr std::size_t kParallelLevelWork = 2048;
+/// Minimum rows x features before binning fans its features out to the
+/// thread pool (measured in docs/PERFORMANCE.md, "Parallelism").
+constexpr std::size_t kParallelBinningWork = 2048;
 
 }  // namespace
 
@@ -72,7 +71,7 @@ QuantizedMatrix::QuantizedMatrix(const Dataset& data, std::size_t max_bins)
     }
   };
   const std::size_t d = data.n_features();
-  if (d > 1 && d * n >= kParallelLevelWork) {
+  if (d > 1 && d * n >= kParallelBinningWork) {
     ceal::parallel_apply(0, d, bin_one);
   } else {
     for (std::size_t j = 0; j < d; ++j) bin_one(j);
@@ -88,16 +87,14 @@ QuantizedTreeBuilder::QuantizedTreeBuilder(
     RegressionTree& tree, std::span<const std::size_t> row_indices,
     std::span<const double> g, std::span<const double> h,
     std::vector<std::size_t> feature_pool, const QuantizedMatrix& matrix,
-    ceal::telemetry::Telemetry* telemetry, QuantizedWorkspace* workspace)
+    QuantizedWorkspace& workspace, TreeFitTally& tally)
     : tree_(tree),
       g_(g),
       h_(h),
       pool_(std::move(feature_pool)),
       qm_(matrix),
-      telemetry_(telemetry),
-      owned_ws_(workspace == nullptr ? std::make_unique<QuantizedWorkspace>()
-                                     : nullptr),
-      ws_(workspace != nullptr ? *workspace : *owned_ws_) {
+      ws_(workspace),
+      tally_(tally) {
   slots_.assign(row_indices.begin(), row_indices.end());
   // Ascending feature order makes the reduction's tie-break "lowest
   // feature index" regardless of the pool's sampling order.
@@ -469,7 +466,6 @@ void QuantizedTreeBuilder::run(std::vector<double>* out_leaf_values) {
     // other node gets a slot, and of two splittable siblings the larger
     // (ties: the right child) derives its histogram by subtraction from
     // the parent instead of accumulating its rows.
-    std::size_t level_rows = 0;
     std::int32_t units = 0;
     for (LevelNode& ln : level) {
       const std::size_t size = ln.hi - ln.lo;
@@ -477,7 +473,6 @@ void QuantizedTreeBuilder::run(std::vector<double>* out_leaf_values) {
           depth >= prm.max_depth || size < 2 * prm.min_samples_leaf;
       ln.hist = terminal ? -1 : units++;
       ln.subtract = false;
-      if (!terminal) level_rows += size;
     }
     for (std::size_t i = 0; i < level.size(); ++i) {
       LevelNode& ln = level[i];
@@ -489,8 +484,7 @@ void QuantizedTreeBuilder::run(std::vector<double>* out_leaf_values) {
       // Subtraction touches three full histograms (parent, sibling,
       // own) — a bin-linear cost — so it only pays off when direct
       // accumulation of this node's rows would cost more; small nodes
-      // accumulate sparsely instead. The decision depends only on row
-      // counts and the bin layout, so it is thread-count independent.
+      // accumulate sparsely instead.
       ln.subtract = (mine > theirs || (mine == theirs && ln.lo > sib.lo)) &&
                     mine * pool_.size() >= total_bins_;
     }
@@ -499,12 +493,8 @@ void QuantizedTreeBuilder::run(std::vector<double>* out_leaf_values) {
       break;
     }
 
-    if (telemetry_ != nullptr) {
-      telemetry_->count("tree.split_search.nodes",
-                        static_cast<std::size_t>(units));
-      telemetry_->count("tree.split_search.features",
-                        static_cast<std::size_t>(units) * pool_.size());
-    }
+    tally_.searched_nodes += static_cast<std::size_t>(units);
+    tally_.searched_features += static_cast<std::size_t>(units) * pool_.size();
 
     curr_g_.ensure(static_cast<std::size_t>(units) * total_bins_);
     curr_n_.ensure(static_cast<std::size_t>(units) * total_bins_);
@@ -513,22 +503,14 @@ void QuantizedTreeBuilder::run(std::vector<double>* out_leaf_values) {
       curr_h_.ensure(static_cast<std::size_t>(units) * total_bins_);
     }
 
-    // One fused job per accumulating unit: build its histogram, search
+    // One fused step per accumulating unit: build its histogram, search
     // its split, and — when its sibling derives by subtraction — derive
     // and search the sibling too, while both histograms are still
     // cache-resident (a separate pass per phase would re-pull every
-    // unit's histogram from memory). Jobs touch disjoint slot ranges
-    // and fixed per-unit histograms, so they are independent and the
-    // result is bitwise identical for any worker count.
-    acc_units_.clear();
-    for (std::size_t i = 0; i < level.size(); ++i) {
-      if (level[i].hist >= 0 && !level[i].subtract) acc_units_.push_back(i);
-    }
+    // unit's histogram from memory).
     splits_.assign(static_cast<std::size_t>(units), Split{});
-    const bool parallel = acc_units_.size() > 1 &&
-                          level_rows * pool_.size() >= kParallelLevelWork;
-    const auto job = [&](std::size_t i) {
-      const LevelNode& ln = level[i];
+    for (const LevelNode& ln : level) {
+      if (ln.hist < 0 || ln.subtract) continue;
       const LevelNode* sib =
           ln.sibling >= 0 ? &level[static_cast<std::size_t>(ln.sibling)]
                           : nullptr;
@@ -543,15 +525,9 @@ void QuantizedTreeBuilder::run(std::vector<double>* out_leaf_values) {
         derive(*sib, ln);
         splits_[static_cast<std::size_t>(sib->hist)] = best_split(*sib);
       }
-    };
-    if (parallel) {
-      ceal::parallel_apply(0, acc_units_.size(),
-                           [&](std::size_t u) { job(acc_units_[u]); });
-    } else {
-      for (const std::size_t i : acc_units_) job(i);
     }
 
-    // Serial finalize in level order: grow children, partition slots.
+    // Finalize in level order: grow children, partition slots.
     next_.clear();
     next_.reserve(static_cast<std::size_t>(units) * 2);
     for (const LevelNode& ln : level) {

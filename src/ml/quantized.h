@@ -19,9 +19,10 @@
 // exactly the count). Each level also accumulates only the smaller child
 // of every split and derives the sibling by histogram subtraction
 // (sibling = parent - smaller), halving the accumulation work below the
-// root. The node units of a level are independent and fan out across the
-// global thread pool; reductions walk features in ascending index order,
-// so the grown tree is bitwise identical for any worker count.
+// root. A tree runs on its calling thread, node unit after node unit in
+// level order: at the surrogate shape a pool barrier per level cost more
+// than the units it would spread. Reductions walk features in ascending
+// index order, so ties break on the lowest feature index.
 //
 // Histograms are sparse: each node unit carries a per-bin occupancy
 // bitmap (one uint64 word per 64 bins, features padded to word
@@ -144,18 +145,15 @@ struct QuantizedWorkspace {
 
 /// Level-order tree growth over a QuantizedMatrix; one instance per
 /// fitted tree (RegressionTree::fit_gradients constructs it for
-/// TreeMethod::kQuantized).
+/// TreeMethod::kQuantized, with the fit's workspace and tally).
 class QuantizedTreeBuilder {
  public:
-  /// `workspace` (nullable) carries the scratch buffers across trees of
-  /// an ensemble fit; when null the builder owns a transient one.
   QuantizedTreeBuilder(RegressionTree& tree,
                        std::span<const std::size_t> row_indices,
                        std::span<const double> g, std::span<const double> h,
                        std::vector<std::size_t> feature_pool,
                        const QuantizedMatrix& matrix,
-                       ceal::telemetry::Telemetry* telemetry,
-                       QuantizedWorkspace* workspace = nullptr);
+                       QuantizedWorkspace& workspace, TreeFitTally& tally);
 
   void run(std::vector<double>* out_leaf_values);
 
@@ -193,15 +191,11 @@ class QuantizedTreeBuilder {
   std::span<const double> g_, h_;
   std::vector<std::size_t> pool_;   // searched features, ascending
   const QuantizedMatrix& qm_;
-  ceal::telemetry::Telemetry* telemetry_;  // nullable
+  /// Declared before the reference views below, which bind to it.
+  QuantizedWorkspace& ws_;
+  TreeFitTally& tally_;
 
   bool unit_hessian_ = false;       // every h_i == 1.0 (the boosting case)
-
-  /// Transient fallback, allocated only when the caller passed no
-  /// workspace; ws_ is the one actually used either way. Declared
-  /// before the reference views below so they bind to live storage.
-  std::unique_ptr<QuantizedWorkspace> owned_ws_;
-  QuantizedWorkspace& ws_;
 
   // Views into ws_ under the builder's historical member names.
   std::vector<std::uint32_t>& slots_ = ws_.slots;  // rows, partitioned
@@ -238,7 +232,6 @@ class QuantizedTreeBuilder {
   // Per-level bookkeeping, reused across levels.
   std::vector<LevelNode> next_;
   std::vector<Split> splits_;
-  std::vector<std::size_t> acc_units_;
 };
 
 }  // namespace ceal::ml

@@ -8,7 +8,6 @@
 #include <optional>
 
 #include "core/error.h"
-#include "core/telemetry.h"
 #include "ml/quantized.h"
 #include "ml/split_gain.h"
 
@@ -91,8 +90,7 @@ void SortChainMemo::clear() {
 
 SortChainMemo::Slot SortChainMemo::acquire(
     const Origin& origin, std::span<const std::size_t> rows,
-    std::span<const std::size_t> feature_pool,
-    ceal::telemetry::Telemetry* telemetry) {
+    std::span<const std::size_t> feature_pool, TreeFitTally& tally) {
   bool by_parent = keyed_by_parent(origin);
   const auto key_hash = [&] {
     if (by_parent) {
@@ -110,11 +108,11 @@ SortChainMemo::Slot SortChainMemo::acquire(
   for (auto it = lo; it != hi; ++it) {
     const Entry& e = entries_[it->second - first_id_];
     if (matches(e, origin, rows, feature_pool)) {
-      if (telemetry != nullptr) telemetry->count("tree.sort_memo.hits");
+      ++tally.memo_hits;
       return {arena_.data() + e.orders_offset, true, it->second};
     }
   }
-  if (telemetry != nullptr) telemetry->count("tree.sort_memo.misses");
+  ++tally.memo_misses;
 
   const auto entry_bytes = [&] {
     const std::size_t key_words =
@@ -126,7 +124,7 @@ SortChainMemo::Slot SortChainMemo::acquire(
   if (bytes_used() + entry_bytes() > budget_bytes_) {
     if (entry_bytes() > budget_bytes_) return {};
     clear();
-    if (telemetry != nullptr) telemetry->count("tree.sort_memo.clears");
+    ++tally.memo_clears;
     // The clear retired the parent's entry: key the node by its rows.
     if (by_parent) {
       by_parent = false;
@@ -224,10 +222,7 @@ void RegressionTree::fit_gradients(const Dataset& data,
                                    std::span<const double> hessians,
                                    ceal::Rng& rng,
                                    std::vector<double>* out_leaf_values,
-                                   ceal::telemetry::Telemetry* telemetry,
-                                   const QuantizedMatrix* quantized_cache,
-                                   QuantizedWorkspace* quantized_ws,
-                                   SortChainMemo* sort_memo) {
+                                   TreeFitState* fit) {
   CEAL_EXPECT(!row_indices.empty());
   CEAL_EXPECT(gradients.size() == data.size());
   CEAL_EXPECT(hessians.size() == data.size());
@@ -249,43 +244,42 @@ void RegressionTree::fit_gradients(const Dataset& data,
     feature_pool = rng.sample_without_replacement(d, keep);
   }
 
-  if (telemetry != nullptr) telemetry->count("tree.fits");
+  TreeFitState transient;
+  TreeFitState& state = fit != nullptr ? *fit : transient;
+  TreeFitTally& tally = state.tally;
+  ++tally.fits;
   if (params_.method == TreeMethod::kQuantized) {
-    CEAL_EXPECT(quantized_cache == nullptr ||
-                (quantized_cache->n_rows() == data.size() &&
-                 quantized_cache->n_features() == data.n_features()));
-    if (telemetry != nullptr) {
-      telemetry->count(quantized_cache != nullptr
-                           ? "tree.quantized_cache.hit"
-                           : "tree.quantized_cache.miss");
-    }
+    const QuantizedMatrix* matrix = state.quantized;
+    CEAL_EXPECT(matrix == nullptr ||
+                (matrix->n_rows() == data.size() &&
+                 matrix->n_features() == data.n_features()));
+    ++(matrix != nullptr ? tally.quantized_hits : tally.quantized_misses);
     std::optional<QuantizedMatrix> local;
-    if (quantized_cache == nullptr) {
-      local.emplace(data, params_.max_bins);
-      quantized_cache = &*local;
-    }
+    if (matrix == nullptr) matrix = &local.emplace(data, params_.max_bins);
+    std::optional<QuantizedWorkspace> local_ws;
+    QuantizedWorkspace& ws = state.quantized_ws != nullptr
+                                 ? *state.quantized_ws
+                                 : local_ws.emplace();
     QuantizedTreeBuilder builder(*this, row_indices, gradients, hessians,
-                                 std::move(feature_pool), *quantized_cache,
-                                 telemetry, quantized_ws);
+                                 std::move(feature_pool), *matrix, ws, tally);
     builder.run(out_leaf_values);
   } else {
     // The one bounds check of the exact path: split search and partition
     // read the row-major buffer directly.
     for (const std::size_t r : row_indices) CEAL_EXPECT(r < data.size());
     // The memo stores row ids as uint32.
-    if (data.size() > std::numeric_limits<std::uint32_t>::max()) {
-      sort_memo = nullptr;
-    }
-    if (sort_memo != nullptr) sort_memo->bind(data);
+    SortChainMemo* const memo =
+        data.size() > std::numeric_limits<std::uint32_t>::max()
+            ? nullptr
+            : state.sort_memo;
+    if (memo != nullptr) memo->bind(data);
     std::vector<std::size_t> rows(row_indices.begin(), row_indices.end());
     build(data, rows, gradients, hessians, feature_pool, 0, out_leaf_values,
-          telemetry, sort_memo, SortChainMemo::Origin{});
+          tally, memo, SortChainMemo::Origin{});
   }
   CEAL_ENSURE(!nodes_.empty());
-  if (telemetry != nullptr) {
-    telemetry->count("tree.nodes", nodes_.size());
-    telemetry->count("tree.leaves", leaf_count());
-  }
+  tally.nodes += nodes_.size();
+  tally.leaves += leaf_count();
 }
 
 std::int32_t RegressionTree::build(const Dataset& data,
@@ -295,8 +289,7 @@ std::int32_t RegressionTree::build(const Dataset& data,
                                    std::span<const std::size_t> feature_pool,
                                    std::size_t depth,
                                    std::vector<double>* out_leaf_values,
-                                   ceal::telemetry::Telemetry* telemetry,
-                                   SortChainMemo* memo,
+                                   TreeFitTally& tally, SortChainMemo* memo,
                                    const SortChainMemo::Origin& origin) {
   double g_sum = 0.0, h_sum = 0.0;
   for (const std::size_t r : rows) {
@@ -321,7 +314,7 @@ std::int32_t RegressionTree::build(const Dataset& data,
 
   std::size_t memo_id = SortChainMemo::kNoEntry;
   const Split split = best_split(data, rows, g, h, feature_pool, g_sum, h_sum,
-                                 telemetry, memo, origin, &memo_id);
+                                 tally, memo, origin, &memo_id);
   if (!split.found) return make_leaf();
 
   // Partition rows in place. fit_gradients checked every row index.
@@ -346,10 +339,10 @@ std::int32_t RegressionTree::build(const Dataset& data,
   const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
   const std::int32_t left =
       build(data, left_rows, g, h, feature_pool, depth + 1, out_leaf_values,
-            telemetry, memo, {memo_id, split.feature, split.threshold, true});
+            tally, memo, {memo_id, split.feature, split.threshold, true});
   const std::int32_t right =
       build(data, right_rows, g, h, feature_pool, depth + 1, out_leaf_values,
-            telemetry, memo, {memo_id, split.feature, split.threshold, false});
+            tally, memo, {memo_id, split.feature, split.threshold, false});
   nodes_[static_cast<std::size_t>(self)].feature = split.feature;
   nodes_[static_cast<std::size_t>(self)].threshold = split.threshold;
   nodes_[static_cast<std::size_t>(self)].left = left;
@@ -361,14 +354,11 @@ RegressionTree::Split RegressionTree::best_split(
     const Dataset& data, std::span<const std::size_t> rows,
     std::span<const double> g, std::span<const double> h,
     std::span<const std::size_t> feature_pool, double g_total,
-    double h_total, ceal::telemetry::Telemetry* telemetry,
-    SortChainMemo* memo, const SortChainMemo::Origin& origin,
-    std::size_t* memo_id) const {
+    double h_total, TreeFitTally& tally, SortChainMemo* memo,
+    const SortChainMemo::Origin& origin, std::size_t* memo_id) const {
   const double parent_score = split::score(g_total, h_total, params_.lambda);
-  if (telemetry != nullptr) {
-    telemetry->count("tree.split_search.nodes");
-    telemetry->count("tree.split_search.features", feature_pool.size());
-  }
+  ++tally.searched_nodes;
+  tally.searched_features += feature_pool.size();
 
   // One contiguous {value, row} array carried across the features:
   // feature j's sort starts from feature j-1's order. std::sort's moves
@@ -377,7 +367,7 @@ RegressionTree::Split RegressionTree::best_split(
   // (the tie-order invariant, see TreeMethod::kExact). A memo hit
   // replays the orders the same chain left on this exact input.
   const SortChainMemo::Slot slot =
-      memo != nullptr ? memo->acquire(origin, rows, feature_pool, telemetry)
+      memo != nullptr ? memo->acquire(origin, rows, feature_pool, tally)
                       : SortChainMemo::Slot{};
   *memo_id = slot.id;
   const double* const x = data.values().data();

@@ -19,10 +19,6 @@
 #include "core/rng.h"
 #include "ml/dataset.h"
 
-namespace ceal::telemetry {
-class Telemetry;
-}
-
 namespace ceal::ml {
 
 /// Split-finding strategy (XGBoost's `exact` and `hist` split finders).
@@ -45,12 +41,11 @@ namespace ceal::ml {
 ///   kQuantized: quantile binning (at most max_bins <= kMaxBins bins per
 ///     feature, see quantile_bins) computed once per dataset into a
 ///     structure-of-arrays QuantizedMatrix (ml/quantized.h), then
-///     histogram split search: fused gradient/count accumulation,
-///     level-order growth with histogram subtraction, and node-level
-///     parallelism. Results are deterministic and independent of the
-///     worker count (reduction in feature order, ties broken on the
-///     lowest feature index). They are close to kExact but not bitwise
-///     equal, even when every value has its own bin: see quantile_bins.
+///     histogram split search: fused gradient/count accumulation and
+///     level-order growth with histogram subtraction, one node after
+///     another on the calling thread. Ties break on the lowest feature
+///     index. Results are close to kExact but not bitwise equal, even
+///     when every value has its own bin: see quantile_bins.
 enum class TreeMethod { kExact, kQuantized };
 
 /// Upper bound on TreeParams::max_bins: kQuantized packs bin indices
@@ -113,6 +108,24 @@ struct TreeNodeData {
 
 class QuantizedMatrix;
 struct QuantizedWorkspace;
+
+/// What the trees of one fit did, as plain totals. Every tree fitted
+/// with a TreeFitState adds to its tally; GradientBoostedTrees::fit
+/// reports the totals once per fit as the `tree.*` counters
+/// (docs/OBSERVABILITY.md). All are deterministic functions of the fit
+/// inputs.
+struct TreeFitTally {
+  /// Trees grown, and their nodes and leaves.
+  std::uint64_t fits = 0, nodes = 0, leaves = 0;
+  /// Nodes whose split was searched, and the features scanned at them.
+  std::uint64_t searched_nodes = 0, searched_features = 0;
+  /// kExact with a SortChainMemo: searched nodes replayed vs sorted
+  /// (hits + misses == searched_nodes), and memo clears.
+  std::uint64_t memo_hits = 0, memo_misses = 0, memo_clears = 0;
+  /// kQuantized: trees grown on the shared QuantizedMatrix vs trees that
+  /// binned the data themselves.
+  std::uint64_t quantized_hits = 0, quantized_misses = 0;
+};
 
 /// Byte budget of a SortChainMemo: a 500-row, 7-feature root entry
 /// takes ~16 KiB, so this holds the upper levels of several trees.
@@ -191,7 +204,7 @@ class SortChainMemo {
   void bind(const Dataset& data);
   Slot acquire(const Origin& origin, std::span<const std::size_t> rows,
                std::span<const std::size_t> feature_pool,
-               ceal::telemetry::Telemetry* telemetry);
+               TreeFitTally& tally);
   bool keyed_by_parent(const Origin& origin) const;
   bool matches(const Entry& e, const Origin& origin,
                std::span<const std::size_t> rows,
@@ -207,6 +220,22 @@ class SortChainMemo {
   std::unordered_multimap<std::uint64_t, std::size_t> index_;  // hash -> id
 };
 
+/// State the trees of one ensemble fit share; each pointer may be null.
+/// GradientBoostedTrees::fit owns one per fit.
+struct TreeFitState {
+  /// kQuantized: pre-binned features, built on the fit's data with the
+  /// trees' max_bins. When null, each tree bins the data transiently.
+  const QuantizedMatrix* quantized = nullptr;
+  /// kQuantized: the builder's scratch buffers, reused tree after tree.
+  /// When null, each tree allocates transient scratch.
+  QuantizedWorkspace* quantized_ws = nullptr;
+  /// kExact: replays the sort chains of nodes whose exact input an
+  /// earlier tree of the same fit already sorted (see SortChainMemo).
+  /// The grown trees are the same with or without it.
+  SortChainMemo* sort_memo = nullptr;
+  TreeFitTally tally;
+};
+
 class RegressionTree {
  public:
   explicit RegressionTree(TreeParams params = {});
@@ -220,34 +249,16 @@ class RegressionTree {
   /// round predictions without re-descending the tree. Entries of rows
   /// not in `row_indices` are left untouched.
   ///
-  /// `quantized_cache` (kQuantized only, ml/quantized.h) shares
-  /// pre-binned features across the trees of an ensemble; it must have
-  /// been built on `data` with this tree's max_bins. When null,
-  /// kQuantized quantizes `data` transiently. `quantized_ws` (kQuantized
-  /// only) carries the builder's scratch buffers across the trees of an
-  /// ensemble fit; when null each tree allocates transient scratch.
-  ///
-  /// `sort_memo` (kExact only) replays the sort chains of nodes whose
-  /// exact input an earlier tree of the same fit already sorted (see
-  /// SortChainMemo); the grown tree is the same with or without it.
-  ///
-  /// `telemetry` (optional, concurrency-safe) receives split-search
-  /// counters: "tree.fits", "tree.split_search.nodes" (one per node whose
-  /// split was searched), "tree.split_search.features" (features
-  /// scanned), "tree.quantized_cache.hit"/"tree.quantized_cache.miss"
-  /// (shared vs transient binning), "tree.sort_memo.hits"/
-  /// "tree.sort_memo.misses" (searched nodes replayed vs sorted, with a
-  /// memo) and "tree.sort_memo.clears", and "tree.nodes"/"tree.leaves"
-  /// (grown totals). All are deterministic functions of the fit inputs.
+  /// `fit` (optional) carries the state the trees of one ensemble fit
+  /// share (see TreeFitState) and receives this tree's totals in its
+  /// tally. Without it the tree uses transient state and reports
+  /// nothing.
   void fit_gradients(const Dataset& data,
                      std::span<const std::size_t> row_indices,
                      std::span<const double> gradients,
                      std::span<const double> hessians, ceal::Rng& rng,
                      std::vector<double>* out_leaf_values = nullptr,
-                     ceal::telemetry::Telemetry* telemetry = nullptr,
-                     const QuantizedMatrix* quantized_cache = nullptr,
-                     QuantizedWorkspace* quantized_ws = nullptr,
-                     SortChainMemo* sort_memo = nullptr);
+                     TreeFitState* fit = nullptr);
 
   /// Leaf weight for one feature vector.
   double predict(std::span<const double> features) const;
@@ -286,14 +297,14 @@ class RegressionTree {
                      std::span<const double> g, std::span<const double> h,
                      std::span<const std::size_t> feature_pool,
                      std::size_t depth, std::vector<double>* out_leaf_values,
-                     ceal::telemetry::Telemetry* telemetry,
-                     SortChainMemo* memo, const SortChainMemo::Origin& origin);
+                     TreeFitTally& tally, SortChainMemo* memo,
+                     const SortChainMemo::Origin& origin);
   /// Sets *memo_id to the node's memo entry (kNoEntry if unrecorded).
   Split best_split(const Dataset& data, std::span<const std::size_t> rows,
                    std::span<const double> g, std::span<const double> h,
                    std::span<const std::size_t> feature_pool, double g_total,
-                   double h_total, ceal::telemetry::Telemetry* telemetry,
-                   SortChainMemo* memo, const SortChainMemo::Origin& origin,
+                   double h_total, TreeFitTally& tally, SortChainMemo* memo,
+                   const SortChainMemo::Origin& origin,
                    std::size_t* memo_id) const;
   std::size_t depth_of(std::int32_t node) const;
 

@@ -5,6 +5,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
@@ -307,6 +311,111 @@ TEST(Gbt, ExactFitReplaysEveryRootAfterTheFirst) {
   EXPECT_EQ(tel.counter("tree.sort_memo.hits") +
                 tel.counter("tree.sort_memo.misses"),
             tel.counter("tree.split_search.nodes"));
+}
+
+// ---------------------------------------------------------------------
+// What a fit reports. The expected counters were recorded at the commit
+// before the trees' totals moved into one per-fit tally, when every tree
+// counted into the Telemetry itself: a fit must report the same names
+// with the same values, and create no counter for a zero total.
+
+using Counters = std::map<std::string, std::uint64_t, std::less<>>;
+
+Counters fit_counters(const Dataset& train, const GbtParams& params,
+                      ceal::Rng& rng) {
+  GradientBoostedTrees model(params);
+  telemetry::Telemetry tel;
+  model.set_telemetry(&tel);
+  model.fit(train, rng);
+  return tel.counters();
+}
+
+TEST(GbtTelemetry, ExactTieHeavyFit) {
+  ceal::Rng rng(41);
+  const Dataset train = tie_heavy_data(200, rng);
+  GbtParams params = GradientBoostedTrees::surrogate_defaults();
+  params.n_rounds = 40;
+  EXPECT_EQ(fit_counters(train, params, rng),
+            (Counters{{"gbt.fits", 1},
+                      {"gbt.rounds", 40},
+                      {"tree.fits", 40},
+                      {"tree.leaves", 988},
+                      {"tree.nodes", 1936},
+                      {"tree.sort_memo.hits", 822},
+                      {"tree.sort_memo.misses", 347},
+                      {"tree.split_search.features", 5845},
+                      {"tree.split_search.nodes", 1169}}));
+}
+
+TEST(GbtTelemetry, ExactSubsampledFitOutgrowsItsMemo) {
+  // 1050-row samples: a tree's memo entries take ~0.1 MiB, so the
+  // 256 KiB budget clears every two or three rounds, and no sample
+  // repeats, so nothing replays.
+  ceal::Rng rng(42);
+  const Dataset train = tie_heavy_data(1500, rng);
+  GbtParams params = GradientBoostedTrees::surrogate_defaults();
+  params.n_rounds = 20;
+  params.subsample = 0.7;
+  EXPECT_EQ(fit_counters(train, params, rng),
+            (Counters{{"gbt.fits", 1},
+                      {"gbt.rounds", 20},
+                      {"tree.fits", 20},
+                      {"tree.leaves", 471},
+                      {"tree.nodes", 922},
+                      {"tree.sort_memo.clears", 8},
+                      {"tree.sort_memo.misses", 536},
+                      {"tree.split_search.features", 2680},
+                      {"tree.split_search.nodes", 536}}));
+}
+
+TEST(GbtTelemetry, QuantizedFit) {
+  ceal::Rng rng(43);
+  const Dataset train = tie_heavy_data(300, rng);
+  GbtParams params = GradientBoostedTrees::surrogate_defaults();
+  params.n_rounds = 30;
+  params.subsample = 0.8;
+  params.tree.method = TreeMethod::kQuantized;
+  EXPECT_EQ(fit_counters(train, params, rng),
+            (Counters{{"gbt.fits", 1},
+                      {"gbt.rounds", 30},
+                      {"tree.fits", 30},
+                      {"tree.leaves", 681},
+                      {"tree.nodes", 1332},
+                      {"tree.quantized_cache.hit", 30},
+                      {"tree.split_search.features", 3950},
+                      {"tree.split_search.nodes", 790}}));
+}
+
+TEST(GbtTelemetry, QuantizedTreesWithoutASharedMatrixTallyMisses) {
+  // Boosting rounds grown one fit_gradients call at a time, sharing a
+  // TreeFitState that holds no QuantizedMatrix: every tree bins the data
+  // itself. The values are the tree.* counters recorded before the tally.
+  ceal::Rng rng(44);
+  const Dataset train = continuous_data(120, rng);
+  TreeParams params = GradientBoostedTrees::surrogate_defaults().tree;
+  params.method = TreeMethod::kQuantized;
+  const std::size_t n = train.size();
+  std::vector<double> pred(n, 0.0), grad(n), hess(n, 1.0);
+  std::vector<std::size_t> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = i;
+  TreeFitState fit;
+  for (int round = 0; round < 10; ++round) {
+    for (std::size_t i = 0; i < n; ++i) grad[i] = pred[i] - train.target(i);
+    RegressionTree tree(params);
+    tree.fit_gradients(train, rows, grad, hess, rng, nullptr, &fit);
+    for (std::size_t i = 0; i < n; ++i) {
+      pred[i] += 0.3 * tree.predict(train.row(i));
+    }
+  }
+  const TreeFitTally& t = fit.tally;
+  EXPECT_EQ(t.fits, 10u);
+  EXPECT_EQ(t.nodes, 250u);
+  EXPECT_EQ(t.leaves, 130u);
+  EXPECT_EQ(t.searched_nodes, 178u);
+  EXPECT_EQ(t.searched_features, 534u);
+  EXPECT_EQ(t.quantized_hits, 0u);
+  EXPECT_EQ(t.quantized_misses, 10u);
+  EXPECT_EQ(t.memo_hits + t.memo_misses + t.memo_clears, 0u);
 }
 
 }  // namespace

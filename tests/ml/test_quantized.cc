@@ -20,7 +20,6 @@
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/stats.h"
-#include "core/telemetry.h"
 #include "ml/gbt.h"
 #include "tests/ml/feature_rows.h"
 #include "ml/metrics.h"
@@ -337,13 +336,15 @@ TEST(TreeQuantized, SharedCacheMatchesTransientAndCountsHits) {
   p.method = TreeMethod::kQuantized;
 
   const QuantizedMatrix cache(train, p.max_bins);
-  telemetry::Telemetry tel;
+  TreeFitState fit;
   RegressionTree cached(p), transient(p);
   ceal::Rng r1(6), r2(6);
-  cached.fit_gradients(train, rows, g, h, r1, nullptr, &tel, &cache);
-  transient.fit_gradients(train, rows, g, h, r2, nullptr, &tel);
-  EXPECT_EQ(tel.counter("tree.quantized_cache.hit"), 1u);
-  EXPECT_EQ(tel.counter("tree.quantized_cache.miss"), 1u);
+  fit.quantized = &cache;
+  cached.fit_gradients(train, rows, g, h, r1, nullptr, &fit);
+  fit.quantized = nullptr;
+  transient.fit_gradients(train, rows, g, h, r2, nullptr, &fit);
+  EXPECT_EQ(fit.tally.quantized_hits, 1u);
+  EXPECT_EQ(fit.tally.quantized_misses, 1u);
   for (std::size_t i = 0; i < train.size(); ++i) {
     ASSERT_EQ(cached.predict(train.row(i)), transient.predict(train.row(i)));
   }

@@ -10,7 +10,6 @@
 
 #include "core/error.h"
 #include "core/rng.h"
-#include "core/telemetry.h"
 
 namespace ceal::ml {
 namespace {
@@ -242,11 +241,11 @@ enum class RoundRows {
 };
 
 /// Node tables of `rounds` trees grown on squared-error gradients, each
-/// round updating the predictions with learning rate 0.3.
+/// round updating the predictions with learning rate 0.3; every tree
+/// shares `fit` (nullable).
 std::vector<std::vector<TreeNodeData>> grow_rounds(
     const Dataset& data, const TreeParams& params, RoundRows mode,
-    std::size_t rounds, SortChainMemo* memo,
-    telemetry::Telemetry* telemetry = nullptr) {
+    std::size_t rounds, TreeFitState* fit) {
   const std::size_t n = data.size();
   ceal::Rng rng(77);
   std::vector<std::size_t> bootstrap(n);
@@ -266,10 +265,9 @@ std::vector<std::vector<TreeNodeData>> grow_rounds(
       rows = bootstrap;
     }
     RegressionTree tree(params);
-    tree.fit_gradients(data, rows, grad, hess, rng, nullptr, telemetry,
-                       nullptr, nullptr, memo);
-    if (memo != nullptr) {
-      EXPECT_LE(memo->bytes_used(), memo->budget_bytes());
+    tree.fit_gradients(data, rows, grad, hess, rng, nullptr, fit);
+    if (fit != nullptr && fit->sort_memo != nullptr) {
+      EXPECT_LE(fit->sort_memo->bytes_used(), fit->sort_memo->budget_bytes());
     }
     for (std::size_t i = 0; i < n; ++i) {
       pred[i] += 0.3 * tree.predict(data.row(i));
@@ -317,19 +315,18 @@ TEST_P(SortChainMemoDifferential, MemoNeverChangesATree) {
   params.max_depth = 5;
   params.min_child_weight = 0.25;
   params.colsample = c.colsample;
-  telemetry::Telemetry tel;
   SortChainMemo memo;
-  const auto with_memo =
-      grow_rounds(data, params, c.rows, 25, &memo, &tel);
+  TreeFitState fit;
+  fit.sort_memo = &memo;
+  const auto with_memo = grow_rounds(data, params, c.rows, 25, &fit);
   const auto without = grow_rounds(data, params, c.rows, 25, nullptr);
   expect_same_trees(with_memo, without);
   if (c.rows != RoundRows::kSubsample) {
     // Repeating row lists: roots recur, so replays actually ran.
-    EXPECT_GT(tel.counter("tree.sort_memo.hits"), 0u);
+    EXPECT_GT(fit.tally.memo_hits, 0u);
   }
-  EXPECT_EQ(tel.counter("tree.sort_memo.hits") +
-                tel.counter("tree.sort_memo.misses"),
-            tel.counter("tree.split_search.nodes"));
+  EXPECT_EQ(fit.tally.memo_hits + fit.tally.memo_misses,
+            fit.tally.searched_nodes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -362,28 +359,29 @@ TEST(SortChainMemo, TinyBudgetClearsAndRefillsWithoutChangingTrees) {
   // A 200-row, 4-feature root entry takes ~4 KiB and a tree's new
   // entries about as much as this whole budget, so the memo clears
   // every round or two and still replays some nodes in between.
-  telemetry::Telemetry tel;
   SortChainMemo memo(24 * 1024);
-  const auto with_memo =
-      grow_rounds(data, params, RoundRows::kAll, 30, &memo, &tel);
+  TreeFitState fit;
+  fit.sort_memo = &memo;
+  const auto with_memo = grow_rounds(data, params, RoundRows::kAll, 30, &fit);
   const auto without =
       grow_rounds(data, params, RoundRows::kAll, 30, nullptr);
   expect_same_trees(with_memo, without);
-  EXPECT_GT(tel.counter("tree.sort_memo.clears"), 0u);
-  EXPECT_GT(tel.counter("tree.sort_memo.hits"), 0u);
+  EXPECT_GT(fit.tally.memo_clears, 0u);
+  EXPECT_GT(fit.tally.memo_hits, 0u);
 }
 
 TEST(SortChainMemo, EntryLargerThanBudgetIsNotRecorded) {
   ceal::Rng data_rng(34);
   const Dataset data = memo_continuous(100, data_rng);
-  telemetry::Telemetry tel;
   SortChainMemo memo(64);  // smaller than any entry
+  TreeFitState fit;
+  fit.sort_memo = &memo;
   const auto with_memo =
-      grow_rounds(data, TreeParams{}, RoundRows::kAll, 5, &memo, &tel);
+      grow_rounds(data, TreeParams{}, RoundRows::kAll, 5, &fit);
   expect_same_trees(with_memo, grow_rounds(data, TreeParams{},
                                            RoundRows::kAll, 5, nullptr));
-  EXPECT_EQ(tel.counter("tree.sort_memo.hits"), 0u);
-  EXPECT_EQ(tel.counter("tree.sort_memo.clears"), 0u);
+  EXPECT_EQ(fit.tally.memo_hits, 0u);
+  EXPECT_EQ(fit.tally.memo_clears, 0u);
   EXPECT_EQ(memo.bytes_used(), 0u);
 }
 
@@ -392,8 +390,10 @@ TEST(SortChainMemo, ServesOneDatasetOnly) {
   const Dataset a = memo_continuous(20, data_rng);
   const Dataset b = memo_continuous(20, data_rng);
   SortChainMemo memo;
-  grow_rounds(a, TreeParams{}, RoundRows::kAll, 1, &memo);
-  EXPECT_THROW(grow_rounds(b, TreeParams{}, RoundRows::kAll, 1, &memo),
+  TreeFitState fit;
+  fit.sort_memo = &memo;
+  grow_rounds(a, TreeParams{}, RoundRows::kAll, 1, &fit);
+  EXPECT_THROW(grow_rounds(b, TreeParams{}, RoundRows::kAll, 1, &fit),
                ceal::PreconditionError);
 }
 
