@@ -5,8 +5,12 @@
 // tuner/pool_scorer.h, scores it, and selects the best 64 with the
 // bounded heap (core/stats.h). Two models score it: a fitted
 // surrogate (BM_PoolScoreCached) and the low-fidelity combination model
-// M_L over fitted component models (BM_PoolLowFidelityCached). Reported
-// counters:
+// M_L over fitted component models (BM_PoolLowFidelityCached).
+// BM_PoolLowFidelityShared prices what a history session pays instead
+// once another session has scored the same pool with the same history
+// fit: a lookup in ComponentModelSet::predict_pool's memo (comparing the
+// whole joint matrix) and the fold, with the pool featurized once
+// outside the loop. Reported counters:
 //   items_per_second — configurations scored per second of wall time
 //                      (UseRealTime: scoring runs on the whole worker
 //                      pool, not on the benchmark thread alone)
@@ -72,26 +76,40 @@ const tuner::Surrogate& surrogate() {
   return model;
 }
 
-/// M_L for LV execution time: one component model per app, fitted once
-/// on kTrainConfigs solo runs each with the quantized trainer.
+/// M_L for LV execution time: one component model per app, fitted on
+/// kTrainConfigs solo runs each with the quantized trainer. `shared`
+/// fits through ComponentModelSet::fit_shared, as a history session
+/// does, so the model's pool predictions are memoized.
+tuner::LowFidelityModel make_low_fidelity(bool shared) {
+  const auto& wf = lv().workflow;
+  const auto samples =
+      tuner::measure_components(wf, kTrainConfigs, bench::kPoolSeed);
+  std::vector<std::vector<std::size_t>> all(samples.size());
+  for (std::size_t j = 0; j < samples.size(); ++j) {
+    all[j].resize(samples[j].size());
+    std::iota(all[j].begin(), all[j].end(), std::size_t{0});
+  }
+  auto params = ml::GradientBoostedTrees::surrogate_defaults();
+  params.tree.method = ml::TreeMethod::kQuantized;
+  Rng fit_rng(bench::kEvalSeed);
+  auto components =
+      shared ? tuner::ComponentModelSet::fit_shared(
+                   wf, tuner::Objective::kExecTime, samples, all, fit_rng,
+                   params)
+             : std::make_shared<const tuner::ComponentModelSet>(
+                   wf, tuner::Objective::kExecTime, samples, all, fit_rng,
+                   params);
+  return tuner::LowFidelityModel(wf, tuner::Objective::kExecTime,
+                                 std::move(components));
+}
+
 const tuner::LowFidelityModel& low_fidelity() {
-  static const tuner::LowFidelityModel model = [] {
-    const auto& wf = lv().workflow;
-    const auto samples =
-        tuner::measure_components(wf, kTrainConfigs, bench::kPoolSeed);
-    std::vector<std::vector<std::size_t>> all(samples.size());
-    for (std::size_t j = 0; j < samples.size(); ++j) {
-      all[j].resize(samples[j].size());
-      std::iota(all[j].begin(), all[j].end(), std::size_t{0});
-    }
-    auto params = ml::GradientBoostedTrees::surrogate_defaults();
-    params.tree.method = ml::TreeMethod::kQuantized;
-    Rng fit_rng(bench::kEvalSeed);
-    auto components = std::make_shared<const tuner::ComponentModelSet>(
-        wf, tuner::Objective::kExecTime, samples, all, fit_rng, params);
-    return tuner::LowFidelityModel(wf, tuner::Objective::kExecTime,
-                                   std::move(components));
-  }();
+  static const tuner::LowFidelityModel model = make_low_fidelity(false);
+  return model;
+}
+
+const tuner::LowFidelityModel& shared_low_fidelity() {
+  static const tuner::LowFidelityModel model = make_low_fidelity(true);
   return model;
 }
 
@@ -168,6 +186,16 @@ void BM_PoolLowFidelityCached(benchmark::State& state) {
   });
 }
 
+void BM_PoolLowFidelityShared(benchmark::State& state) {
+  const auto& model = shared_low_fidelity();
+  const auto& pc = pool_case(static_cast<std::size_t>(state.range(0)));
+  const tuner::PoolScorer scorer(lv().workflow.joint_space(), pc.configs);
+  benchmark::DoNotOptimize(scorer.low_fidelity_scores(model));  // the miss
+  run_scoring(state, [&](std::span<const config::Configuration>) {
+    return scorer.low_fidelity_scores(model);
+  });
+}
+
 std::size_t pool_scale_cap() {
   if (const char* env = std::getenv("CEAL_POOL_SCALE_MAX")) {
     const long v = std::strtol(env, nullptr, 10);
@@ -185,8 +213,18 @@ void pool_args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond);
 }
 
+/// The shared path at a session-sized pool and at a large one, each a
+/// size BM_PoolLowFidelityCached also runs.
+void shared_args(benchmark::internal::Benchmark* b) {
+  for (const std::size_t n : {2048ul, 131072ul}) {
+    if (n <= pool_scale_cap()) b->Arg(static_cast<std::int64_t>(n));
+  }
+  b->Unit(benchmark::kMillisecond);
+}
+
 BENCHMARK(BM_PoolScoreCached)->Apply(pool_args)->UseRealTime();
 BENCHMARK(BM_PoolLowFidelityCached)->Apply(pool_args)->UseRealTime();
+BENCHMARK(BM_PoolLowFidelityShared)->Apply(shared_args)->UseRealTime();
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 // A process-wide memo of immutable values built from exact keys: the one
 // way sessions share inputs that are pure functions of a few exact
-// inputs (history component models, GEIST's pool graph).
+// inputs (history component models, their predictions over a pool,
+// GEIST's pool graph).
 #pragma once
 
 #include <algorithm>
@@ -11,7 +12,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <utility>
 
 namespace ceal {
 
@@ -20,8 +20,10 @@ namespace ceal {
 /// misses on a key another caller is still building waits for that
 /// build instead of repeating it. A build that throws passes its
 /// exception to every waiter and leaves no entry. Builds run outside
-/// the lock, so callers on other keys do not wait. `Key` needs `==`;
-/// keys are compared in full, one entry at a time.
+/// the lock, so callers on other keys do not wait. Callers ask with a
+/// probe, which may borrow what the key owns: held keys are compared
+/// with it in full (`key == probe`), one entry at a time, and only a
+/// miss copies it into a held `Key(probe)`.
 template <typename Key, typename T, std::size_t Capacity>
 class SharedMemo {
   static_assert(Capacity >= 1);
@@ -29,22 +31,23 @@ class SharedMemo {
  public:
   using Value = std::shared_ptr<const T>;
 
-  /// The value of an earlier build of `key`, or of build(key) run here
-  /// (`build` returns a T), which later callers with an equal key wait
-  /// for.
-  template <typename Build>
-  Value get(Key key, const Build& build) {
+  /// The value of an earlier build of a key equal to `probe`, or of
+  /// build(key) run here on the held `Key(probe)` (`build` returns a T),
+  /// which later callers with an equal probe wait for.
+  template <typename Probe, typename Build>
+  Value get(const Probe& probe, const Build& build) {
     std::promise<Value> built;
     std::shared_future<Value> value;
-    const auto held = std::make_shared<const Key>(std::move(key));
+    std::shared_ptr<const Key> held;
     {
       const std::lock_guard lock(mutex_);
       const auto hit = std::ranges::find_if(
-          entries_, [&](const Entry& e) { return *e.first == *held; });
+          entries_, [&](const Entry& e) { return *e.first == probe; });
       if (hit != entries_.end()) {
         std::rotate(entries_.begin(), hit, hit + 1);
         value = entries_.front().second;
       } else {
+        held = std::make_shared<const Key>(probe);
         entries_.emplace_front(held, built.get_future().share());
         if (entries_.size() > Capacity) entries_.pop_back();
       }

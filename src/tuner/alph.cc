@@ -51,17 +51,18 @@ class AlphStepper final : public ActiveLearningLoop {
 
     // Pre-compute the augmented feature rows for the whole pool once:
     // the joint features, then one column per component model's
-    // prediction, each a batch over its columns of the joint matrix.
+    // prediction, each a batch over its columns of the joint matrix
+    // (predict_pool: a history set reuses an earlier session's batch).
     const ml::FeatureMatrix& joint = pool_.features();
     const std::size_t dim = joint.n_features();
     pool_features_.emplace(dim + workflow.component_count(), joint.size());
     for (std::size_t i = 0; i < joint.size(); ++i) {
       std::ranges::copy(joint.row(i), pool_features_->mutable_row(i).begin());
     }
-    for (std::size_t j = 0; j < workflow.component_count(); ++j) {
-      const std::vector<double> predicted = components->predict_many(j, joint);
-      for (std::size_t i = 0; i < predicted.size(); ++i) {
-        pool_features_->mutable_row(i)[dim + j] = predicted[i];
+    const auto predicted = components->predict_pool(joint);
+    for (std::size_t j = 0; j < predicted->size(); ++j) {
+      for (std::size_t i = 0; i < joint.size(); ++i) {
+        pool_features_->mutable_row(i)[dim + j] = (*predicted)[j][i];
       }
     }
   }

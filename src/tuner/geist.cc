@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <span>
 
 #include "core/error.h"
 #include "core/parallel.h"
@@ -75,12 +76,26 @@ PoolGraph::PoolGraph(const config::ConfigSpace& space,
 
 namespace {
 
-/// Everything a pool graph build reads besides the space's dimension.
+/// Everything a pool graph build reads besides the space's dimension,
+/// as a caller asks for it: the configurations are borrowed.
+struct GraphProbe {
+  std::size_t k_neighbors;
+  std::span<const config::Configuration> configs;
+};
+
+/// A GraphProbe as the memo holds it, owning its configurations.
 struct GraphKey {
+  explicit GraphKey(const GraphProbe& probe)
+      : k_neighbors(probe.k_neighbors),
+        configs(probe.configs.begin(), probe.configs.end()) {}
+
+  bool operator==(const GraphProbe& probe) const {
+    return k_neighbors == probe.k_neighbors &&
+           std::ranges::equal(configs, probe.configs);
+  }
+
   std::size_t k_neighbors;
   std::vector<config::Configuration> configs;
-
-  bool operator==(const GraphKey&) const = default;
 };
 
 SharedMemo<GraphKey, PoolGraph, kSharedPoolGraphs> shared_graphs;
@@ -94,7 +109,7 @@ std::shared_ptr<const PoolGraph> PoolGraph::shared(
   const auto build = [&](const GraphKey& key) {
     return PoolGraph(space, key.configs, key.k_neighbors);
   };
-  return shared_graphs.get(GraphKey{k_neighbors, configs}, build);
+  return shared_graphs.get(GraphProbe{k_neighbors, configs}, build);
 }
 
 std::size_t detail::shared_pool_graphs_built() {

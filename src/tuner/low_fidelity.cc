@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "core/error.h"
 #include "core/shared_memo.h"
@@ -76,6 +78,42 @@ Models fit_models(const sim::InSituWorkflow& workflow, const FitInput& in,
 /// The fit_shared memo, keyed on the exact fit input.
 SharedMemo<FitInput, Models, kSharedComponentFits> shared_fits;
 
+/// Everything a set's prediction pass over a pool reads, as a caller
+/// asks for it: the models and the matrix are borrowed.
+struct PredictionProbe {
+  const Models& models;
+  std::span<const std::size_t> first_columns;  ///< slice_range(j).first
+  const ml::FeatureMatrix& joint;
+};
+
+/// A PredictionProbe as the memo holds it. Holding the models keeps
+/// their addresses from being reused by a later fit.
+struct PredictionKey {
+  explicit PredictionKey(const PredictionProbe& probe)
+      : models(probe.models),
+        first_columns(probe.first_columns.begin(), probe.first_columns.end()),
+        joint(probe.joint) {}
+
+  /// Models by identity, the matrix bit for bit.
+  bool operator==(const PredictionProbe& probe) const {
+    const auto x = joint.values();
+    const auto y = probe.joint.values();
+    return models == probe.models &&
+           std::ranges::equal(first_columns, probe.first_columns) &&
+           joint.n_features() == probe.joint.n_features() &&
+           x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
+  }
+
+  Models models;
+  std::vector<std::size_t> first_columns;
+  ml::FeatureMatrix joint;
+};
+
+/// The predict_pool memo of history sets' prediction passes.
+SharedMemo<PredictionKey, PoolPredictions, kSharedPoolPredictions>
+    shared_predictions;
+
 }  // namespace
 
 ComponentModelSet::ComponentModelSet(
@@ -87,11 +125,12 @@ ComponentModelSet::ComponentModelSet(
           workflow,
           fit_models(workflow,
                      gather(workflow, objective, samples, sample_indices, gbt),
-                     rng)) {}
+                     rng),
+          false) {}
 
 ComponentModelSet::ComponentModelSet(const sim::InSituWorkflow& workflow,
-                                     Models models)
-    : workflow_(&workflow), models_(std::move(models)) {}
+                                     Models models, bool shared)
+    : workflow_(&workflow), models_(std::move(models)), shared_(shared) {}
 
 std::shared_ptr<const ComponentModelSet> ComponentModelSet::fit_shared(
     const sim::InSituWorkflow& workflow, Objective objective,
@@ -103,13 +142,12 @@ std::shared_ptr<const ComponentModelSet> ComponentModelSet::fit_shared(
   // pure function of its input nor free to skip.
   if (gbt.subsample < 1.0 || gbt.tree.colsample < 1.0) {
     return std::shared_ptr<const ComponentModelSet>(
-        new ComponentModelSet(workflow, fit_models(workflow, in, rng)));
+        new ComponentModelSet(workflow, fit_models(workflow, in, rng), false));
   }
   const auto models = shared_fits.get(
-      std::move(in),
-      [&](const FitInput& key) { return fit_models(workflow, key, rng); });
+      in, [&](const FitInput& key) { return fit_models(workflow, key, rng); });
   return std::shared_ptr<const ComponentModelSet>(
-      new ComponentModelSet(workflow, *models));
+      new ComponentModelSet(workflow, *models, true));
 }
 
 const Surrogate& ComponentModelSet::model(std::size_t j) const {
@@ -129,6 +167,35 @@ std::vector<double> ComponentModelSet::predict_many(
   CEAL_EXPECT(joint.n_features() == workflow_->joint_space().dimension());
   return models_[j]->predict_many(joint,
                                   workflow_->space().slice_range(j).first);
+}
+
+PoolPredictions ComponentModelSet::predict_columns(
+    const ml::FeatureMatrix& joint) const {
+  PoolPredictions columns;
+  columns.reserve(models_.size());
+  for (std::size_t j = 0; j < models_.size(); ++j) {
+    columns.push_back(predict_many(j, joint));
+  }
+  return columns;
+}
+
+std::shared_ptr<const PoolPredictions> ComponentModelSet::predict_pool(
+    const ml::FeatureMatrix& joint) const {
+  if (!shared_) {
+    return std::make_shared<const PoolPredictions>(predict_columns(joint));
+  }
+  CEAL_EXPECT(joint.n_features() == workflow_->joint_space().dimension());
+  std::vector<std::size_t> first_columns(models_.size());
+  for (std::size_t j = 0; j < models_.size(); ++j) {
+    first_columns[j] = workflow_->space().slice_range(j).first;
+  }
+  return shared_predictions.get(
+      PredictionProbe{models_, first_columns, joint},
+      [&](const PredictionKey& key) { return predict_columns(key.joint); });
+}
+
+std::size_t detail::shared_pool_predictions_built() {
+  return shared_predictions.builds_started();
 }
 
 LowFidelityModel::LowFidelityModel(
@@ -158,12 +225,13 @@ double LowFidelityModel::score(const config::Configuration& joint) const {
 std::vector<double> LowFidelityModel::score_many(
     const ml::FeatureMatrix& joint) const {
   // Component-major evaluation: each component's surrogate scores its
-  // column window of the joint matrix in one (parallel) batch. The
-  // per-row combine folds components in ascending j, exactly like
-  // score(), so results match the per-row path bitwise.
+  // column window of the joint matrix in one (parallel) batch, or a
+  // history set's earlier batch is reused. The per-row combine folds
+  // components in ascending j, exactly like score(), so results match
+  // the per-row path bitwise.
+  const auto columns = components_->predict_pool(joint);
   std::vector<double> out(joint.size(), 0.0);
-  for (std::size_t j = 0; j < workflow_->component_count(); ++j) {
-    const std::vector<double> comp = components_->predict_many(j, joint);
+  for (const std::vector<double>& comp : *columns) {
     if (objective_ == Objective::kExecTime) {
       for (std::size_t i = 0; i < out.size(); ++i) {
         out[i] = std::max(out[i], comp[i]);

@@ -13,6 +13,13 @@
 // configuration, and features are plain value casts, so component j's
 // model reads its columns of the joint matrix in place: no slice is
 // copied or featurized a second time.
+//
+// With free history, M_L depends only on the history, so its pool scores
+// depend only on the history and the pool. History sets come from
+// ComponentModelSet::fit_shared's memo, and their per-component
+// predictions over a pool come from a second one (predict_pool): sessions
+// that score one pool with one history fit make one prediction pass. The
+// objective's max/sum fold runs per call on the shared columns.
 #pragma once
 
 #include <memory>
@@ -28,6 +35,16 @@ namespace ceal::tuner {
 /// Distinct history fits ComponentModelSet::fit_shared keeps (LRU).
 /// The benches see at most six: three workflows times two objectives.
 inline constexpr std::size_t kSharedComponentFits = 8;
+
+/// Distinct (history fit, pool) prediction passes
+/// ComponentModelSet::predict_pool keeps (LRU). An entry holds a copy of
+/// the pool's joint matrix as its key, so the bound matches
+/// kSharedPoolGraphs rather than kSharedComponentFits.
+inline constexpr std::size_t kSharedPoolPredictions = 4;
+
+/// Every component's prediction column over a pool, [j][i]: component j
+/// at row i of the pool's joint feature matrix.
+using PoolPredictions = std::vector<std::vector<double>>;
 
 /// One trained performance model per workflow component. The models are
 /// immutable once fitted, so sets may share them: every set built by
@@ -77,13 +94,33 @@ class ComponentModelSet {
   std::vector<double> predict_many(std::size_t j,
                                    const ml::FeatureMatrix& joint) const;
 
+  /// predict_many(j, joint) for every component j, bitwise. A set whose
+  /// models came from fit_shared's memo reads a process-wide SharedMemo
+  /// of the last kSharedPoolPredictions passes, keyed exactly on the
+  /// models (held, so their identity is never reused), each component's
+  /// first column slice_range(j).first, and the matrix's bits; calls
+  /// that miss on one key at once make one pass. Any other set is
+  /// fitted per session, so it predicts here and keeps nothing.
+  std::shared_ptr<const PoolPredictions> predict_pool(
+      const ml::FeatureMatrix& joint) const;
+
  private:
   using Models = std::vector<std::shared_ptr<const Surrogate>>;
-  ComponentModelSet(const sim::InSituWorkflow& workflow, Models models);
+  ComponentModelSet(const sim::InSituWorkflow& workflow, Models models,
+                    bool shared);
+
+  PoolPredictions predict_columns(const ml::FeatureMatrix& joint) const;
 
   const sim::InSituWorkflow* workflow_;
   Models models_;
+  bool shared_;  ///< models_ came from fit_shared's memo
 };
+
+namespace detail {
+/// Test seam: the prediction passes ComponentModelSet::predict_pool has
+/// started in its memo in this process (misses).
+std::size_t shared_pool_predictions_built();
+}  // namespace detail
 
 /// The analytical coupling model over component predictions: the
 /// low-fidelity model M_L used to score (rank) configurations.
@@ -98,7 +135,9 @@ class LowFidelityModel {
 
   /// Scores for every row of a joint feature matrix (featurize_joint
   /// over the workflow's joint space); bitwise equal to score() per
-  /// row, but slices and featurizes nothing.
+  /// row, but slices and featurizes nothing. Folds the components'
+  /// predict_pool columns, so a history set's repeat pool costs a
+  /// lookup and the fold.
   std::vector<double> score_many(const ml::FeatureMatrix& joint) const;
 
  private:

@@ -1,8 +1,9 @@
 // SharedMemo's contract, once for every memo built on it (history
-// component fits, GEIST pool graphs): equal keys share one value, the
-// least recently used key goes at capacity, concurrent misses on one key
-// make one build, and a build that throws hands its exception to every
-// waiter and leaves no entry.
+// component fits and their pool predictions, GEIST pool graphs): equal
+// keys share one value, only a miss copies the key, the least recently
+// used key goes at capacity, concurrent misses on one key make one
+// build, and a build that throws hands its exception to every waiter and
+// leaves no entry.
 #include "core/shared_memo.h"
 
 #include <gtest/gtest.h>
@@ -50,6 +51,29 @@ TEST(SharedMemo, LeastRecentlyUsedKeyIsEvictedAtCapacity) {
   EXPECT_EQ(memo.builds_started(), 4u) << "key 2 was evicted";
   EXPECT_NE(rebuilt, two);
   EXPECT_EQ(*two, 20) << "an evicted value lives on with its holders";
+}
+
+/// A key that counts the copies made of it.
+struct CountedKey {
+  explicit CountedKey(int v) : value(v) {}
+  CountedKey(const CountedKey& other) : value(other.value) { ++copies; }
+  bool operator==(const CountedKey& other) const {
+    return value == other.value;
+  }
+
+  int value;
+  static inline std::size_t copies = 0;
+};
+
+TEST(SharedMemo, OnlyAMissCopiesTheKey) {
+  SharedMemo<CountedKey, int, 2> memo;
+  const CountedKey key(3);
+  const auto build = [](const CountedKey& k) { return k.value * 10; };
+  CountedKey::copies = 0;
+  const auto first = memo.get(key, build);
+  EXPECT_EQ(CountedKey::copies, 1u) << "a miss holds one copy";
+  EXPECT_EQ(memo.get(key, build), first);
+  EXPECT_EQ(CountedKey::copies, 1u) << "a hit copies nothing";
 }
 
 constexpr std::size_t kWorkers = 4;
