@@ -392,8 +392,8 @@ class Telemetry {
 /// elapsed time to span `name`, which renders as the histogram
 /// `timing.<name>_s`. When the Telemetry is observed (sink or flight
 /// recorder attached) it also carries a TraceContext and emits paired
-/// `span.begin`/`span.end` events; `kNoEvents` sites (hot per-round or
-/// per-task spans, whose events would flood the trace) never emit. With
+/// `span.begin`/`span.end` events; `kNoEvents` sites (hot per-task or
+/// per-request spans, whose events would flood the trace) never emit. With
 /// a null Telemetry every member is one branch; with telemetry attached
 /// but nothing observing, no events are built.
 class ScopedSpan {

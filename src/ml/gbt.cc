@@ -8,39 +8,10 @@
 
 #include "core/error.h"
 #include "core/stats.h"
-#include "core/telemetry.h"
 #include "ml/compiled_forest.h"
 #include "ml/quantized.h"
 
 namespace ceal::ml {
-
-namespace {
-
-/// Reports one fit to `tel`: what the booster did and what its trees
-/// tallied. A zero total creates no counter, so a summary lists only
-/// what some fit did.
-void report_fit(telemetry::Telemetry& tel, std::size_t rounds,
-                const TreeFitTally& t) {
-  const std::pair<const char*, std::uint64_t> totals[] = {
-      {"gbt.fits", 1},
-      {"gbt.rounds", rounds},
-      {"tree.fits", t.fits},
-      {"tree.nodes", t.nodes},
-      {"tree.leaves", t.leaves},
-      {"tree.split_search.nodes", t.searched_nodes},
-      {"tree.split_search.features", t.searched_features},
-      {"tree.sort_memo.hits", t.memo_hits},
-      {"tree.sort_memo.misses", t.memo_misses},
-      {"tree.sort_memo.clears", t.memo_clears},
-      {"tree.quantized_cache.hit", t.quantized_hits},
-      {"tree.quantized_cache.miss", t.quantized_misses},
-  };
-  for (const auto& [name, total] : totals) {
-    if (total != 0) tel.count(name, total);
-  }
-}
-
-}  // namespace
 
 GradientBoostedTrees::GradientBoostedTrees(GbtParams params)
     : params_(params) {
@@ -106,7 +77,6 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
   std::optional<SortChainMemo> sort_memo;
   TreeFitState fit_state;
   if (params_.tree.method == TreeMethod::kQuantized) {
-    telemetry::ScopedSpan span(telemetry_, "gbt.quantize");
     fit_state.quantized = &quantized.emplace(data, params_.tree.max_bins);
     fit_state.quantized_ws = &quantized_ws.emplace();
   } else {
@@ -115,8 +85,6 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
 
   trees_.reserve(params_.n_rounds);
   for (std::size_t round = 0; round < params_.n_rounds; ++round) {
-    telemetry::ScopedSpan round_span(telemetry_, "gbt.round",
-                                     telemetry::ScopedSpan::kNoEvents);
     for (std::size_t i = 0; i < n; ++i) grad[i] = pred[i] - data.target(i);
 
     std::vector<std::size_t> rows;
@@ -141,9 +109,7 @@ void GradientBoostedTrees::fit(const Dataset& data, ceal::Rng& rng) {
     }
     trees_.push_back(std::move(tree));
   }
-  if (telemetry_ != nullptr) {
-    report_fit(*telemetry_, params_.n_rounds, fit_state.tally);
-  }
+  fit_tally_ = fit_state.tally;
   fitted_ = true;
   compiled_ =
       std::make_shared<const CompiledForest>(CompiledForest::compile(*this));
@@ -178,11 +144,6 @@ double GradientBoostedTrees::predict(std::span<const double> features) const {
 std::vector<double> GradientBoostedTrees::predict_matrix(
     const FeatureMatrix& rows, std::size_t first_column) const {
   CEAL_EXPECT_MSG(fitted_, "predict_matrix() before fit()");
-  telemetry::ScopedSpan span(telemetry_, "gbt.predict");
-  if (telemetry_ != nullptr) {
-    telemetry_->count("gbt.predict.batches");
-    telemetry_->count("gbt.predict.rows", rows.size());
-  }
   return compiled_->predict_matrix(rows, first_column);
 }
 

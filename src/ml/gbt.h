@@ -9,10 +9,6 @@
 #include "ml/model.h"
 #include "ml/tree.h"
 
-namespace ceal::telemetry {
-class Telemetry;
-}
-
 namespace ceal::ml {
 
 class CompiledForest;
@@ -48,18 +44,9 @@ class GradientBoostedTrees final : public Regressor {
   std::vector<double> predict_matrix(const FeatureMatrix& rows,
                                      std::size_t first_column = 0) const;
 
-  /// Attaches (or detaches, with nullptr) a concurrency-safe telemetry
-  /// registry; not owned, must outlive the model's fits/predictions.
-  /// fit() records the "gbt.round" span (per-round wall clock) and, once
-  /// per fit, the "gbt.fits"/"gbt.rounds" counters and its trees'
-  /// "tree.*" totals (TreeFitTally); batch prediction records
-  /// "gbt.predict.batches"/"gbt.predict.rows" and the "gbt.predict"
-  /// span. Counter values are deterministic functions of the inputs;
-  /// only span seconds carry wall-clock nondeterminism.
-  void set_telemetry(ceal::telemetry::Telemetry* telemetry) {
-    telemetry_ = telemetry;
-  }
-  ceal::telemetry::Telemetry* telemetry() const { return telemetry_; }
+  /// What the trees of the last fit() did (tree.h); all zero before
+  /// fit() and for from_parts(). Tuners report it (tuner/tuning_util.h).
+  const TreeFitTally& fit_tally() const { return fit_tally_; }
 
   std::size_t tree_count() const { return trees_.size(); }
   double base_score() const { return base_score_; }
@@ -85,7 +72,7 @@ class GradientBoostedTrees final : public Regressor {
   std::vector<RegressionTree> trees_;
   bool fitted_ = false;
   std::shared_ptr<const CompiledForest> compiled_;
-  ceal::telemetry::Telemetry* telemetry_ = nullptr;
+  TreeFitTally fit_tally_;
 };
 
 }  // namespace ceal::ml

@@ -110,10 +110,10 @@ class QuantizedMatrix;
 struct QuantizedWorkspace;
 
 /// What the trees of one fit did, as plain totals. Every tree fitted
-/// with a TreeFitState adds to its tally; GradientBoostedTrees::fit
-/// reports the totals once per fit as the `tree.*` counters
-/// (docs/OBSERVABILITY.md). All are deterministic functions of the fit
-/// inputs.
+/// with a TreeFitState adds to its tally; GradientBoostedTrees keeps its
+/// last fit's (fit_tally()), which tuners report as the `tree.*`
+/// counters (docs/OBSERVABILITY.md). All are deterministic functions of
+/// the fit inputs.
 struct TreeFitTally {
   /// Trees grown, and their nodes and leaves.
   std::uint64_t fits = 0, nodes = 0, leaves = 0;
@@ -125,6 +125,8 @@ struct TreeFitTally {
   /// kQuantized: trees grown on the shared QuantizedMatrix vs trees that
   /// binned the data themselves.
   std::uint64_t quantized_hits = 0, quantized_misses = 0;
+
+  bool operator==(const TreeFitTally&) const = default;
 };
 
 /// Byte budget of a SortChainMemo: a 500-row, 7-feature root entry

@@ -109,7 +109,8 @@ class ActiveLearningStepper final : public ActiveLearningLoop {
         fit_on_measured(surrogate_, collector_, *rng_, pool_.features());
     telemetry::ScopedSpan predict_span(problem_.telemetry,
                                        "surrogate.predict");
-    ranking.scores = pool_.surrogate_scores(surrogate_);
+    ranking.scores =
+        predict_batch(problem_.telemetry, surrogate_, pool_.features());
     ranking.predict_s = predict_span.stop();
     return ranking;
   }

@@ -71,7 +71,8 @@ class AlphStepper final : public ActiveLearningLoop {
     PoolRanking ranking;
     ranking.fit_s = fit_on_measured(model_, collector_, *rng_, *pool_features_);
     telemetry::ScopedSpan span(problem_.telemetry, "surrogate.predict");
-    ranking.scores = model_.predict_many(*pool_features_);
+    ranking.scores =
+        predict_batch(problem_.telemetry, model_, *pool_features_);
     ranking.predict_s = span.stop();
     return ranking;
   }

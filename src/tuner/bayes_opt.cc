@@ -45,9 +45,7 @@ class BayesOptStepper final : public ActiveLearningLoop {
                            params.init_fraction),
         params_(params),
         m_r_(m_r),
-        members_(params_.ensemble_size, Surrogate(member_params(problem_))) {
-    for (Surrogate& member : members_) member.set_telemetry(problem_.telemetry);
-  }
+        members_(params_.ensemble_size, Surrogate(member_params(problem_))) {}
 
  private:
   // Initial design: random, or bootstrapped by the low-fidelity model.
@@ -88,6 +86,7 @@ class BayesOptStepper final : public ActiveLearningLoop {
         targets[i] = values[pick];
       }
       member.fit(pool_.features(), rows, targets, *rng_);
+      report_gbt_fit(tel, member.model());
     }
     return span.stop();
   }
@@ -101,7 +100,8 @@ class BayesOptStepper final : public ActiveLearningLoop {
     std::vector<std::vector<double>> member;
     member.reserve(members_.size());
     for (const Surrogate& model : members_) {
-      member.push_back(pool_.surrogate_scores(model));
+      member.push_back(
+          predict_batch(problem_.telemetry, model, pool_.features()));
     }
     ranking.scores.resize(pool_.size());
     std::vector<double> preds(members_.size());

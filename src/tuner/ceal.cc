@@ -234,7 +234,8 @@ class CealStepper final : public ActiveLearningLoop {
     PoolRanking ranking;
     telemetry::ScopedSpan predict_span(problem_.telemetry,
                                        "surrogate.predict");
-    ranking.scores = pool_.surrogate_scores(high_fidelity_);
+    ranking.scores = predict_batch(problem_.telemetry, high_fidelity_,
+                                   pool_.features());
     ranking.predict_s = predict_span.stop();
     queued_by_high_ = true;
     return ranking;
@@ -315,7 +316,8 @@ class CealStepper final : public ActiveLearningLoop {
     } else {
       telemetry::ScopedSpan final_span(problem_.telemetry,
                                        "surrogate.predict");
-      scores = pool_.surrogate_scores(high_fidelity_);
+      scores = predict_batch(problem_.telemetry, high_fidelity_,
+                             pool_.features());
     }
     if (params_.ensemble_final) {
       for (std::size_t i = 0; i < scores.size(); ++i) {

@@ -205,7 +205,7 @@ class GeistStepper final : public ActiveLearningLoop {
     fit_on_measured(surrogate, collector_, *rng_, pool_.features());
     telemetry::ScopedSpan predict_span(problem_.telemetry,
                                        "surrogate.predict");
-    return pool_.surrogate_scores(surrogate);
+    return predict_batch(problem_.telemetry, surrogate, pool_.features());
   }
 
   GeistParams params_;

@@ -70,7 +70,8 @@ class RandomSearchStepper final : public TunerStepper {
     fit_on_measured(surrogate, collector_, *rng_, pool.features());
     telemetry::ScopedSpan predict_span(problem_.telemetry,
                                        "surrogate.predict");
-    auto scores = pool.surrogate_scores(surrogate);
+    auto scores =
+        predict_batch(problem_.telemetry, surrogate, pool.features());
     predict_span.stop();
     finish(finalize_result(collector_, std::move(scores)));
   }

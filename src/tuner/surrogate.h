@@ -1,5 +1,6 @@
 // Surrogate model over joint workflow configurations: a boosted-tree
-// regressor plus the configuration->feature encoding.
+// regressor plus the configuration->feature encoding. The tuners report
+// its fits and batch predictions (tuner/tuning_util.h).
 #pragma once
 
 #include <span>
@@ -53,13 +54,6 @@ class Surrogate {
   /// so a component model scores its slice of a joint pool matrix.
   std::vector<double> predict_many(const ml::FeatureMatrix& rows,
                                    std::size_t first_column = 0) const;
-
-  /// Forwards a (concurrency-safe, nullable) telemetry registry to the
-  /// underlying boosted-tree model, which records per-round fit spans,
-  /// split-search counters, and batch-predict throughput (ml/gbt.h).
-  void set_telemetry(ceal::telemetry::Telemetry* telemetry) {
-    model_.set_telemetry(telemetry);
-  }
 
  private:
   /// The one training path: `row(k)` gives example k's features.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/error.h"
 #include "core/telemetry.h"
@@ -106,13 +107,43 @@ double fit_on_measured(Surrogate& surrogate, const Collector& collector,
   }
   telemetry::Telemetry* tel = collector.problem().telemetry;
   if (tel != nullptr) tel->count("surrogate.fits");
-  // Push the registry down into the GBT so the fit below (and every
-  // later predict through this surrogate) records per-round spans and
-  // split-search counters.
-  surrogate.set_telemetry(tel);
   telemetry::ScopedSpan span(tel, "surrogate.fit");
   surrogate.fit(pool_rows, indices, values, rng);
+  report_gbt_fit(tel, surrogate.model());
   return span.stop();
+}
+
+void report_gbt_fit(telemetry::Telemetry* tel,
+                    const ml::GradientBoostedTrees& model) {
+  if (tel == nullptr) return;
+  const ml::TreeFitTally& t = model.fit_tally();
+  const std::pair<const char*, std::uint64_t> totals[] = {
+      {"gbt.fits", 1},
+      {"gbt.rounds", model.tree_count()},
+      {"tree.fits", t.fits},
+      {"tree.nodes", t.nodes},
+      {"tree.leaves", t.leaves},
+      {"tree.split_search.nodes", t.searched_nodes},
+      {"tree.split_search.features", t.searched_features},
+      {"tree.sort_memo.hits", t.memo_hits},
+      {"tree.sort_memo.misses", t.memo_misses},
+      {"tree.sort_memo.clears", t.memo_clears},
+      {"tree.quantized_cache.hit", t.quantized_hits},
+      {"tree.quantized_cache.miss", t.quantized_misses},
+  };
+  for (const auto& [name, total] : totals) {
+    if (total != 0) tel->count(name, total);
+  }
+}
+
+std::vector<double> predict_batch(telemetry::Telemetry* tel,
+                                  const Surrogate& surrogate,
+                                  const ml::FeatureMatrix& rows) {
+  if (tel != nullptr) {
+    tel->count("gbt.predict.batches");
+    tel->count("gbt.predict.rows", rows.size());
+  }
+  return surrogate.predict_many(rows);
 }
 
 std::shared_ptr<const ComponentModelSet> train_component_models(

@@ -67,10 +67,23 @@ std::size_t measure_batch(Collector& collector,
 /// GradientBoostedTrees::fit. The surrogate trains on the measured
 /// indices' rows of `pool_rows` (one feature row per pool index, e.g.
 /// PoolScorer::features()). Returns the fit's wall-clock seconds when
-/// the problem carries telemetry (recorded as the "surrogate.fit" span),
-/// 0 otherwise.
+/// the problem carries telemetry (recorded as the "surrogate.fit" span,
+/// with the fit reported by report_gbt_fit), 0 otherwise.
 double fit_on_measured(Surrogate& surrogate, const Collector& collector,
                        ceal::Rng& rng, const ml::FeatureMatrix& pool_rows);
+
+/// Reports the last fit of `model` to `tel` (when non-null): "gbt.fits"
+/// 1, "gbt.rounds" its tree count and its fit_tally() as "tree.*". A
+/// zero total creates no counter. Called inside "surrogate.fit" spans.
+void report_gbt_fit(telemetry::Telemetry* tel,
+                    const ml::GradientBoostedTrees& model);
+
+/// surrogate.predict_many(rows), counted in `tel` (when non-null) as one
+/// "gbt.predict.batches" and rows.size() "gbt.predict.rows". Every tuner
+/// scores the pool through this, inside a "surrogate.predict" span.
+std::vector<double> predict_batch(telemetry::Telemetry* tel,
+                                  const Surrogate& surrogate,
+                                  const ml::FeatureMatrix& rows);
 
 /// The per-component models of a tuner that bootstraps from component
 /// runs (CEAL, ALpH, BO-CEAL). Trains on every historical sample when

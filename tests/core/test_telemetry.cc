@@ -321,11 +321,11 @@ TEST(ScopedSpanTest, NoEventsSpanFeedsItsHistogramWithoutEmitting) {
   tel.seed_trace(1);
   ASSERT_TRUE(tel.observed());
   {
-    ScopedSpan quiet(&tel, "gbt.round", ScopedSpan::kNoEvents);
+    ScopedSpan quiet(&tel, "pool.task", ScopedSpan::kNoEvents);
     EXPECT_EQ(quiet.context().span_id, 0u);
   }
   EXPECT_TRUE(sink.lines.empty());
-  EXPECT_EQ(tel.histogram_stats("timing.gbt.round_s").count, 1u);
+  EXPECT_EQ(tel.histogram_stats("timing.pool.task_s").count, 1u);
   // A silent span allocates no span id, so the next causal span's ids
   // are what they would be without it.
   { ScopedSpan loud(&tel, "tuner.step"); }

@@ -22,7 +22,6 @@
 #include "core/error.h"
 #include "core/parallel.h"
 #include "core/rng.h"
-#include "core/telemetry.h"
 #include "ml/gbt.h"
 #include "ml/serialize.h"
 #include "tests/ml/feature_rows.h"
@@ -125,17 +124,6 @@ TEST(CompiledForest, FitPathCompilesAndRoutesPredictions) {
     }
   }
 
-  // Batch inference reports under the gbt.predict names only: the
-  // compiled forest adds no telemetry of its own.
-  GradientBoostedTrees model(GradientBoostedTrees::surrogate_defaults());
-  ceal::Rng fit_rng(4);
-  model.fit(train, fit_rng);
-  telemetry::Telemetry tel;
-  model.set_telemetry(&tel);
-  (void)model.predict_matrix(rows_of(pool));
-  EXPECT_EQ(tel.counter("gbt.predict.rows"), pool.size());
-  EXPECT_EQ(tel.counter("gbt.predict.batches"), 1u);
-  EXPECT_EQ(tel.counter("compiled.predict.rows"), 0u);
 }
 
 TEST(CompiledForest, ThreadCountDeterminism) {

@@ -5,18 +5,26 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <string>
+#include <ostream>
 #include <vector>
 
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/stats.h"
-#include "core/telemetry.h"
 #include "tests/ml/feature_rows.h"
 
 namespace ceal::ml {
+
+void PrintTo(const TreeFitTally& t, std::ostream* os) {
+  *os << "{fits " << t.fits << ", nodes " << t.nodes << ", leaves "
+      << t.leaves << ", searched_nodes " << t.searched_nodes
+      << ", searched_features " << t.searched_features << ", memo_hits "
+      << t.memo_hits << ", memo_misses " << t.memo_misses
+      << ", memo_clears " << t.memo_clears << ", quantized_hits "
+      << t.quantized_hits << ", quantized_misses " << t.quantized_misses
+      << "}";
+}
+
 namespace {
 
 Dataset quadratic_data(std::size_t n, ceal::Rng& rng) {
@@ -163,28 +171,6 @@ TEST(Gbt, OutlierIsolatedFromGoodRegion) {
 // sort keys; a change that moves a sort's tie order, the g_left
 // summation order or a threshold shows up here.
 
-/// Integer features with at most 8 levels each, like component
-/// configurations: every feature is full of ties. `cores` duplicates
-/// `procs` up to a monotone map (a config carrying both a count and a
-/// derived total), so every node has two features with the same
-/// partitions whose gains differ only in the g_left summation order —
-/// the order of tied rows after the sort. Any change to that tie order
-/// flips some of those near-tied splits and shows up in the fingerprint.
-Dataset tie_heavy_data(std::size_t n, ceal::Rng& rng) {
-  Dataset d(5);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto procs = static_cast<double>(rng.uniform_int(1, 8));
-    const auto ppn = static_cast<double>(rng.uniform_int(1, 4));
-    const auto threads = static_cast<double>(rng.uniform_int(1, 2));
-    const auto interval = static_cast<double>(rng.uniform_int(0, 7));
-    const double cores = 4.0 * procs;
-    d.add(std::vector<double>{procs, ppn, threads, interval, cores},
-          40.0 / (procs * threads) + 3.0 * ppn + 0.5 * interval +
-              rng.normal(0.0, 0.2));
-  }
-  return d;
-}
-
 /// Continuous, all-distinct features.
 Dataset continuous_data(std::size_t n, ceal::Rng& rng) {
   Dataset d(3);
@@ -304,30 +290,49 @@ TEST(Gbt, ExactFitReplaysEveryRootAfterTheFirst) {
   GbtParams params = GradientBoostedTrees::surrogate_defaults();
   params.n_rounds = 40;
   GradientBoostedTrees model(params);
-  telemetry::Telemetry tel;
-  model.set_telemetry(&tel);
   model.fit(train, rng);
-  EXPECT_GE(tel.counter("tree.sort_memo.hits"), params.n_rounds - 1);
-  EXPECT_EQ(tel.counter("tree.sort_memo.hits") +
-                tel.counter("tree.sort_memo.misses"),
-            tel.counter("tree.split_search.nodes"));
+  const TreeFitTally& t = model.fit_tally();
+  EXPECT_GE(t.memo_hits, params.n_rounds - 1);
+  EXPECT_EQ(t.memo_hits + t.memo_misses, t.searched_nodes);
+}
+
+TEST(Gbt, FitTallyIsTheLastFitsAndEmptyForFromParts) {
+  ceal::Rng rng(17);
+  const Dataset small = tie_heavy_data(60, rng);
+  const Dataset large = tie_heavy_data(200, rng);
+  GbtParams params = GradientBoostedTrees::surrogate_defaults();
+  params.n_rounds = 10;
+  GradientBoostedTrees fresh(params);
+  ceal::Rng fresh_rng(18);
+  fresh.fit(large, fresh_rng);
+
+  GradientBoostedTrees refit(params);
+  ceal::Rng refit_rng(18);
+  refit.fit(small, refit_rng);
+  refit_rng = ceal::Rng(18);
+  refit.fit(large, refit_rng);
+  EXPECT_EQ(refit.fit_tally(), fresh.fit_tally());
+  EXPECT_EQ(refit.fit_tally().fits, params.n_rounds);
+
+  const auto parts = GradientBoostedTrees::from_parts(
+      params, fresh.base_score(), fresh.trees());
+  EXPECT_EQ(parts.tree_count(), params.n_rounds);
+  EXPECT_EQ(parts.fit_tally(), TreeFitTally{});
 }
 
 // ---------------------------------------------------------------------
-// What a fit reports. The expected counters were recorded at the commit
-// before the trees' totals moved into one per-fit tally, when every tree
-// counted into the Telemetry itself: a fit must report the same names
-// with the same values, and create no counter for a zero total.
+// What a fit tallies. The expected values were recorded when every tree
+// counted into a Telemetry itself, as the counters `gbt.rounds` (the
+// model's tree_count()) and `tree.*` (the tally's fields, zero where no
+// counter was created): a fit must keep them. Tuners report them under
+// those names (tuner/tuning_util.h, tests/tuner/test_tuning_util.cc).
 
-using Counters = std::map<std::string, std::uint64_t, std::less<>>;
-
-Counters fit_counters(const Dataset& train, const GbtParams& params,
-                      ceal::Rng& rng) {
+TreeFitTally fit_tally(const Dataset& train, const GbtParams& params,
+                       ceal::Rng& rng) {
   GradientBoostedTrees model(params);
-  telemetry::Telemetry tel;
-  model.set_telemetry(&tel);
   model.fit(train, rng);
-  return tel.counters();
+  EXPECT_EQ(model.tree_count(), params.n_rounds);
+  return model.fit_tally();
 }
 
 TEST(GbtTelemetry, ExactTieHeavyFit) {
@@ -335,16 +340,14 @@ TEST(GbtTelemetry, ExactTieHeavyFit) {
   const Dataset train = tie_heavy_data(200, rng);
   GbtParams params = GradientBoostedTrees::surrogate_defaults();
   params.n_rounds = 40;
-  EXPECT_EQ(fit_counters(train, params, rng),
-            (Counters{{"gbt.fits", 1},
-                      {"gbt.rounds", 40},
-                      {"tree.fits", 40},
-                      {"tree.leaves", 988},
-                      {"tree.nodes", 1936},
-                      {"tree.sort_memo.hits", 822},
-                      {"tree.sort_memo.misses", 347},
-                      {"tree.split_search.features", 5845},
-                      {"tree.split_search.nodes", 1169}}));
+  EXPECT_EQ(fit_tally(train, params, rng),
+            (TreeFitTally{.fits = 40,
+                          .nodes = 1936,
+                          .leaves = 988,
+                          .searched_nodes = 1169,
+                          .searched_features = 5845,
+                          .memo_hits = 822,
+                          .memo_misses = 347}));
 }
 
 TEST(GbtTelemetry, ExactSubsampledFitOutgrowsItsMemo) {
@@ -356,16 +359,14 @@ TEST(GbtTelemetry, ExactSubsampledFitOutgrowsItsMemo) {
   GbtParams params = GradientBoostedTrees::surrogate_defaults();
   params.n_rounds = 20;
   params.subsample = 0.7;
-  EXPECT_EQ(fit_counters(train, params, rng),
-            (Counters{{"gbt.fits", 1},
-                      {"gbt.rounds", 20},
-                      {"tree.fits", 20},
-                      {"tree.leaves", 471},
-                      {"tree.nodes", 922},
-                      {"tree.sort_memo.clears", 8},
-                      {"tree.sort_memo.misses", 536},
-                      {"tree.split_search.features", 2680},
-                      {"tree.split_search.nodes", 536}}));
+  EXPECT_EQ(fit_tally(train, params, rng),
+            (TreeFitTally{.fits = 20,
+                          .nodes = 922,
+                          .leaves = 471,
+                          .searched_nodes = 536,
+                          .searched_features = 2680,
+                          .memo_misses = 536,
+                          .memo_clears = 8}));
 }
 
 TEST(GbtTelemetry, QuantizedFit) {
@@ -375,15 +376,13 @@ TEST(GbtTelemetry, QuantizedFit) {
   params.n_rounds = 30;
   params.subsample = 0.8;
   params.tree.method = TreeMethod::kQuantized;
-  EXPECT_EQ(fit_counters(train, params, rng),
-            (Counters{{"gbt.fits", 1},
-                      {"gbt.rounds", 30},
-                      {"tree.fits", 30},
-                      {"tree.leaves", 681},
-                      {"tree.nodes", 1332},
-                      {"tree.quantized_cache.hit", 30},
-                      {"tree.split_search.features", 3950},
-                      {"tree.split_search.nodes", 790}}));
+  EXPECT_EQ(fit_tally(train, params, rng),
+            (TreeFitTally{.fits = 30,
+                          .nodes = 1332,
+                          .leaves = 681,
+                          .searched_nodes = 790,
+                          .searched_features = 3950,
+                          .quantized_hits = 30}));
 }
 
 TEST(GbtTelemetry, QuantizedTreesWithoutASharedMatrixTallyMisses) {

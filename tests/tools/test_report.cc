@@ -29,22 +29,22 @@ TEST(TraceAccumulator, SumsSummariesAcrossFilesAndDerivesRates) {
       R"({"event":"ceal.switch","iteration":10})",
       R"({"event":"telemetry.summary","seq":9,"measure.requests":20,)"
       R"("measure.failed":2,"gbt.rounds":100,)"
-      R"("timing":{"hist.timing.gbt.round_s.sum":0.5}})",
+      R"("timing":{"hist.timing.surrogate.fit_s.sum":0.5}})",
   }));
   acc.add(events_of({
       R"({"event":"ceal.switch","iteration":14})",
       R"({"event":"telemetry.summary","seq":3,"measure.requests":10,)"
       R"("measure.censored":1,"gbt.rounds":100,)"
-      R"("timing":{"hist.timing.gbt.round_s.sum":0.5}})",
+      R"("timing":{"hist.timing.surrogate.fit_s.sum":0.5}})",
   }));
   EXPECT_FALSE(acc.empty());
 
   const MetricMap m = acc.finish();
   EXPECT_DOUBLE_EQ(m.at("trace.measure.requests"), 30.0);
   EXPECT_DOUBLE_EQ(m.at("trace.gbt.rounds"), 200.0);
-  EXPECT_DOUBLE_EQ(m.at("trace.hist.timing.gbt.round_s.sum"), 1.0);
+  EXPECT_DOUBLE_EQ(m.at("trace.hist.timing.surrogate.fit_s.sum"), 1.0);
   // Derived: switch mean over both traces, failure rate over the sums,
-  // fit throughput from rounds / round seconds.
+  // fit throughput from rounds / surrogate fit seconds.
   EXPECT_DOUBLE_EQ(m.at("trace.ceal.switch_iteration.mean"), 12.0);
   EXPECT_DOUBLE_EQ(m.at("trace.measure.failure_rate"), 3.0 / 30.0);
   EXPECT_DOUBLE_EQ(m.at("trace.gbt.fit_rounds_per_s"), 200.0);
@@ -64,21 +64,18 @@ TEST(TraceAccumulator, DerivedThroughputsMatchAcrossSummaryFormats) {
   const MetricMap one_file = metrics_of(
       R"({"event":"telemetry.summary","gbt.rounds":300,)"
       R"("gbt.predict.rows":8000,"surrogate.fits":3,)"
-      R"("timing":{"hist.timing.gbt.predict_s.sum":0.004,)"
-      R"("hist.timing.gbt.round_s.sum":0.6,)"
+      R"("timing":{"hist.timing.surrogate.predict_s.sum":0.004,)"
       R"("hist.timing.surrogate.fit_s.sum":0.012}})");
   TraceAccumulator split;
   split.add(events_of({
       R"({"event":"telemetry.summary","gbt.rounds":100,)"
       R"("gbt.predict.rows":3000,"surrogate.fits":1,)"
-      R"("timing":{"hist.timing.gbt.predict_s.sum":0.001,)"
-      R"("hist.timing.gbt.round_s.sum":0.2,)"
+      R"("timing":{"hist.timing.surrogate.predict_s.sum":0.001,)"
       R"("hist.timing.surrogate.fit_s.sum":0.004}})"}));
   split.add(events_of({
       R"({"event":"telemetry.summary","gbt.rounds":200,)"
       R"("gbt.predict.rows":5000,"surrogate.fits":2,)"
-      R"("timing":{"hist.timing.gbt.predict_s.sum":0.003,)"
-      R"("hist.timing.gbt.round_s.sum":0.4,)"
+      R"("timing":{"hist.timing.surrogate.predict_s.sum":0.003,)"
       R"("hist.timing.surrogate.fit_s.sum":0.008}})"}));
   const MetricMap two_files = split.finish();
   for (const char* name :
@@ -88,7 +85,7 @@ TEST(TraceAccumulator, DerivedThroughputsMatchAcrossSummaryFormats) {
     ASSERT_EQ(two_files.count(name), 1u) << name;
     EXPECT_DOUBLE_EQ(one_file.at(name), two_files.at(name)) << name;
   }
-  EXPECT_DOUBLE_EQ(one_file.at("trace.gbt.fit_rounds_per_s"), 500.0);
+  EXPECT_DOUBLE_EQ(one_file.at("trace.gbt.fit_rounds_per_s"), 25000.0);
   EXPECT_DOUBLE_EQ(one_file.at("trace.gbt.predict_rows_per_s"), 2e6);
   EXPECT_DOUBLE_EQ(one_file.at("trace.surrogate.fits_per_s"), 250.0);
 }

@@ -4,10 +4,15 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "core/telemetry.h"
 #include "sim/workloads.h"
+#include "tests/ml/feature_rows.h"
 #include "tuner/low_fidelity.h"
 #include "tuner/pool_features.h"
 
@@ -165,6 +170,136 @@ TEST_F(TuningUtilTest, FinalizePicksArgminAndBestMeasured) {
   EXPECT_EQ(result.best_measured_index, expect_best_measured);
   EXPECT_EQ(result.runs_used, 2u);
   EXPECT_GT(result.cost_exec_s, 0.0);
+}
+
+// ---------------------------------------------------------------------
+// What the tuners report about their models. The expected counters were
+// recorded when GradientBoostedTrees counted into a Telemetry itself
+// (the GbtTelemetry cases of tests/ml/test_gbt.cc pin the same fits'
+// tallies): a reported fit keeps the names and values, and creates no
+// counter for a zero total.
+
+using Counters = std::map<std::string, std::uint64_t, std::less<>>;
+
+Counters reported_fit(const ml::Dataset& train, const ml::GbtParams& params,
+                      ceal::Rng& rng) {
+  ml::GradientBoostedTrees model(params);
+  model.fit(train, rng);
+  telemetry::Telemetry tel;
+  report_gbt_fit(&tel, model);
+  report_gbt_fit(nullptr, model);  // no registry: nothing to do
+  return tel.counters();
+}
+
+TEST(ReportGbtFit, ExactTieHeavyFit) {
+  ceal::Rng rng(41);
+  const ml::Dataset train = ml::tie_heavy_data(200, rng);
+  ml::GbtParams params = ml::GradientBoostedTrees::surrogate_defaults();
+  params.n_rounds = 40;
+  EXPECT_EQ(reported_fit(train, params, rng),
+            (Counters{{"gbt.fits", 1},
+                      {"gbt.rounds", 40},
+                      {"tree.fits", 40},
+                      {"tree.leaves", 988},
+                      {"tree.nodes", 1936},
+                      {"tree.sort_memo.hits", 822},
+                      {"tree.sort_memo.misses", 347},
+                      {"tree.split_search.features", 5845},
+                      {"tree.split_search.nodes", 1169}}));
+}
+
+TEST(ReportGbtFit, ExactSubsampledFitOutgrowsItsMemo) {
+  ceal::Rng rng(42);
+  const ml::Dataset train = ml::tie_heavy_data(1500, rng);
+  ml::GbtParams params = ml::GradientBoostedTrees::surrogate_defaults();
+  params.n_rounds = 20;
+  params.subsample = 0.7;
+  EXPECT_EQ(reported_fit(train, params, rng),
+            (Counters{{"gbt.fits", 1},
+                      {"gbt.rounds", 20},
+                      {"tree.fits", 20},
+                      {"tree.leaves", 471},
+                      {"tree.nodes", 922},
+                      {"tree.sort_memo.clears", 8},
+                      {"tree.sort_memo.misses", 536},
+                      {"tree.split_search.features", 2680},
+                      {"tree.split_search.nodes", 536}}));
+}
+
+TEST(ReportGbtFit, QuantizedFit) {
+  ceal::Rng rng(43);
+  const ml::Dataset train = ml::tie_heavy_data(300, rng);
+  ml::GbtParams params = ml::GradientBoostedTrees::surrogate_defaults();
+  params.n_rounds = 30;
+  params.subsample = 0.8;
+  params.tree.method = ml::TreeMethod::kQuantized;
+  EXPECT_EQ(reported_fit(train, params, rng),
+            (Counters{{"gbt.fits", 1},
+                      {"gbt.rounds", 30},
+                      {"tree.fits", 30},
+                      {"tree.leaves", 681},
+                      {"tree.nodes", 1332},
+                      {"tree.quantized_cache.hit", 30},
+                      {"tree.split_search.features", 3950},
+                      {"tree.split_search.nodes", 790}}));
+}
+
+// fit_on_measured reports its fit once, inside its one span: the model
+// records no span of its own.
+TEST_F(TuningUtilTest, FitOnMeasuredReportsItsFitOnce) {
+  telemetry::Telemetry tel;
+  TuningProblem traced = problem_;
+  traced.telemetry = &tel;
+  Collector col(traced, 10);
+  ceal::Rng rng(2);
+  for (std::size_t i = 0; i < 10; ++i) col.measure(i);
+  Surrogate model;
+  fit_on_measured(model, col, rng,
+                  featurize_joint(wl_.workflow.joint_space(), pool_.configs));
+
+  telemetry::Telemetry expected;
+  expected.count("surrogate.fits");
+  report_gbt_fit(&expected, model.model());
+  Counters model_counters;  // leaves out the collector's measure.*
+  for (const auto& [name, value] : tel.counters()) {
+    if (name.starts_with("gbt.") || name.starts_with("tree.") ||
+        name.starts_with("surrogate.")) {
+      model_counters.emplace(name, value);
+    }
+  }
+  EXPECT_EQ(model_counters, expected.counters());
+  EXPECT_EQ(tel.counter("gbt.rounds"), model.model().tree_count());
+  EXPECT_EQ(tel.histogram_stats("timing.surrogate.fit_s").count, 1u);
+  for (const auto& [name, stats] : tel.histograms()) {
+    EXPECT_FALSE(name.starts_with("timing.gbt.")) << name;
+  }
+}
+
+// Batch inference reports under the gbt.predict names only, through the
+// tuner-side predict_batch, and returns predict_many's values.
+TEST(PredictBatch, CountsOneBatchOfItsRows) {
+  ceal::Rng rng(4);
+  const ml::Dataset train = ml::tie_heavy_data(150, rng);
+  const ml::Dataset pool = ml::tie_heavy_data(300, rng);
+  std::vector<std::size_t> train_rows(train.size());
+  for (std::size_t i = 0; i < train_rows.size(); ++i) train_rows[i] = i;
+  Surrogate surrogate;
+  surrogate.fit(ml::rows_of(train), train_rows, train.targets(), rng);
+  const ml::FeatureMatrix rows = ml::rows_of(pool);
+  const std::vector<double> want = surrogate.predict_many(rows);
+
+  telemetry::Telemetry tel;
+  const std::vector<double> got = predict_batch(&tel, surrogate, rows);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "row " << i;
+  }
+  EXPECT_EQ(tel.counters(), (Counters{{"gbt.predict.batches", 1},
+                                      {"gbt.predict.rows", pool.size()}}));
+  EXPECT_TRUE(tel.histograms().empty());
+  EXPECT_EQ(predict_batch(nullptr, surrogate, rows), want);
 }
 
 }  // namespace

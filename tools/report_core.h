@@ -96,11 +96,13 @@ class TraceAccumulator {
            value_or(out, "trace.measure.censored", 0.0)) /
           requests;
     }
+    // The boosted trees record no spans: their rounds and predicted rows
+    // are timed by the tuner spans around every fit and batch.
     add_throughput(out, "trace.gbt.fit_rounds_per_s", "trace.gbt.rounds",
-                   "trace.hist.timing.gbt.round_s.sum");
+                   "trace.hist.timing.surrogate.fit_s.sum");
     add_throughput(out, "trace.gbt.predict_rows_per_s",
                    "trace.gbt.predict.rows",
-                   "trace.hist.timing.gbt.predict_s.sum");
+                   "trace.hist.timing.surrogate.predict_s.sum");
     add_throughput(out, "trace.surrogate.fits_per_s", "trace.surrogate.fits",
                    "trace.hist.timing.surrogate.fit_s.sum");
     return out;

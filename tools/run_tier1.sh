@@ -384,7 +384,7 @@ if [[ "$with_tsan" == 1 ]]; then
   cmake --build "$dir" -j "$jobs" --target unit_tests system_tests \
     serve_tests measure_tests ceal_worker
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" -L tier1 \
-    -R 'Telemetry|ThreadPool|NestedParallel|Trace|Parallel|Quantized|ThreadCountDeterminism|Compiled|PoolScorer|Serve|Measure|EvaluationTest|PoolGraph|SharedComponentFits|SharedMemo|SharedPoolGraph|SharedPoolPredictions'
+    -R 'Telemetry|ThreadPool|NestedParallel|Trace|Parallel|Quantized|ThreadCountDeterminism|Compiled|PoolScorer|Serve|Measure|EvaluationTest|PoolGraph|SharedComponentFits|SharedMemo|SharedPoolGraph|SharedPoolPredictions|GatedSessionVolume'
 fi
 
 echo "tier-1 OK (plain + asan + ubsan$([[ "$with_tsan" == 1 ]] && echo ' + tsan'))"
